@@ -8,6 +8,147 @@ namespace figret::lp {
 
 namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+// Scatter marks: the row is in the workspace / was in the column before.
+constexpr std::uint8_t kSet = 1;
+constexpr std::uint8_t kOld = 2;
+
+// Min-heap order for the pivot search (std heaps are max-heaps).
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.key > b.key;
+};
+}  // namespace
+
+void LuFactorization::load(const SparseMatrix& A,
+                           const std::vector<std::uint32_t>& basis) {
+  Workspace& w = ws_;
+  w.ents.clear();
+  w.cbeg.resize(m_);
+  w.clen.resize(m_);
+  w.ccap.resize(m_);
+  w.rcap.assign(m_, 0);
+  for (std::size_t j = 0; j < m_; ++j) {
+    const auto rows = A.col_rows(basis[j]);
+    const auto vals = A.col_values(basis[j]);
+    w.cbeg[j] = w.ents.size();
+    w.clen[j] = w.ccap[j] = static_cast<std::uint32_t>(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      w.ents.emplace_back(rows[k], vals[k]);
+      ++w.rcap[rows[k]];
+    }
+  }
+  // The row index starts exactly sized to the basis, filled in slot order.
+  w.rbeg.resize(m_);
+  w.rlen.assign(m_, 0);
+  std::size_t at = 0;
+  for (std::size_t r = 0; r < m_; ++r) {
+    w.rbeg[r] = at;
+    at += w.rcap[r];
+  }
+  w.slots.resize(at);
+  for (std::size_t j = 0; j < m_; ++j)
+    for (std::uint32_t k = 0; k < w.clen[j]; ++k) {
+      const std::uint32_t r = w.ents[w.cbeg[j] + k].first;
+      w.slots[w.rbeg[r] + w.rlen[r]++] = static_cast<std::uint32_t>(j);
+    }
+
+  w.stamp.assign(m_, 0);
+  w.heap.clear();
+  for (std::size_t j = 0; j < m_; ++j)
+    w.heap.push_back({(std::uint64_t{w.clen[j]} << 32) | j, 0});
+  std::make_heap(w.heap.begin(), w.heap.end(), kLater);
+
+  w.dval.assign(m_, 0.0);
+  w.mark.assign(m_, 0);
+}
+
+bool LuFactorization::pick_row(std::uint32_t j, std::size_t& row,
+                               double& value) const {
+  const Workspace& w = ws_;
+  const Entry* col = w.ents.data() + w.cbeg[j];
+  const std::uint32_t len = w.clen[j];
+  double cmax = 0.0;
+  for (std::uint32_t k = 0; k < len; ++k)
+    cmax = std::max(cmax, std::abs(col[k].second));
+  if (cmax < opt_.abs_pivot_tol) return false;  // unusable (for now) column
+  const double thresh = std::max(opt_.abs_pivot_tol, opt_.rel_pivot_tol * cmax);
+  row = kNone;
+  value = 0.0;
+  std::uint32_t best_rc = std::numeric_limits<std::uint32_t>::max();
+  for (std::uint32_t k = 0; k < len; ++k) {
+    const auto [r, v] = col[k];
+    if (std::abs(v) < thresh) continue;
+    if (w.rlen[r] < best_rc ||
+        (w.rlen[r] == best_rc && std::abs(v) > std::abs(value))) {
+      best_rc = w.rlen[r];
+      row = r;
+      value = v;
+    }
+  }
+  return row != kNone;
+}
+
+void LuFactorization::rekey(std::uint32_t j) {
+  Workspace& w = ws_;
+  w.heap.push_back({(std::uint64_t{w.clen[j]} << 32) | j, ++w.stamp[j]});
+  std::push_heap(w.heap.begin(), w.heap.end(), kLater);
+}
+
+void LuFactorization::push_slot(std::uint32_t row, std::uint32_t slot) {
+  Workspace& w = ws_;
+  if (w.rlen[row] == w.rcap[row]) {
+    // Full: move the list to the arena's end with room to double.
+    const std::size_t from = w.rbeg[row];
+    w.rcap[row] = std::max<std::uint32_t>(4, 2 * w.rcap[row]);
+    w.rbeg[row] = w.slots.size();
+    w.slots.resize(w.slots.size() + w.rcap[row]);
+    std::copy_n(w.slots.begin() + static_cast<std::ptrdiff_t>(from),
+                w.rlen[row],
+                w.slots.begin() + static_cast<std::ptrdiff_t>(w.rbeg[row]));
+  }
+  w.slots[w.rbeg[row] + w.rlen[row]++] = slot;
+}
+
+void LuFactorization::eliminate(std::uint32_t c, double vr, const LCol& lc) {
+  // col -= vr * L column, via scatter/gather with relative drops.
+  Workspace& w = ws_;
+  w.touched.clear();
+  for (std::uint32_t k = 0; k < w.clen[c]; ++k) {
+    const auto [row, val] = w.ents[w.cbeg[c] + k];
+    w.dval[row] = val;
+    w.mark[row] = kSet | kOld;
+    w.touched.push_back(row);
+  }
+  for (std::size_t k = lc.begin; k < lc.end; ++k) {
+    const auto [row, mult] = lmults_[k];
+    if (!(w.mark[row] & kSet)) {
+      w.mark[row] = kSet;
+      w.dval[row] = 0.0;
+      w.touched.push_back(row);
+    }
+    w.dval[row] -= mult * vr;
+  }
+  double cmax = 0.0;
+  for (const std::uint32_t row : w.touched)
+    cmax = std::max(cmax, std::abs(w.dval[row]));
+  const double drop = opt_.drop_tol * cmax;
+  if (w.touched.size() > w.ccap[c]) {
+    // The combination may outgrow the column's span: move it to the end.
+    w.ccap[c] = static_cast<std::uint32_t>(w.touched.size());
+    w.cbeg[c] = w.ents.size();
+    w.ents.resize(w.ents.size() + w.ccap[c]);
+  }
+  std::uint32_t len = 0;
+  for (const std::uint32_t row : w.touched) {
+    const double v = w.dval[row];
+    if (std::abs(v) > drop) {
+      w.ents[w.cbeg[c] + len++] = {row, v};
+      if (!(w.mark[row] & kOld)) push_slot(row, c);
+    }
+    w.dval[row] = 0.0;
+    w.mark[row] = 0;
+  }
+  w.clen[c] = len;
 }
 
 bool LuFactorization::factorize(const SparseMatrix& A,
@@ -19,8 +160,10 @@ bool LuFactorization::factorize(const SparseMatrix& A,
   updates_ = 0;
   have_spike_ = false;
   lcols_.clear();
+  lmults_.clear();
   retas_.clear();
-  urows_.assign(m_, URow{});
+  urows_.resize(m_);
+  for (URow& ur : urows_) ur.entries.clear();
   order_.clear();
   order_.reserve(m_);
   pos_.assign(m_, 0);
@@ -30,140 +173,62 @@ bool LuFactorization::factorize(const SparseMatrix& A,
     return true;
   }
   lcols_.reserve(m_);
-
-  // Working copy of the basis columns, plus a row -> slots index so the
-  // elimination of a pivot row touches only the columns that actually carry
-  // it. row_slots may hold stale ids (removed entries); they are skipped when
-  // the lookup misses. rowcount is a fill heuristic, kept approximate.
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> cols(m_);
-  std::vector<std::vector<std::uint32_t>> row_slots(m_);
-  std::vector<std::uint32_t> rowcount(m_, 0);
-  for (std::size_t j = 0; j < m_; ++j) {
-    const auto rows = A.col_rows(basis[j]);
-    const auto vals = A.col_values(basis[j]);
-    cols[j].reserve(rows.size());
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      cols[j].emplace_back(rows[k], vals[k]);
-      row_slots[rows[k]].push_back(static_cast<std::uint32_t>(j));
-      ++rowcount[rows[k]];
-    }
-  }
-
-  std::vector<bool> col_done(m_, false);
-  // Scatter workspace for sparse column combinations.
-  std::vector<double> dval(m_, 0.0);
-  std::vector<bool> dset(m_, false);
-  std::vector<bool> inold(m_, false);
-  std::vector<std::uint32_t> touched;
-  touched.reserve(64);
+  load(A, basis);
+  Workspace& w = ws_;
 
   for (std::size_t step = 0; step < m_; ++step) {
-    // Markowitz-style pivot choice: among active columns of minimal length,
-    // the entry with the shortest row that passes threshold partial
-    // pivoting. Unit (slack) columns win immediately with zero fill.
-    std::size_t pj = kNone, pr = kNone;
+    // Markowitz-style pivot choice: the shortest usable active column (ties
+    // to the lowest slot), on its entry with the shortest row that passes
+    // threshold partial pivoting. Unit (slack) columns come first, with
+    // zero fill. A column with no usable entry leaves the heap until an
+    // elimination step changes it and re-keys it.
+    std::uint32_t pj = 0;
+    std::size_t pr = kNone;
     double pv = 0.0;
-    std::size_t best_nnz = kNone;
-    for (std::size_t j = 0; j < m_; ++j) {
-      if (col_done[j]) continue;
-      const auto& c = cols[j];
-      if (c.size() >= best_nnz) continue;
-      double cmax = 0.0;
-      for (const auto& [row, val] : c) cmax = std::max(cmax, std::abs(val));
-      if (cmax < opt_.abs_pivot_tol) continue;  // unusable (for now) column
-      const double thresh =
-          std::max(opt_.abs_pivot_tol, opt_.rel_pivot_tol * cmax);
-      std::size_t cand_r = kNone;
-      double cand_v = 0.0;
-      std::uint32_t cand_rc = std::numeric_limits<std::uint32_t>::max();
-      for (const auto& [row, val] : c) {
-        if (std::abs(val) < thresh) continue;
-        if (rowcount[row] < cand_rc ||
-            (rowcount[row] == cand_rc && std::abs(val) > std::abs(cand_v))) {
-          cand_rc = rowcount[row];
-          cand_r = row;
-          cand_v = val;
-        }
-      }
-      if (cand_r == kNone) continue;
-      pj = j;
-      pr = cand_r;
-      pv = cand_v;
-      best_nnz = c.size();
-      if (best_nnz <= 1) break;  // a singleton column cannot be beaten
+    for (;;) {
+      if (w.heap.empty()) return false;  // no usable pivot anywhere: singular
+      std::pop_heap(w.heap.begin(), w.heap.end(), kLater);
+      const Workspace::Key top = w.heap.back();
+      w.heap.pop_back();
+      pj = static_cast<std::uint32_t>(top.key);
+      if (top.stamp != w.stamp[pj]) continue;  // superseded by a re-key
+      if (pick_row(pj, pr, pv)) break;
     }
-    if (pj == kNone) return false;  // no usable pivot anywhere: singular
 
-    LCol lc;
-    lc.pivot_row = static_cast<std::uint32_t>(pr);
-    for (const auto& [row, val] : cols[pj]) {
+    const std::size_t lbegin = lmults_.size();
+    for (std::uint32_t k = 0; k < w.clen[pj]; ++k) {
+      const auto [row, val] = w.ents[w.cbeg[pj] + k];
       if (row == pr) continue;
-      lc.mults.emplace_back(row, val / pv);
+      lmults_.emplace_back(row, val / pv);
     }
+    const LCol lc{static_cast<std::uint32_t>(pr), lbegin, lmults_.size()};
+    w.clen[pj] = 0;  // retired: like every earlier pivot, no entries left
     URow& ur = urows_[pj];
-    ur.pivot_row = static_cast<std::uint32_t>(pr);
+    ur.pivot_row = lc.pivot_row;
     ur.diag = pv;
+    if (w.rlen[pr] > 1) ur.entries.reserve(w.rlen[pr] - 1);
 
     // Eliminate row pr from every other active column carrying it. The
-    // removed entries are exactly this pivot's U row.
-    for (const std::uint32_t c : row_slots[pr]) {
-      if (c == pj || col_done[c]) continue;
-      auto& col = cols[c];
-      std::size_t at = kNone;
-      for (std::size_t k = 0; k < col.size(); ++k) {
-        if (col[k].first == pr) {
-          at = k;
-          break;
-        }
-      }
-      if (at == kNone) continue;  // stale index entry
+    // removed entries are exactly this pivot's U row. Indexed, not
+    // iterated: fill may move other rows' lists within the arena.
+    for (std::uint32_t k = 0; k < w.rlen[pr]; ++k) {
+      const std::uint32_t c = w.slots[w.rbeg[pr] + k];
+      Entry* col = w.ents.data() + w.cbeg[c];
+      std::uint32_t& len = w.clen[c];
+      std::uint32_t at = 0;
+      while (at < len && col[at].first != pr) ++at;
+      if (at == len) continue;  // stale index entry, or a retired column
       const double vr = col[at].second;
-      col[at] = col.back();
-      col.pop_back();
+      col[at] = col[len - 1];
+      --len;
       ur.entries.push_back({c, 0, vr});
-      if (lc.mults.empty() || vr == 0.0) continue;
-
-      // col -= vr * L column, via scatter/gather with relative drops.
-      touched.clear();
-      for (const auto& [row, val] : col) {
-        dval[row] = val;
-        dset[row] = true;
-        inold[row] = true;
-        touched.push_back(row);
-      }
-      for (const auto& [row, mult] : lc.mults) {
-        if (!dset[row]) {
-          dset[row] = true;
-          dval[row] = 0.0;
-          touched.push_back(row);
-        }
-        dval[row] -= mult * vr;
-      }
-      double cmax = 0.0;
-      for (const std::uint32_t row : touched)
-        cmax = std::max(cmax, std::abs(dval[row]));
-      const double drop = opt_.drop_tol * cmax;
-      col.clear();
-      for (const std::uint32_t row : touched) {
-        const double v = dval[row];
-        if (std::abs(v) > drop) {
-          col.emplace_back(row, v);
-          if (!inold[row]) {
-            row_slots[row].push_back(c);
-            ++rowcount[row];
-          }
-        }
-        dval[row] = 0.0;
-        dset[row] = false;
-        inold[row] = false;
-      }
+      if (lc.end > lc.begin && vr != 0.0) eliminate(c, vr, lc);
+      rekey(c);
     }
 
-    col_done[pj] = true;
-    cols[pj].clear();
-    row_slots[pr].clear();
-    order_.push_back(static_cast<std::uint32_t>(pj));
-    lcols_.push_back(std::move(lc));
+    w.rlen[pr] = 0;
+    order_.push_back(pj);
+    lcols_.push_back(lc);
   }
   for (std::size_t k = 0; k < m_; ++k) pos_[order_[k]] = static_cast<std::uint32_t>(k);
   valid_ = true;
@@ -171,8 +236,7 @@ bool LuFactorization::factorize(const SparseMatrix& A,
 }
 
 std::size_t LuFactorization::fill_nnz() const noexcept {
-  std::size_t n = retas_.size();
-  for (const LCol& lc : lcols_) n += lc.mults.size();
+  std::size_t n = retas_.size() + lmults_.size();
   for (const URow& ur : urows_) n += 1 + ur.entries.size();
   return n;
 }
@@ -181,7 +245,8 @@ void LuFactorization::ftran(std::vector<double>& v, bool save_spike) {
   for (const LCol& lc : lcols_) {
     const double t = v[lc.pivot_row];
     if (t == 0.0) continue;
-    for (const auto& [row, mult] : lc.mults) v[row] -= mult * t;
+    for (std::size_t k = lc.begin; k < lc.end; ++k)
+      v[lmults_[k].first] -= lmults_[k].second * t;
   }
   for (const REta& re : retas_) v[re.target] -= re.mult * v[re.source];
   if (save_spike) {
@@ -220,7 +285,8 @@ void LuFactorization::btran(std::vector<double>& v) {
     work_[it->source] -= it->mult * work_[it->target];
   for (auto it = lcols_.rbegin(); it != lcols_.rend(); ++it) {
     double acc = work_[it->pivot_row];
-    for (const auto& [row, mult] : it->mults) acc -= mult * work_[row];
+    for (std::size_t k = it->begin; k < it->end; ++k)
+      acc -= lmults_[k].second * work_[lmults_[k].first];
     work_[it->pivot_row] = acc;
   }
   v.swap(work_);

@@ -12,7 +12,12 @@
 //  * factorize() runs a right-looking sparse elimination choosing pivots by a
 //    Markowitz-style rule — among the sparsest eligible columns, the entry
 //    with the sparsest row that passes threshold partial pivoting — so unit
-//    slack columns factor with zero fill and structural fill stays contained;
+//    slack columns factor with zero fill and structural fill stays contained.
+//    Active columns sit in a min-heap keyed by (length, slot), re-keyed
+//    whenever elimination changes a column, so each step's pivot search
+//    costs O(log m) plus the chosen column's length instead of a rescan of
+//    every column. The elimination workspace lives in flat member buffers
+//    that a rebuild reuses;
 //  * update() replaces one basis column: the FTRAN'd spike replaces the
 //    leaving column of U, the pivot order is cyclically rotated so U stays
 //    triangular, and the one spiked row is re-eliminated with row operations
@@ -70,6 +75,12 @@ class LuFactorization {
   double diag_of(std::uint32_t slot) const noexcept {
     return urows_[slot].diag;
   }
+  /// Row of B that the pivot owning `slot` eliminated (tests/diagnostics).
+  std::uint32_t pivot_row_of(std::uint32_t slot) const noexcept {
+    return urows_[slot].pivot_row;
+  }
+  /// Slots in pivot (triangular) order (tests/diagnostics).
+  const std::vector<std::uint32_t>& order() const noexcept { return order_; }
 
   /// Solves B x = v: `v` holds a row-space right-hand side on entry and the
   /// slot-space solution on exit. With `save_spike` the partially transformed
@@ -95,10 +106,14 @@ class LuFactorization {
   bool update(std::uint32_t slot, double pivot_estimate);
 
  private:
-  // One elimination step's column of L: v[i] -= mult_i * v[pivot_row].
+  using Entry = std::pair<std::uint32_t, double>;  // (row, value)
+
+  // One elimination step's column of L: v[i] -= mult_i * v[pivot_row] for
+  // the (i, mult_i) in lmults_[begin, end).
   struct LCol {
     std::uint32_t pivot_row = 0;
-    std::vector<std::pair<std::uint32_t, double>> mults;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
   // One Forrest–Tomlin row operation, applied after all LCols:
   // v[target] -= mult * v[source].
@@ -122,14 +137,48 @@ class LuFactorization {
     std::vector<UEntry> entries;
   };
 
+  // factorize()'s elimination state. Column entry lists and the row ->
+  // slots index are spans of two flat arenas; a span that outgrows its
+  // capacity moves to the arena's end (the old span is dead until the next
+  // factorize() clears the arena). Kept as members so rebuilds reuse them.
+  struct Workspace {
+    std::vector<Entry> ents;  // column entry arena
+    std::vector<std::size_t> cbeg;
+    std::vector<std::uint32_t> clen, ccap;
+    // Row -> slots index. It may hold stale ids (entries since removed from
+    // the column); lookups skip them. rlen doubles as the Markowitz row
+    // count, so it is approximate in the same way.
+    std::vector<std::uint32_t> slots;
+    std::vector<std::size_t> rbeg;
+    std::vector<std::uint32_t> rlen, rcap;
+    // Pivot-search min-heap over (length << 32 | slot). An item is live
+    // only while its stamp matches the slot's; re-keying bumps the stamp.
+    struct Key {
+      std::uint64_t key = 0;
+      std::uint32_t stamp = 0;
+    };
+    std::vector<Key> heap;
+    std::vector<std::uint32_t> stamp;
+    // Scatter workspace for sparse column combinations.
+    std::vector<double> dval;
+    std::vector<std::uint8_t> mark;
+    std::vector<std::uint32_t> touched;
+  };
+
   bool live(const UEntry& e) const noexcept {
     return e.version == colversion_[e.slot];
   }
+  void load(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
+  bool pick_row(std::uint32_t j, std::size_t& row, double& value) const;
+  void rekey(std::uint32_t j);
+  void push_slot(std::uint32_t row, std::uint32_t slot);
+  void eliminate(std::uint32_t c, double vr, const LCol& lc);
 
   std::size_t m_ = 0;
   bool valid_ = false;
   Options opt_;
   std::vector<LCol> lcols_;
+  std::vector<Entry> lmults_;
   std::vector<REta> retas_;
   std::vector<URow> urows_;            // keyed by slot
   std::vector<std::uint32_t> order_;   // slots in pivot (triangular) order
@@ -141,6 +190,7 @@ class LuFactorization {
   bool have_spike_ = false;
   std::vector<double> work_;   // ftran/btran scratch
   std::vector<double> dwork_;  // update() elimination workspace (slot space)
+  Workspace ws_;
 };
 
 }  // namespace figret::lp

@@ -445,7 +445,7 @@ class RevisedSimplex {
           if (!refactorize()) {
             singular_ = true;
             stats_.singular_basis = true;
-            return Status::kIterationLimit;
+            return Status::kNumerical;
           }
           compute_beta();
           continue;
@@ -566,7 +566,7 @@ class RevisedSimplex {
         if (++undo_streak > 3 || !refactorize()) {
           singular_ = true;
           stats_.singular_basis = true;
-          return Status::kIterationLimit;
+          return Status::kNumerical;
         }
         compute_beta();
         continue;
@@ -620,7 +620,7 @@ class RevisedSimplex {
           if (!refactorize()) {
             singular_ = true;
             stats_.singular_basis = true;
-            return Status::kIterationLimit;
+            return Status::kNumerical;
           }
           compute_beta();
           continue;
@@ -682,7 +682,7 @@ class RevisedSimplex {
           if (!refactorize()) {
             singular_ = true;
             stats_.singular_basis = true;
-            return Status::kIterationLimit;
+            return Status::kNumerical;
           }
           compute_beta();
           continue;
@@ -723,7 +723,7 @@ class RevisedSimplex {
         if (++undo_streak > 3 || !refactorize()) {
           singular_ = true;
           stats_.singular_basis = true;
-          return Status::kIterationLimit;
+          return Status::kNumerical;
         }
         compute_beta();
         continue;

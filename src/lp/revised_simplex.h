@@ -87,10 +87,9 @@ struct SolveStats {
   /// to the caller (te::ServingLoop backs off and retries with a fresh
   /// budget).
   bool deadline_hit = false;
-  /// A refactorization found the basis numerically singular mid-solve. The
-  /// solve then reports kIterationLimit (the conservative verdict — there is
-  /// no dedicated Status for numerical failure yet); this flag tells the
-  /// caller that raising the pivot budget will not help.
+  /// A refactorization found the basis numerically singular mid-solve; the
+  /// attempt then reports Status::kNumerical (a warm attempt is rerun cold
+  /// first, so the final status is the cold run's).
   bool singular_basis = false;
   /// Why this solve abandoned its warm basis (kNone: it kept it, or no warm
   /// start was attempted). Mirrors the per-reason counters on WarmStart.

@@ -50,6 +50,8 @@ const char* to_string(Status status) noexcept {
       return "iteration limit";
     case Status::kDeadline:
       return "deadline";
+    case Status::kNumerical:
+      return "numerical";
   }
   return "unknown";
 }

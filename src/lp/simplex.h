@@ -35,10 +35,15 @@ enum class Status {
   /// discarded and `x` stays empty, but callers can distinguish "ran out of
   /// time" from "the LP is bad" and retry with a fresh budget.
   kDeadline,
+  /// The basis went numerically singular and could not be recovered (the
+  /// revised engine's refactorization found no usable pivot). Unlike
+  /// kIterationLimit or kDeadline, a larger budget cannot help: the same LP
+  /// reaches the same verdict, so callers must not retry it.
+  kNumerical,
 };
 
 /// Number of Status values, for per-reason counter arrays.
-inline constexpr std::size_t kStatusCount = 5;
+inline constexpr std::size_t kStatusCount = 6;
 
 /// Human-readable status name, for error messages surfaced by callers.
 const char* to_string(Status status) noexcept;

@@ -91,6 +91,7 @@ CopeResult solve_cope(const PathSet& ps, const traffic::TrafficTrace& train,
     // re-prime. RHS/row-growth re-use needs the dual simplex (ROADMAP).
     const lp::LpResult sol = lp::solve_with(prob, options.solver);
     if (sol.status == lp::Status::kIterationLimit ||
+        sol.status == lp::Status::kNumerical ||
         sol.status == lp::Status::kUnbounded)
       // A truncated master proves nothing — surfacing it beats silently
       // keeping the previous round's configuration.

@@ -26,7 +26,8 @@ struct CopeOptions {
   std::size_t predicted_set_size = 12;
   ObliviousOptions oblivious;
   /// LP engine for COPE's own master solves (the stage-1 oblivious solve
-  /// uses `oblivious.solver`). kIterationLimit from any master is an error.
+  /// uses `oblivious.solver`). kIterationLimit or kNumerical from any master
+  /// is an error.
   lp::SolverOptions solver;
 };
 

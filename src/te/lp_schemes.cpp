@@ -33,6 +33,7 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   // Conservation: each pair's live ratios sum to 1.
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
     std::vector<lp::Term> row;
+    row.reserve(ps.pair_end(pr) - ps.pair_begin(pr));
     for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
       if (var_of_path[p] != kDead) row.push_back({var_of_path[p], 1.0});
     if (row.empty()) continue;  // disconnected pair under failures
@@ -47,6 +48,7 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   // (sparse DC traces zero out many pairs per snapshot).
   for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
     std::vector<lp::Term> row;
+    row.reserve(ps.paths_on_edge(e).size() + 1);  // + the U term
     bool has_live_path = false;
     for (std::uint32_t pid : ps.paths_on_edge(e)) {
       if (var_of_path[pid] == kDead) continue;

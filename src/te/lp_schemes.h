@@ -24,7 +24,8 @@ struct MluLpResult {
   TeConfig config;
   double mlu = 0.0;
   /// Engine verdict — callers must propagate non-optimal statuses (most
-  /// importantly kIterationLimit) as errors, never use a partial solution.
+  /// importantly kIterationLimit and kNumerical) as errors, never use a
+  /// partial solution.
   lp::Status status = lp::Status::kIterationLimit;
   /// Simplex pivots spent on this solve (Table 2 observability).
   std::size_t pivots = 0;

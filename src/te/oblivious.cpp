@@ -82,6 +82,7 @@ ObliviousResult solve_oblivious(const PathSet& ps,
     // can never re-prime. Row-growth re-use needs the dual simplex (ROADMAP).
     const lp::LpResult sol = lp::solve_with(prob, options.solver);
     if (sol.status == lp::Status::kIterationLimit ||
+        sol.status == lp::Status::kNumerical ||
         sol.status == lp::Status::kUnbounded)
       // Never fall back to the stale incumbent on a truncated solve: the
       // partial basis certifies nothing about the cut set.

@@ -27,8 +27,9 @@ struct ObliviousOptions {
   double tolerance = 1e-3;
   /// Wall-clock budget in seconds; exceeded => not converged ("Infeasible").
   double time_budget_seconds = 120.0;
-  /// LP engine for the master solves. kIterationLimit from any master solve
-  /// is an error (never a silent fallback to the stale incumbent).
+  /// LP engine for the master solves. kIterationLimit or kNumerical from any
+  /// master solve is an error (never a silent fallback to the stale
+  /// incumbent).
   lp::SolverOptions solver;
 };
 

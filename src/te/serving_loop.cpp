@@ -316,7 +316,11 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
       if (plan != nullptr && plan->overrun && attempt == 0)
         cur.simplex.time_limit_seconds = -1.0;
       res = solve_mlu_lp(*ps_, (*trace_)[t], nullptr, alive, &cur, &w.warm);
-      if (res.optimal() || attempt + 1 >= max_attempts) break;
+      // A numerical verdict is a property of the LP, not of the attempt:
+      // retrying it would only burn the backoff budget.
+      if (res.optimal() || res.status == lp::Status::kNumerical ||
+          attempt + 1 >= max_attempts)
+        break;
       stats_.oracle_attempt_failures[static_cast<std::size_t>(res.status)]
           .fetch_add(1, std::memory_order_relaxed);
       stats_.oracle_retries.fetch_add(1, std::memory_order_relaxed);

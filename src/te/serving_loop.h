@@ -123,7 +123,8 @@ class ServingLoop {
     /// instead of throwing — the snapshot still serves.
     double solver_deadline_seconds = 0.0;
     /// Retry attempts (beyond the first) for a failed oracle resolve, with
-    /// bounded exponential backoff between attempts.
+    /// bounded exponential backoff between attempts. lp::Status::kNumerical
+    /// is never retried: the same LP reaches the same verdict.
     std::size_t oracle_retries = 2;
     double oracle_backoff_seconds = 0.0002;
     double oracle_backoff_max_seconds = 0.005;

@@ -257,5 +257,23 @@ TEST(LpDegeneracy, IterationLimitStillReported) {
   }
 }
 
+TEST(LpDegeneracy, SingularBasisIsReportedAsNumerical) {
+  // With the pivot tolerance disabled the simplex pivots x in on its 1e-13
+  // entry; the basis {x} then cannot factorize (the LU's absolute pivot
+  // floor is 1e-10), every undo-and-reprice repeats the same pivot, and the
+  // solve must surface the typed numerical verdict, not a pivot-budget one.
+  LpProblem p;
+  const auto x = p.add_variable(-1.0);
+  p.add_constraint({{x, 1e-13}}, Relation::kLessEq, 1.0);
+  SolverOptions opt;
+  opt.simplex.pivot_tolerance = 1e-20;
+  SolveStats stats;
+  const LpResult r = solve_revised(p, opt, nullptr, &stats);
+  EXPECT_EQ(r.status, Status::kNumerical);
+  EXPECT_STREQ(to_string(r.status), "numerical");
+  EXPECT_TRUE(stats.singular_basis);
+  EXPECT_TRUE(r.x.empty());
+}
+
 }  // namespace
 }  // namespace figret::lp

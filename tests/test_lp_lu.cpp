@@ -2,16 +2,28 @@
 // backs the revised simplex: factorize/ftran/btran correctness on seeded
 // random bases, column-replacement updates validated against the basis they
 // claim to represent, the determinant-lemma accuracy test (|newdiag| =
-// |pivot| * |old diag|), and the relative — never absolute — drop tolerance
-// on ill-scaled instances.
+// |pivot| * |old diag|), the relative — never absolute — drop tolerance
+// on ill-scaled instances, and a differential check of the heap-ordered
+// pivot search against the full-rescan reference it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/lu.h"
+#include "lp/revised_simplex.h"
 #include "lp/sparse.h"
+#include "net/topology.h"
+#include "net/yen.h"
+#include "te/lp_schemes.h"
+#include "te/pathset.h"
+#include "traffic/generators.h"
 #include "util/rng.h"
 
 namespace figret::lp {
@@ -177,6 +189,326 @@ TEST(LpLu, RelativeDropKeepsIllScaledEntries) {
     ASSERT_TRUE(lu.factorize(A, basis, kOpt)) << "scale " << scale;
     EXPECT_LT(basis_residual(lu, A, basis), 1e-8) << "scale " << scale;
   }
+}
+
+// --- differential reference: the full-rescan pivot search ----------------
+//
+// The factorization as it was before the pivot search moved to a heap:
+// every elimination step rescans all active columns for the shortest usable
+// one (O(m) per step, O(m^2) per factorization). Same elimination, same
+// ftran/btran arithmetic. The production LU must reproduce its pivot
+// sequence and every bit of its numbers.
+struct ReferenceLu {
+  struct LCol {
+    std::uint32_t pivot_row = 0;
+    std::vector<std::pair<std::uint32_t, double>> mults;
+  };
+  struct UEntry {
+    std::uint32_t slot = 0;
+    double value = 0.0;
+  };
+  struct URow {
+    std::uint32_t pivot_row = 0;
+    double diag = 0.0;
+    std::vector<UEntry> entries;
+  };
+  std::size_t m = 0;
+  std::vector<LCol> lcols;
+  std::vector<URow> urows;
+  std::vector<std::uint32_t> order;
+
+  bool factorize(const SparseMatrix& A, const std::vector<std::uint32_t>& basis,
+                 const LuFactorization::Options& opt) {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    m = basis.size();
+    lcols.clear();
+    urows.assign(m, URow{});
+    order.clear();
+    std::vector<std::vector<std::pair<std::uint32_t, double>>> cols(m);
+    std::vector<std::vector<std::uint32_t>> row_slots(m);
+    std::vector<std::uint32_t> rowcount(m, 0);
+    for (std::size_t j = 0; j < m; ++j) {
+      const auto rows = A.col_rows(basis[j]);
+      const auto vals = A.col_values(basis[j]);
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        cols[j].emplace_back(rows[k], vals[k]);
+        row_slots[rows[k]].push_back(static_cast<std::uint32_t>(j));
+        ++rowcount[rows[k]];
+      }
+    }
+    std::vector<bool> col_done(m, false);
+    std::vector<double> dval(m, 0.0);
+    std::vector<bool> dset(m, false), inold(m, false);
+    std::vector<std::uint32_t> touched;
+    for (std::size_t step = 0; step < m; ++step) {
+      std::size_t pj = kNone, pr = kNone;
+      double pv = 0.0;
+      std::size_t best_nnz = kNone;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (col_done[j]) continue;
+        const auto& c = cols[j];
+        if (c.size() >= best_nnz) continue;
+        double cmax = 0.0;
+        for (const auto& [row, val] : c) cmax = std::max(cmax, std::abs(val));
+        if (cmax < opt.abs_pivot_tol) continue;
+        const double thresh = std::max(opt.abs_pivot_tol, opt.rel_pivot_tol * cmax);
+        std::size_t cand_r = kNone;
+        double cand_v = 0.0;
+        std::uint32_t cand_rc = std::numeric_limits<std::uint32_t>::max();
+        for (const auto& [row, val] : c) {
+          if (std::abs(val) < thresh) continue;
+          if (rowcount[row] < cand_rc ||
+              (rowcount[row] == cand_rc && std::abs(val) > std::abs(cand_v))) {
+            cand_rc = rowcount[row];
+            cand_r = row;
+            cand_v = val;
+          }
+        }
+        if (cand_r == kNone) continue;
+        pj = j;
+        pr = cand_r;
+        pv = cand_v;
+        best_nnz = c.size();
+        if (best_nnz <= 1) break;
+      }
+      if (pj == kNone) return false;
+
+      LCol lc;
+      lc.pivot_row = static_cast<std::uint32_t>(pr);
+      for (const auto& [row, val] : cols[pj])
+        if (row != pr) lc.mults.emplace_back(row, val / pv);
+      URow& ur = urows[pj];
+      ur.pivot_row = static_cast<std::uint32_t>(pr);
+      ur.diag = pv;
+      for (const std::uint32_t c : row_slots[pr]) {
+        if (c == pj || col_done[c]) continue;
+        auto& col = cols[c];
+        std::size_t at = kNone;
+        for (std::size_t k = 0; k < col.size(); ++k)
+          if (col[k].first == pr) {
+            at = k;
+            break;
+          }
+        if (at == kNone) continue;
+        const double vr = col[at].second;
+        col[at] = col.back();
+        col.pop_back();
+        ur.entries.push_back({c, vr});
+        if (lc.mults.empty() || vr == 0.0) continue;
+        touched.clear();
+        for (const auto& [row, val] : col) {
+          dval[row] = val;
+          dset[row] = inold[row] = true;
+          touched.push_back(row);
+        }
+        for (const auto& [row, mult] : lc.mults) {
+          if (!dset[row]) {
+            dset[row] = true;
+            dval[row] = 0.0;
+            touched.push_back(row);
+          }
+          dval[row] -= mult * vr;
+        }
+        double cmax = 0.0;
+        for (const std::uint32_t row : touched)
+          cmax = std::max(cmax, std::abs(dval[row]));
+        const double drop = opt.drop_tol * cmax;
+        col.clear();
+        for (const std::uint32_t row : touched) {
+          const double v = dval[row];
+          if (std::abs(v) > drop) {
+            col.emplace_back(row, v);
+            if (!inold[row]) {
+              row_slots[row].push_back(c);
+              ++rowcount[row];
+            }
+          }
+          dval[row] = 0.0;
+          dset[row] = inold[row] = false;
+        }
+      }
+      col_done[pj] = true;
+      cols[pj].clear();
+      row_slots[pr].clear();
+      order.push_back(static_cast<std::uint32_t>(pj));
+      lcols.push_back(std::move(lc));
+    }
+    return true;
+  }
+
+  void ftran(std::vector<double>& v) const {
+    for (const LCol& lc : lcols) {
+      const double t = v[lc.pivot_row];
+      if (t == 0.0) continue;
+      for (const auto& [row, mult] : lc.mults) v[row] -= mult * t;
+    }
+    std::vector<double> work(m, 0.0);
+    for (std::size_t k = m; k-- > 0;) {
+      const URow& ur = urows[order[k]];
+      double s = v[ur.pivot_row];
+      for (const UEntry& e : ur.entries) s -= e.value * work[e.slot];
+      work[order[k]] = s / ur.diag;
+    }
+    v.swap(work);
+  }
+
+  void btran(std::vector<double>& v) const {
+    std::vector<double> work(m, 0.0);
+    for (std::size_t k = 0; k < m; ++k) {
+      const URow& ur = urows[order[k]];
+      const double zk = v[order[k]] / ur.diag;
+      work[ur.pivot_row] = zk;
+      if (zk == 0.0) continue;
+      for (const UEntry& e : ur.entries) v[e.slot] -= e.value * zk;
+    }
+    for (auto it = lcols.rbegin(); it != lcols.rend(); ++it) {
+      double acc = work[it->pivot_row];
+      for (const auto& [row, mult] : it->mults) acc -= mult * work[row];
+      work[it->pivot_row] = acc;
+    }
+    v.swap(work);
+  }
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return false;
+  return true;
+}
+
+// Factorizes `basis` with both implementations and checks they agree: the
+// verdict, then (when nonsingular) the pivot sequence and bit-identical
+// diagonals and ftran/btran results on basis columns and random vectors.
+// `lu` is reused across calls on purpose, so stale workspace from a previous
+// factorization would show up as a mismatch.
+void expect_matches_reference(LuFactorization& lu, const SparseMatrix& A,
+                              const std::vector<std::uint32_t>& basis,
+                              util::Rng& rng, const std::string& what) {
+  ReferenceLu ref;
+  const bool ok = ref.factorize(A, basis, kOpt);
+  ASSERT_EQ(lu.factorize(A, basis, kOpt), ok) << what;
+  if (!ok) return;
+  const std::size_t m = basis.size();
+  ASSERT_EQ(lu.order(), ref.order) << what;
+  for (std::uint32_t slot = 0; slot < m; ++slot) {
+    EXPECT_EQ(lu.pivot_row_of(slot), ref.urows[slot].pivot_row)
+        << what << " slot " << slot;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lu.diag_of(slot)),
+              std::bit_cast<std::uint64_t>(ref.urows[slot].diag))
+        << what << " slot " << slot;
+  }
+  std::vector<std::vector<double>> rhs;
+  for (std::size_t i = 0; i < std::min<std::size_t>(m, 8); ++i) {
+    std::vector<double> v;
+    A.scatter_col(basis[rng.uniform_index(m)], v);
+    rhs.push_back(std::move(v));
+  }
+  for (int t = 0; t < 4; ++t) {
+    std::vector<double> v(m);
+    for (double& x : v) x = rng.uniform(-2.0, 2.0);
+    rhs.push_back(std::move(v));
+  }
+  for (const auto& v : rhs) {
+    std::vector<double> got = v, want = v;
+    lu.ftran(got);
+    ref.ftran(want);
+    EXPECT_TRUE(same_bits(got, want)) << what << ": ftran differs";
+    got = v;
+    want = v;
+    lu.btran(got);
+    ref.btran(want);
+    EXPECT_TRUE(same_bits(got, want)) << what << ": btran differs";
+  }
+}
+
+TEST(LpLu, MatchesFullRescanReferenceOnRandomPools) {
+  LuFactorization lu;
+  int singular = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t m = 3 + rng.uniform_index(30);
+    const std::size_t ncols = m + 10;
+    SparseMatrix A = random_pool(rng, m, ncols);
+    std::vector<std::uint32_t> basis(m);
+    for (std::size_t i = 0; i < m; ++i)
+      basis[i] = static_cast<std::uint32_t>(i);
+    expect_matches_reference(lu, A, basis, rng,
+                             "seed " + std::to_string(seed) + " leading");
+    // A random column subset in shuffled slot order: structural fill, and
+    // sometimes a singular basis that both versions must reject.
+    std::vector<std::uint32_t> cols(ncols);
+    for (std::size_t j = 0; j < ncols; ++j)
+      cols[j] = static_cast<std::uint32_t>(j);
+    for (std::size_t i = ncols; i-- > 1;)
+      std::swap(cols[i], cols[rng.uniform_index(i + 1)]);
+    cols.resize(m);
+    ReferenceLu probe;
+    singular += !probe.factorize(A, cols, kOpt);
+    expect_matches_reference(lu, A, cols, rng,
+                             "seed " + std::to_string(seed) + " shuffled");
+  }
+  EXPECT_LT(singular, 40);  // most shuffled bases must factorize
+}
+
+// The revised engine's standard form of an LP whose right-hand sides are all
+// >= 0: structural columns, one slack per inequality, then one artificial
+// per >= / = row. This is the column space a WarmStart basis indexes.
+SparseMatrix standard_form(const LpProblem& p) {
+  const std::size_t n = p.num_variables();
+  std::size_t n_slack = 0;
+  for (const auto& row : p.rows()) n_slack += row.rel != Relation::kEq;
+  std::vector<Triplet> trip;
+  std::size_t slack = n, art = n + n_slack;
+  std::uint32_t i = 0;
+  for (const auto& row : p.rows()) {
+    EXPECT_GE(row.rhs, 0.0);
+    for (const Term& t : row.terms)
+      trip.push_back({i, static_cast<std::uint32_t>(t.var), t.coeff});
+    if (row.rel != Relation::kEq)
+      trip.push_back({i, static_cast<std::uint32_t>(slack++),
+                      row.rel == Relation::kLessEq ? 1.0 : -1.0});
+    if (row.rel != Relation::kLessEq)
+      trip.push_back({i, static_cast<std::uint32_t>(art++), 1.0});
+    ++i;
+  }
+  return SparseMatrix::from_triplets(p.num_constraints(), art, std::move(trip));
+}
+
+TEST(LpLu, MatchesFullRescanReferenceOnGeantWarmBasis) {
+  // The optimal basis of a warm GEANT MLU chain: the factorization the
+  // serving oracle rebuilds on every re-solve.
+  const net::Graph g = net::geant();
+  const te::PathSet ps =
+      te::PathSet::build(g, net::all_pairs_k_shortest(g, 3));
+  const traffic::TrafficTrace trace = traffic::wan_trace(g.num_nodes(), 3, 101);
+  WarmStart warm;
+  LpProblem prob;
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    prob = te::build_mlu_lp(ps, trace[t], nullptr, nullptr);
+    ASSERT_TRUE(solve_revised(prob, SolverOptions{}, &warm).optimal());
+  }
+  const SparseMatrix A = standard_form(prob);
+  std::vector<std::uint32_t> basis = warm.basis();
+  ASSERT_EQ(basis.size(), prob.num_constraints());
+
+  util::Rng rng(5);
+  LuFactorization lu;
+  expect_matches_reference(lu, A, basis, rng, "geant warm basis");
+
+  // Singular on purpose: one structural basis column duplicated into
+  // another slot. Both versions must refuse the basis.
+  const auto structural = std::find_if(
+      basis.begin(), basis.end(), [&](std::uint32_t c) {
+        return c < prob.num_variables() && A.col_rows(c).size() > 1;
+      });
+  ASSERT_NE(structural, basis.end());
+  const std::size_t dup = structural == basis.begin() ? 1 : 0;
+  basis[dup] = *structural;
+  ReferenceLu ref;
+  EXPECT_FALSE(ref.factorize(A, basis, kOpt));
+  EXPECT_FALSE(lu.factorize(A, basis, kOpt));
 }
 
 }  // namespace

@@ -305,6 +305,47 @@ TEST(ServingLoopStream, OracleNormalizesAndChainsWarmStarts) {
   EXPECT_GT(loop.stats().warm_hits.load(), 0u);
 }
 
+TEST(ServingLoopStream, NumericalOracleVerdictIsNotRetried) {
+  // Demands of 1e-13 with the pivot tolerance disabled: every oracle solve
+  // pivots a path variable in on a 1e-13 capacity-row entry, the basis goes
+  // singular, and the solve reports kNumerical. The same LP would fail the
+  // same way again, so the loop must record the failure without retrying.
+  const PathSet ps = mesh_pathset(4);
+  traffic::TrafficTrace trace;
+  trace.num_nodes = 4;
+  trace.snapshots.assign(12, traffic::DemandMatrix(4, 1e-13));
+  const MluLpResult probe = [&] {
+    lp::SolverOptions s;
+    s.simplex.pivot_tolerance = 1e-20;
+    return solve_mlu_lp(ps, trace[0], nullptr, nullptr, &s);
+  }();
+  ASSERT_EQ(probe.status, lp::Status::kNumerical);
+
+  ServingLoop::Options opt;
+  opt.workers = 2;
+  opt.oracle = true;
+  opt.oracle_retries = 3;
+  opt.solver.simplex.pivot_tolerance = 1e-20;
+  ServingLoop loop(ps, trace, opt);
+  const TeConfig cfg = uniform_config(ps);
+  FixedAdvisor a(ps, cfg), b(ps, cfg);
+  std::vector<TeScheme*> advisors{&a, &b};
+  loop.start(advisors);
+  for (std::uint32_t t = 2; t < 12; ++t) loop.submit(t);
+  loop.finish();
+  std::vector<SnapshotResult> results;
+  loop.drain(results);
+
+  ASSERT_EQ(results.size(), 10u);
+  for (const auto& r : results) EXPECT_EQ(r.lp_attempts, 1u);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s.oracle_retries, 0u);
+  EXPECT_EQ(s.oracle_failures, 10u);
+  EXPECT_EQ(s.oracle_attempt_failures[static_cast<std::size_t>(
+                lp::Status::kNumerical)],
+            10u);
+}
+
 TEST(ServingLoopStream, MidStreamFailureReroutesSubsequentSnapshots) {
   // Satellite: §5.3-style failure injected mid-stream. Snapshots served
   // before the event score the healthy config; snapshots served after it
