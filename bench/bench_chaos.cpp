@@ -166,7 +166,7 @@ int main() {
                std::to_string(c.rep.degraded_epochs),
                std::to_string(c.rep.max_recovery_epochs),
                std::to_string(c.scheduled_degraded_bound),
-               std::to_string(c.rep.stats.oracle_retries),
+               std::to_string(c.rep.stats[te::Counter::kOracleRetries]),
                util::fmt(c.rep.dropped_demand_total, 2),
                std::to_string(c.rep.determinism_hash)});
   t.print(std::cout);
@@ -280,17 +280,12 @@ int main() {
         .set("mlu_healthy_mean", c.rep.mlu_healthy_mean)
         .set("mlu_degraded_mean", c.rep.mlu_degraded_mean)
         .set("dropped_demand_total", c.rep.dropped_demand_total)
-        .set("invalid_outputs",
-             static_cast<std::int64_t>(c.rep.stats.invalid_outputs))
-        .set("oracle_retries",
-             static_cast<std::int64_t>(c.rep.stats.oracle_retries))
-        .set("oracle_failures",
-             static_cast<std::int64_t>(c.rep.stats.oracle_failures))
-        .set("chaos_stalls",
-             static_cast<std::int64_t>(c.rep.stats.chaos_stalls))
         // Hash as a string: 64-bit values do not survive double-typed JSON.
         .set("determinism_hash", std::to_string(c.rep.determinism_hash))
-        .set("all_finite", c.rep.all_finite);
+        .set("all_finite", c.rep.all_finite)
+        // Last, and sharing no key with the gated fields above:
+        // reference_token takes the first match after the intensity tag.
+        .set("stats", c.rep.stats.to_json());
     arr.push(std::move(o));
   }
   j.set("cells", std::move(arr));

@@ -5,7 +5,7 @@
 // committed reference JSON transfers across machines:
 //   1. edge_loads snapshots/sec: the pre-optimization path-major kernel
 //      (edge_loads_reference_into) vs the fused pair-major O(nnz) kernel
-//      (edge_loads_into) vs the chunked-parallel kernel;
+//      (edge_loads_into);
 //   2. batched MLP forward rows/sec: the tiled/SIMD matmul_t under
 //      KernelMode::kTiled vs the pre-optimization kernels under
 //      KernelMode::kReference, on a per-source-shard FIGRET-style model
@@ -122,7 +122,6 @@ LoopStats run_passes(F&& body, double min_seconds, std::size_t min_passes) {
 struct EdgeLoadsResult {
   double ref_per_sec = 0.0;
   double fused_per_sec = 0.0;
-  double parallel_per_sec = 0.0;
   double score_p50_us = 0.0;
   double score_p99_us = 0.0;
 };
@@ -137,7 +136,6 @@ EdgeLoadsResult measure_edge_loads(const Topo& t, double min_seconds) {
   EdgeLoadsResult r;
   const te::TeConfig cfg = te::uniform_config(t.ps);
   std::vector<double> out;
-  te::EdgeLoadScratch scratch;
   const double round_seconds = min_seconds / kRounds;
   const auto rate = [&](const LoopStats& st) {
     return st.best_pass > 0.0
@@ -165,16 +163,6 @@ EdgeLoadsResult measure_edge_loads(const Topo& t, double min_seconds) {
         },
         round_seconds, 1);
     r.fused_per_sec = std::max(r.fused_per_sec, rate(fused));
-
-    const LoopStats par = run_passes(
-        [&] {
-          for (const auto& dm : t.snaps) {
-            te::edge_loads_parallel_into(t.ps, dm, cfg, scratch, out);
-            g_sink += out.front() + out.back();
-          }
-        },
-        round_seconds, 1);
-    r.parallel_per_sec = std::max(r.parallel_per_sec, rate(par));
   }
 
   // Serving-style scoring latency: sparse demand -> MLU through the fused
@@ -301,7 +289,7 @@ int main() {
   util::Json jtopos = util::Json::array();
 
   util::Table lt({"topology", "pairs", "paths", "nnz/snap", "ref snap/s",
-                  "fused snap/s", "par snap/s", "fused x", "par x",
+                  "fused snap/s", "fused x",
                   "score p99 (us)"});
   util::Table mt({"topology", "mlp in", "mlp out", "ref rows/s",
                   "tiled rows/s", "tiled x", "fwd p99 (ms)"});
@@ -321,14 +309,12 @@ int main() {
     const EdgeLoadsResult el = measure_edge_loads(t, min_seconds);
     const MlpResult ml = measure_mlp(t, min_seconds);
     const double fused_x = ratio(el.fused_per_sec, el.ref_per_sec);
-    const double par_x = ratio(el.parallel_per_sec, el.ref_per_sec);
     const double mlp_x = ratio(ml.tiled_rows_per_sec, ml.ref_rows_per_sec);
 
     lt.add_row({t.name, std::to_string(t.ps.num_pairs()),
                 std::to_string(t.ps.num_paths()), util::fmt(nnz, 0),
                 util::fmt(el.ref_per_sec, 1), util::fmt(el.fused_per_sec, 1),
-                util::fmt(el.parallel_per_sec, 1), util::fmt(fused_x, 2),
-                util::fmt(par_x, 2), util::fmt(el.score_p99_us, 1)});
+                util::fmt(fused_x, 2), util::fmt(el.score_p99_us, 1)});
     mt.add_row({t.name, std::to_string(ml.input), std::to_string(ml.output),
                 util::fmt(ml.ref_rows_per_sec, 1),
                 util::fmt(ml.tiled_rows_per_sec, 1), util::fmt(mlp_x, 2),
@@ -345,9 +331,7 @@ int main() {
             .set("mean_nnz", nnz)
             .set("edge_loads_reference_snapshots_per_sec", el.ref_per_sec)
             .set("edge_loads_fused_snapshots_per_sec", el.fused_per_sec)
-            .set("edge_loads_parallel_snapshots_per_sec", el.parallel_per_sec)
             .set("edge_loads_speedup", fused_x)
-            .set("edge_loads_parallel_speedup", par_x)
             .set("score_p50_us", el.score_p50_us)
             .set("score_p99_us", el.score_p99_us)
             .set("mlp_input", ml.input)

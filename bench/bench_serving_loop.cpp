@@ -62,12 +62,9 @@ using Clock = std::chrono::steady_clock;
 struct RunResult {
   std::size_t workers = 0;
   double rate = 0.0;  // offered snapshots/s; 0 = as fast as accepted
-  std::uint64_t served = 0;
   double wall_seconds = 0.0;
   double throughput = 0.0;
-  double serve_p50 = 0.0, serve_p99 = 0.0, serve_p999 = 0.0;
-  double e2e_p99 = 0.0, queue_p99 = 0.0, infer_p99 = 0.0;
-  std::uint64_t slo_violations = 0;
+  te::ServingStats::Snapshot stats;  // measured passes only
   std::uint64_t steady_allocs = 0;
 };
 
@@ -144,20 +141,14 @@ RunResult run_config(const bench::Scenario& sc,
 
   loop.finish();
 
-  const auto s = loop.stats().snapshot();
   RunResult r;
   r.workers = workers;
   r.rate = rate;
-  r.served = s.served;
   r.wall_seconds = wall;
-  r.throughput = wall > 0.0 ? static_cast<double>(s.served) / wall : 0.0;
-  r.serve_p50 = s.serve_p50;
-  r.serve_p99 = s.serve_p99;
-  r.serve_p999 = s.serve_p999;
-  r.e2e_p99 = s.e2e_p99;
-  r.queue_p99 = s.queue_p99;
-  r.infer_p99 = s.infer_p99;
-  r.slo_violations = s.slo_violations;
+  r.stats = loop.stats().snapshot();
+  r.throughput =
+      wall > 0.0 ? static_cast<double>(r.stats[te::Counter::kServed]) / wall
+                 : 0.0;
   r.steady_allocs = g_alloc_count.load(std::memory_order_relaxed);
   return r;
 }
@@ -225,14 +216,17 @@ int main() {
   util::Table t({"workers", "rate (snap/s)", "served", "throughput (snap/s)",
                  "serve p50 (ms)", "serve p99 (ms)", "serve p999 (ms)",
                  "queue p99 (ms)", "SLO viol (50ms)", "steady allocs"});
-  for (const RunResult& r : runs)
+  for (const RunResult& r : runs) {
+    const auto& serve = r.stats[te::Stage::kServe];
     t.add_row({std::to_string(r.workers),
                r.rate <= 0.0 ? "max" : util::fmt(r.rate, 0),
-               std::to_string(r.served), util::fmt(r.throughput, 1),
-               fmt_ms(r.serve_p50), fmt_ms(r.serve_p99),
-               fmt_ms(r.serve_p999), fmt_ms(r.queue_p99),
-               std::to_string(r.slo_violations),
+               std::to_string(r.stats[te::Counter::kServed]),
+               util::fmt(r.throughput, 1), fmt_ms(serve.p50),
+               fmt_ms(serve.p99), fmt_ms(serve.p999),
+               fmt_ms(r.stats[te::Stage::kQueue].p99),
+               std::to_string(r.stats[te::Counter::kSloViolations]),
                std::to_string(r.steady_allocs)});
+  }
   t.print(std::cout);
 
   bool zero_alloc = true;
@@ -258,18 +252,11 @@ int main() {
     util::Json o = util::Json::object();
     o.set("workers", static_cast<std::int64_t>(r.workers))
         .set("rate_snapshots_per_s", r.rate)
-        .set("served", static_cast<std::int64_t>(r.served))
         .set("wall_seconds", r.wall_seconds)
         .set("throughput_snapshots_per_s", r.throughput)
-        .set("serve_p50_s", r.serve_p50)
-        .set("serve_p99_s", r.serve_p99)
-        .set("serve_p999_s", r.serve_p999)
-        .set("e2e_p99_s", r.e2e_p99)
-        .set("queue_p99_s", r.queue_p99)
-        .set("infer_p99_s", r.infer_p99)
-        .set("slo_violations", static_cast<std::int64_t>(r.slo_violations))
         .set("steady_state_allocations",
-             static_cast<std::int64_t>(r.steady_allocs));
+             static_cast<std::int64_t>(r.steady_allocs))
+        .set("stats", r.stats.to_json());
     arr.push(std::move(o));
   }
   j.set("runs", std::move(arr));

@@ -382,12 +382,9 @@ int run_serve(const util::Args& args) {
           .set("mlu_healthy_mean", rep.mlu_healthy_mean)
           .set("mlu_degraded_mean", rep.mlu_degraded_mean)
           .set("dropped_demand", rep.dropped_demand_total)
-          .set("invalid_outputs",
-               static_cast<std::int64_t>(rep.stats.invalid_outputs))
-          .set("oracle_retries",
-               static_cast<std::int64_t>(rep.stats.oracle_retries))
           .set("determinism_hash", std::to_string(rep.determinism_hash))
-          .set("all_finite", rep.all_finite);
+          .set("all_finite", rep.all_finite)
+          .set("stats", rep.stats.to_json());
       j.write_file(*path, 2);
       std::cout << "stats written to " << *path << "\n";
     }
@@ -444,7 +441,8 @@ int run_serve(const util::Args& args) {
   loop.finish();
   consume();
 
-  const auto stats = loop.stats().snapshot();
+  const te::ServingStats::Snapshot stats = loop.stats().snapshot();
+  const std::uint64_t served = stats[te::Counter::kServed];
   std::cout << "serve: " << schemes.front()->name() << " on "
             << graph.num_nodes() << " nodes / " << paths.num_paths()
             << " paths; snapshots [" << begin << ", " << trace.size()
@@ -452,10 +450,9 @@ int run_serve(const util::Args& args) {
             << "feed: offered " << feed.offered() << ", accepted "
             << feed.accepted() << ", dropped " << feed.dropped() << "\n";
   loop.stats().print(std::cout);
-  if (stats.served > 0) {
-    std::cout << "raw MLU: mean "
-              << raw_sum / static_cast<double>(stats.served) << ", max "
-              << raw_max << "\n";
+  if (served > 0) {
+    std::cout << "raw MLU: mean " << raw_sum / static_cast<double>(served)
+              << ", max " << raw_max << "\n";
     if (norm_count > 0)
       std::cout << "normalized MLU (vs omniscient): mean "
                 << norm_sum / static_cast<double>(norm_count) << "\n";
@@ -471,24 +468,16 @@ int run_serve(const util::Args& args) {
     util::Json j = util::Json::object();
     j.set("scheme", schemes.front()->name())
         .set("workers", static_cast<std::int64_t>(workers))
-        .set("snapshots_served", static_cast<std::int64_t>(stats.served))
         .set("offered", static_cast<std::int64_t>(feed.offered()))
         .set("dropped", static_cast<std::int64_t>(feed.dropped()))
-        .set("overflows", static_cast<std::int64_t>(stats.overflows))
         .set("slo_ms", flag_double(args, "slo-ms", 0.0))
-        .set("slo_violations",
-             static_cast<std::int64_t>(stats.slo_violations))
-        .set("serve_p50_s", stats.serve_p50)
-        .set("serve_p99_s", stats.serve_p99)
-        .set("serve_p999_s", stats.serve_p999)
-        .set("e2e_p99_s", stats.e2e_p99)
-        .set("raw_mlu_mean", stats.served > 0
-                                 ? raw_sum / static_cast<double>(stats.served)
-                                 : 0.0)
+        .set("raw_mlu_mean",
+             served > 0 ? raw_sum / static_cast<double>(served) : 0.0)
         .set("raw_mlu_max", raw_max);
     if (norm_count > 0)
       j.set("normalized_mlu_mean",
             norm_sum / static_cast<double>(norm_count));
+    j.set("stats", stats.to_json());
     j.write_file(*path, 2);
     std::cout << "stats written to " << *path << "\n";
   }

@@ -191,7 +191,7 @@ struct ChaosRunReport {
   /// FNV-1a over (index, rung, config_fingerprint) in index order: equal
   /// across worker counts for the same seed, by construction.
   std::uint64_t determinism_hash = 0;
-  /// Loop counters at finish (retries, rung totals, invalid outputs, ...).
+  /// Loop counters and stage latencies at finish (ServingStats tables).
   ServingStats::Snapshot stats;
   /// True when every result carried finite served weights and MLU.
   bool all_finite = true;

@@ -36,23 +36,6 @@ void edge_loads_reference_into(const PathSet& ps,
                                const TeConfig& config,
                                std::vector<double>& out);
 
-/// Reusable per-chunk partial-load buffers for the parallel kernel.
-struct EdgeLoadScratch {
-  std::vector<std::vector<double>> partial;
-};
-
-/// Parallel edge loads: the pair space is split into `chunks` contiguous
-/// ranges accumulated into per-chunk buffers on the util/parallel pool, then
-/// reduced in chunk order. Deterministic for a fixed `chunks` (any thread
-/// count), but NOT bit-identical to the serial kernel or across different
-/// chunk counts — opt in only where a tolerance is acceptable. `chunks == 0`
-/// uses the resolved thread width.
-void edge_loads_parallel_into(const PathSet& ps,
-                              const traffic::DemandMatrix& demand,
-                              const TeConfig& config, EdgeLoadScratch& scratch,
-                              std::vector<double>& out, std::size_t chunks = 0,
-                              std::size_t threads = 0);
-
 struct MluResult {
   double mlu = 0.0;
   net::EdgeId argmax_edge = 0;

@@ -94,7 +94,7 @@ bool ServingLoop::try_submit(std::uint32_t index) {
   job.index = index;
   job.enqueued = Clock::now();
   if (!jobs_.try_push(job)) {
-    stats_.overflows.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(Counter::kOverflows);
     return false;
   }
   ++next_seq_;
@@ -151,7 +151,7 @@ void ServingLoop::install_failures(const std::vector<net::EdgeId>& failed) {
     failure_dead_pairs_ = std::move(dead);
     failure_epoch_.fetch_add(1, std::memory_order_release);
   }
-  stats_.failure_epochs.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(Counter::kFailureEpochs);
 }
 
 void ServingLoop::clear_failures() {
@@ -161,7 +161,7 @@ void ServingLoop::clear_failures() {
     failure_dead_pairs_.reset();
     failure_epoch_.fetch_add(1, std::memory_order_release);
   }
-  stats_.failure_epochs.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(Counter::kFailureEpochs);
 }
 
 void ServingLoop::refresh_failures(Worker& w) {
@@ -213,7 +213,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   if (plan != nullptr && plan->stall) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(chaos->stall_seconds()));
-    stats_.chaos_stalls.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(Counter::kChaosStalls);
   }
 
   const TeConfig* served = &uniform_;
@@ -249,7 +249,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
     served = &w.cfg;
 
     if (opt_.validate_outputs && (!advise_ok || !config_servable(w.cfg))) {
-      stats_.invalid_outputs.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(Counter::kInvalidOutputs);
       served = fallback_config(w, job.index, rung);
     } else if (opt_.validate_outputs && opt_.fallback_last_good &&
                (plan == nullptr ? chaos == nullptr : plan->clean())) {
@@ -275,10 +275,13 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
     r.install_seconds = seconds_since(start, Clock::now());
   }
 
+  double reroute_seconds = 0.0, score_seconds = 0.0;
   // §4.5: failure response renormalizes whatever is installed, so it comes
   // after quantization (a switch reroutes its realized WCMP ratios).
   if (w.alive) {
+    const auto start = Clock::now();
     reroute_into(*ps_, *served, *w.alive, w.rerouted);
+    reroute_seconds = seconds_since(start, Clock::now());
     served = &w.rerouted;
     if (w.dead_pairs && !w.dead_pairs->empty()) {
       const auto& dm = (*trace_)[t];
@@ -286,7 +289,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
       for (const std::uint32_t pr : *w.dead_pairs) dropped += dm[pr];
       if (dropped > 0.0) {
         r.dropped_demand = dropped;
-        stats_.dropped_pair_snapshots.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(Counter::kDroppedPairSnapshots);
       }
     }
   }
@@ -295,8 +298,11 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   r.slo_violation =
       opt_.slo_seconds > 0.0 && r.serve_seconds > opt_.slo_seconds;
 
-  if (opt_.score)
+  if (opt_.score) {
+    const auto start = Clock::now();
     r.raw_mlu = te::mlu(*ps_, (*trace_)[t], *served, w.edge_scratch);
+    score_seconds = seconds_since(start, Clock::now());
+  }
 
   if (opt_.oracle) {
     const auto start = Clock::now();
@@ -321,9 +327,8 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
       if (res.optimal() || res.status == lp::Status::kNumerical ||
           attempt + 1 >= max_attempts)
         break;
-      stats_.oracle_attempt_failures[static_cast<std::size_t>(res.status)]
-          .fetch_add(1, std::memory_order_relaxed);
-      stats_.oracle_retries.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(res.status);
+      stats_.add(Counter::kOracleRetries);
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(
             std::min(backoff, opt_.oracle_backoff_max_seconds)));
@@ -336,16 +341,15 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
         static_cast<std::uint8_t>(std::min<std::size_t>(attempt + 1, 255));
     if (res.optimal()) {
       if (attempt > 0)
-        stats_.oracle_retry_successes.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(Counter::kOracleRetrySuccesses);
       r.oracle_mlu = res.mlu;
       const double denom = res.mlu > 1e-12 ? res.mlu : 1e-12;
       r.normalized = r.raw_mlu / denom;
     } else {
       // Streaming mode degrades gracefully: the snapshot is still served,
       // only its normalizer is missing.
-      stats_.oracle_attempt_failures[static_cast<std::size_t>(res.status)]
-          .fetch_add(1, std::memory_order_relaxed);
-      stats_.oracle_failures.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(res.status);
+      stats_.add(Counter::kOracleFailures);
     }
   }
 
@@ -355,21 +359,22 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   r.total_seconds = seconds_since(job.enqueued, Clock::now());
 
   while (!results_.try_push(r)) {
-    stats_.result_backpressure.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(Counter::kResultBackpressure);
     std::this_thread::yield();
   }
 
-  stats_.queue.record(r.queue_seconds);
-  if (opt_.infer) stats_.infer.record(r.infer_seconds);
-  if (opt_.install) stats_.install.record(r.install_seconds);
-  if (opt_.oracle) stats_.lp.record(r.lp_seconds);
-  stats_.serve.record(r.serve_seconds);
-  stats_.e2e.record(r.total_seconds);
-  stats_.served.fetch_add(1, std::memory_order_relaxed);
-  stats_.fallback_rungs[static_cast<std::size_t>(rung)].fetch_add(
-      1, std::memory_order_relaxed);
+  stats_.record(Stage::kQueue, r.queue_seconds);
+  if (opt_.infer) stats_.record(Stage::kInfer, r.infer_seconds);
+  if (opt_.install) stats_.record(Stage::kInstall, r.install_seconds);
+  if (w.alive) stats_.record(Stage::kReroute, reroute_seconds);
+  if (opt_.score) stats_.record(Stage::kScore, score_seconds);
+  if (opt_.oracle) stats_.record(Stage::kLp, r.lp_seconds);
+  stats_.record(Stage::kServe, r.serve_seconds);
+  stats_.record(Stage::kE2e, r.total_seconds);
+  stats_.add(Counter::kServed);
+  stats_.add(rung);
   if (r.slo_violation)
-    stats_.slo_violations.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(Counter::kSloViolations);
 }
 
 const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
@@ -410,14 +415,11 @@ const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
 }
 
 void ServingLoop::aggregate_warm(const Worker& w) {
-  stats_.warm_hits.fetch_add(w.warm_hits_acc + w.warm.hits(),
-                             std::memory_order_relaxed);
-  stats_.warm_misses.fetch_add(w.warm_misses_acc + w.warm.misses(),
-                               std::memory_order_relaxed);
+  stats_.add(Counter::kWarmHits, w.warm_hits_acc + w.warm.hits());
+  stats_.add(Counter::kWarmMisses, w.warm_misses_acc + w.warm.misses());
   for (std::size_t k = 0; k < lp::kWarmFallbackCount; ++k)
-    stats_.warm_fallbacks[k].fetch_add(
-        w.warm_fallback_acc[k] + w.warm.miss_reasons()[k],
-        std::memory_order_relaxed);
+    stats_.add(static_cast<lp::WarmFallback>(k),
+               w.warm_fallback_acc[k] + w.warm.miss_reasons()[k]);
 }
 
 // --- batch -----------------------------------------------------------------
@@ -561,7 +563,7 @@ void ServingLoop::process_batch_chunk(Worker& w, BatchState& bs,
         const auto start = Clock::now();
         const MluLpResult res = solve_mlu_lp(*ps_, (*trace_)[t], nullptr,
                                              bs.alive, &opt_.solver, handle);
-        stats_.lp.record(seconds_since(start, Clock::now()));
+        stats_.record(Stage::kLp, seconds_since(start, Clock::now()));
         if (!res.optimal())
           throw std::runtime_error(
               std::string("Harness: omniscient LP failed (status: ") +

@@ -60,7 +60,7 @@ struct SnapshotResult {
   /// MLU of the configuration actually served (post install/reroute).
   double raw_mlu = 0.0;
   /// Omniscient LP optimum for this snapshot (0 when `oracle` is off or the
-  /// resolve failed — see ServingStats::oracle_failures).
+  /// resolve failed — see Counter::kOracleFailures).
   double oracle_mlu = 0.0;
   /// raw_mlu / oracle_mlu with the Harness' 1e-12 denominator floor.
   double normalized = 0.0;

@@ -1,139 +1,134 @@
 #include "te/serving_stats.h"
 
+#include <iterator>
 #include <ostream>
+#include <span>
+#include <string>
 
 #include "util/table.h"
 
 namespace figret::te {
+namespace {
+
+// The one place each rung, counter and stage is named.
+constexpr const char* kRungNames[] = {"fresh", "last-good", "uniform"};
+constexpr const char* kCounterNames[] = {
+    "served", "slo_violations", "overflows", "result_backpressure",
+    "oracle_failures", "warm_hits", "warm_misses", "failure_epochs",
+    "invalid_outputs", "dropped_pair_snapshots", "oracle_retries",
+    "oracle_retry_successes", "chaos_stalls"};
+constexpr const char* kStageNames[] = {"queue",   "infer", "lp",    "install",
+                                       "reroute", "score", "serve", "e2e"};
+static_assert(std::size(kRungNames) == kFallbackRungCount);
+static_assert(std::size(kCounterNames) == kCounterCount);
+static_assert(std::size(kStageNames) == kStageCount);
+
+template <std::size_t N>
+void zero(AtomicTable<N>& table) noexcept {
+  for (auto& slot : table) slot.store(0, std::memory_order_relaxed);
+}
+
+template <std::size_t N>
+void load(const AtomicTable<N>& table,
+          std::array<std::uint64_t, N>& out) noexcept {
+  for (std::size_t k = 0; k < N; ++k)
+    out[k] = table[k].load(std::memory_order_relaxed);
+}
+
+template <class Key>
+const char* label(std::size_t k) noexcept {
+  return to_string(static_cast<Key>(k));
+}
+
+/// A counter table as print() and to_json() walk it.
+struct CounterTable {
+  const char* name;
+  std::span<const std::uint64_t> values;
+  const char* (*label)(std::size_t) noexcept;
+};
+
+std::array<CounterTable, 4> counter_tables(const ServingStats::Snapshot& s) {
+  return {{{"counters", s.counters, label<Counter>},
+           {"rungs", s.rungs, label<FallbackRung>},
+           {"warm_fallbacks", s.warm_fallbacks, label<lp::WarmFallback>},
+           {"oracle_attempt_failures", s.oracle_attempt_failures,
+            label<lp::Status>}}};
+}
+
+std::string ms(double seconds) { return util::fmt(seconds * 1e3, 3); }
+
+}  // namespace
 
 const char* to_string(FallbackRung rung) noexcept {
-  switch (rung) {
-    case FallbackRung::kFresh:
-      return "fresh";
-    case FallbackRung::kLastGood:
-      return "last-good";
-    case FallbackRung::kUniform:
-      return "uniform";
-  }
-  return "unknown";
+  return kRungNames[static_cast<std::size_t>(rung)];
+}
+const char* to_string(Counter counter) noexcept {
+  return kCounterNames[static_cast<std::size_t>(counter)];
+}
+const char* to_string(Stage stage) noexcept {
+  return kStageNames[static_cast<std::size_t>(stage)];
 }
 
 void ServingStats::reset() noexcept {
-  queue.reset();
-  infer.reset();
-  lp.reset();
-  install.reset();
-  serve.reset();
-  e2e.reset();
-  served.store(0, std::memory_order_relaxed);
-  slo_violations.store(0, std::memory_order_relaxed);
-  overflows.store(0, std::memory_order_relaxed);
-  result_backpressure.store(0, std::memory_order_relaxed);
-  oracle_failures.store(0, std::memory_order_relaxed);
-  warm_hits.store(0, std::memory_order_relaxed);
-  warm_misses.store(0, std::memory_order_relaxed);
-  for (auto& f : warm_fallbacks) f.store(0, std::memory_order_relaxed);
-  failure_epochs.store(0, std::memory_order_relaxed);
-  for (auto& r : fallback_rungs) r.store(0, std::memory_order_relaxed);
-  invalid_outputs.store(0, std::memory_order_relaxed);
-  dropped_pair_snapshots.store(0, std::memory_order_relaxed);
-  oracle_retries.store(0, std::memory_order_relaxed);
-  oracle_retry_successes.store(0, std::memory_order_relaxed);
-  for (auto& f : oracle_attempt_failures) f.store(0, std::memory_order_relaxed);
-  chaos_stalls.store(0, std::memory_order_relaxed);
+  zero(counters_);
+  zero(rungs_);
+  zero(warm_fallbacks_);
+  zero(oracle_attempt_failures_);
+  for (auto& h : stages_) h.reset();
 }
 
 ServingStats::Snapshot ServingStats::snapshot() const {
   Snapshot s;
-  s.served = served.load(std::memory_order_relaxed);
-  s.slo_violations = slo_violations.load(std::memory_order_relaxed);
-  s.overflows = overflows.load(std::memory_order_relaxed);
-  s.result_backpressure =
-      result_backpressure.load(std::memory_order_relaxed);
-  s.oracle_failures = oracle_failures.load(std::memory_order_relaxed);
-  s.warm_hits = warm_hits.load(std::memory_order_relaxed);
-  s.warm_misses = warm_misses.load(std::memory_order_relaxed);
-  for (std::size_t k = 0; k < lp::kWarmFallbackCount; ++k)
-    s.warm_fallbacks[k] = warm_fallbacks[k].load(std::memory_order_relaxed);
-  s.failure_epochs = failure_epochs.load(std::memory_order_relaxed);
-  for (std::size_t k = 0; k < kFallbackRungCount; ++k)
-    s.fallback_rungs[k] = fallback_rungs[k].load(std::memory_order_relaxed);
-  s.invalid_outputs = invalid_outputs.load(std::memory_order_relaxed);
-  s.dropped_pair_snapshots =
-      dropped_pair_snapshots.load(std::memory_order_relaxed);
-  s.oracle_retries = oracle_retries.load(std::memory_order_relaxed);
-  s.oracle_retry_successes =
-      oracle_retry_successes.load(std::memory_order_relaxed);
-  for (std::size_t k = 0; k < lp::kStatusCount; ++k)
-    s.oracle_attempt_failures[k] =
-        oracle_attempt_failures[k].load(std::memory_order_relaxed);
-  s.chaos_stalls = chaos_stalls.load(std::memory_order_relaxed);
-  s.serve_p50 = serve.percentile(50);
-  s.serve_p99 = serve.percentile(99);
-  s.serve_p999 = serve.percentile(99.9);
-  s.e2e_p50 = e2e.percentile(50);
-  s.e2e_p99 = e2e.percentile(99);
-  s.e2e_p999 = e2e.percentile(99.9);
-  s.infer_p50 = infer.percentile(50);
-  s.infer_p99 = infer.percentile(99);
-  s.lp_p50 = lp.percentile(50);
-  s.lp_p99 = lp.percentile(99);
-  s.install_p50 = install.percentile(50);
-  s.install_p99 = install.percentile(99);
-  s.queue_p50 = queue.percentile(50);
-  s.queue_p99 = queue.percentile(99);
-  s.serve_max = serve.max_seconds();
-  s.e2e_max = e2e.max_seconds();
+  load(counters_, s.counters);
+  load(rungs_, s.rungs);
+  load(warm_fallbacks_, s.warm_fallbacks);
+  load(oracle_attempt_failures_, s.oracle_attempt_failures);
+  for (std::size_t k = 0; k < kStageCount; ++k) {
+    const util::LatencyHistogram& h = stages_[k];
+    s.stages[k] = {h.count(), h.percentile(50), h.percentile(99),
+                   h.percentile(99.9), h.max_seconds()};
+  }
   return s;
+}
+
+util::Json ServingStats::Snapshot::to_json() const {
+  util::Json j = util::Json::object();
+  for (const CounterTable& t : counter_tables(*this)) {
+    util::Json o = util::Json::object();
+    for (std::size_t k = 0; k < t.values.size(); ++k)
+      o.set(t.label(k), t.values[k]);
+    j.set(t.name, std::move(o));
+  }
+  util::Json o = util::Json::object();
+  for (std::size_t k = 0; k < kStageCount; ++k)
+    o.set(kStageNames[k], util::Json::object()
+                              .set("count", stages[k].count)
+                              .set("p50_s", stages[k].p50)
+                              .set("p99_s", stages[k].p99)
+                              .set("p999_s", stages[k].p999)
+                              .set("max_s", stages[k].max));
+  j.set("stages", std::move(o));
+  return j;
 }
 
 void ServingStats::print(std::ostream& os) const {
   const Snapshot s = snapshot();
-  util::Table t({"stage", "p50 (ms)", "p99 (ms)", "p999 (ms)", "max (ms)"});
-  const auto row = [&](const char* name, const util::LatencyHistogram& h) {
-    t.add_row({name, util::fmt(h.percentile(50) * 1e3, 3),
-               util::fmt(h.percentile(99) * 1e3, 3),
-               util::fmt(h.percentile(99.9) * 1e3, 3),
-               util::fmt(h.max_seconds() * 1e3, 3)});
-  };
-  row("queue", queue);
-  row("inference", infer);
-  row("lp (oracle)", lp);
-  row("install", install);
-  row("serve (SLO)", serve);
-  row("end-to-end", e2e);
+  util::Table t(
+      {"stage", "count", "p50 (ms)", "p99 (ms)", "p999 (ms)", "max (ms)"});
+  for (std::size_t k = 0; k < kStageCount; ++k) {
+    const StageSummary& st = s.stages[k];
+    if (st.count == 0) continue;  // the stage did not run
+    t.add_row({kStageNames[k], std::to_string(st.count), ms(st.p50),
+               ms(st.p99), ms(st.p999), ms(st.max)});
+  }
   t.print(os);
-  os << "served " << s.served << " snapshots; SLO violations "
-     << s.slo_violations << "; queue overflows " << s.overflows
-     << "; oracle failures " << s.oracle_failures << "; warm LP hits "
-     << s.warm_hits << "/" << (s.warm_hits + s.warm_misses) << "\n";
-  if (s.warm_misses > 0) {
-    os << "warm LP fallbacks:";
-    // Reason 0 is kNone — never a miss reason, skip it.
-    for (std::size_t k = 1; k < lp::kWarmFallbackCount; ++k)
-      if (s.warm_fallbacks[k] > 0)
-        os << " " << lp::to_string(static_cast<lp::WarmFallback>(k)) << "="
-           << s.warm_fallbacks[k];
-    os << "\n";
-  }
-  if (s.degraded() > 0 || s.invalid_outputs > 0 ||
-      s.dropped_pair_snapshots > 0 || s.chaos_stalls > 0) {
-    os << "degradation: rungs";
-    for (std::size_t k = 0; k < kFallbackRungCount; ++k)
-      os << " " << to_string(static_cast<FallbackRung>(k)) << "="
-         << s.fallback_rungs[k];
-    os << "; invalid outputs " << s.invalid_outputs
-       << "; dropped pair-snapshots " << s.dropped_pair_snapshots
-       << "; chaos stalls " << s.chaos_stalls << "\n";
-  }
-  if (s.oracle_retries > 0) {
-    os << "oracle retries " << s.oracle_retries << " (recovered "
-       << s.oracle_retry_successes << "); failed attempts by reason:";
-    for (std::size_t k = 0; k < lp::kStatusCount; ++k)
-      if (s.oracle_attempt_failures[k] > 0)
-        os << " " << lp::to_string(static_cast<lp::Status>(k)) << "="
-           << s.oracle_attempt_failures[k];
-    os << "\n";
+  for (const CounterTable& c : counter_tables(s)) {
+    std::string line;
+    for (std::size_t k = 0; k < c.values.size(); ++k)
+      if (c.values[k] > 0)
+        line += std::string(" ") + c.label(k) + "=" +
+                std::to_string(c.values[k]);
+    if (!line.empty()) os << c.name << ":" << line << "\n";
   }
 }
 

@@ -1,7 +1,8 @@
-// Observability for the streaming TE serving loop: per-stage latency
-// histograms, SLO-violation and queue-overflow counters, warm-LP chain
-// accounting. All members are lock-free — workers record with relaxed
-// atomics and a monitoring reader never blocks the hot path.
+// Observability for the streaming TE serving loop, kept as lock-free tables
+// indexed by enums: Counter, three labelled families (rung, warm-start
+// fallback reason, failed oracle attempt status) and one latency histogram
+// per Stage. Each slot is named once, by its enum's to_string, so a new
+// counter is one enum entry plus one name.
 #pragma once
 
 #include <array>
@@ -11,9 +12,13 @@
 
 #include "lp/simplex.h"
 #include "lp/warm_start.h"
+#include "util/json.h"
 #include "util/latency.h"
 
 namespace figret::te {
+
+template <std::size_t N>
+using AtomicTable = std::array<std::atomic<std::uint64_t>, N>;
 
 /// The serving loop's graceful-degradation ladder. Every served snapshot
 /// comes from exactly one rung:
@@ -23,106 +28,109 @@ namespace figret::te {
 ///    the surviving paths on install;
 ///  * kUniform — no known-good config either: uniform ECMP over surviving
 ///    paths, the unconditional floor that needs no model and no history.
-enum class FallbackRung : std::uint8_t {
-  kFresh = 0,
-  kLastGood = 1,
-  kUniform = 2,
-};
+enum class FallbackRung : std::uint8_t { kFresh, kLastGood, kUniform };
 inline constexpr std::size_t kFallbackRungCount = 3;
 const char* to_string(FallbackRung rung) noexcept;
 
-struct ServingStats {
-  // --- per-stage latency (seconds) -----------------------------------------
-  util::LatencyHistogram queue;    // submit -> worker dequeue
-  util::LatencyHistogram infer;    // NN/scheme advise
-  util::LatencyHistogram lp;       // omniscient warm-LP resolve (accounting)
-  util::LatencyHistogram install;  // WCMP quantization + publish of ratios
-  util::LatencyHistogram serve;    // submit -> installed (the SLO quantity)
-  util::LatencyHistogram e2e;      // submit -> result published (everything)
+enum class Counter : std::uint8_t {
+  kServed,
+  kSloViolations,       // serve latency above Options::slo_seconds
+  kOverflows,           // try_submit rejected: the snapshot ring was full
+  kResultBackpressure,  // spins on a full completion ring
+  kOracleFailures,      // resolves that never reached optimality (still served)
+  kWarmHits,            // warm-start chain outcomes, folded in on finish()
+  kWarmMisses,
+  kFailureEpochs,         // failure masks installed or cleared mid-stream
+  kInvalidOutputs,        // advised configs rejected by output validation
+  kDroppedPairSnapshots,  // snapshots with a pair whose every path was dead
+  kOracleRetries,         // oracle attempts beyond the first
+  kOracleRetrySuccesses,  // snapshots whose oracle recovered on a retry
+  kChaosStalls,           // chaos-injected worker stalls (te/chaos.h)
+};
+inline constexpr std::size_t kCounterCount = 13;
+const char* to_string(Counter counter) noexcept;
 
-  // --- counters ------------------------------------------------------------
-  std::atomic<std::uint64_t> served{0};
-  std::atomic<std::uint64_t> slo_violations{0};
-  /// Submissions rejected because the snapshot ring was full (try_submit).
-  std::atomic<std::uint64_t> overflows{0};
-  /// Spins because the completion ring was full (drainer falling behind).
-  std::atomic<std::uint64_t> result_backpressure{0};
-  /// Omniscient resolves that did not reach optimality (streaming mode
-  /// degrades gracefully: the snapshot still serves, normalized MLU is 0).
-  std::atomic<std::uint64_t> oracle_failures{0};
-  /// Aggregated per-worker warm-start chain outcomes (filled on finish()).
-  std::atomic<std::uint64_t> warm_hits{0};
-  std::atomic<std::uint64_t> warm_misses{0};
-  /// warm_misses broken down by lp::WarmFallback reason (same indexing), so
-  /// a chain that silently degrades to cold solves is diagnosable from the
-  /// serving report alone.
-  std::array<std::atomic<std::uint64_t>, lp::kWarmFallbackCount>
-      warm_fallbacks{};
-  /// Times a failure mask was installed/cleared mid-stream.
-  std::atomic<std::uint64_t> failure_epochs{0};
+/// Timed stages of a served snapshot; a stage records only when it ran.
+enum class Stage : std::uint8_t {
+  kQueue,    // submit -> worker dequeue
+  kInfer,    // scheme advise (Options::infer)
+  kLp,       // omniscient warm-LP resolve (Options::oracle, batch oracle)
+  kInstall,  // WCMP quantization + realized ratios (Options::install)
+  kReroute,  // §4.5 reroute, while a failure mask is installed
+  kScore,    // MLU of the served config (Options::score)
+  kServe,    // submit -> installed (the SLO quantity)
+  kE2e,      // submit -> result published
+};
+inline constexpr std::size_t kStageCount = 8;
+const char* to_string(Stage stage) noexcept;
 
-  // --- graceful degradation -------------------------------------------------
-  /// Served snapshots per ladder rung (kFresh + kLastGood + kUniform ==
-  /// served when validation is on).
-  std::array<std::atomic<std::uint64_t>, kFallbackRungCount> fallback_rungs{};
-  /// Advised configs rejected by output validation (NaN/Inf/negative
-  /// weights) before install — each one stepped the ladder down.
-  std::atomic<std::uint64_t> invalid_outputs{0};
-  /// Pair-snapshots whose demand was dropped because every candidate path
-  /// was dead (summed over snapshots; see SnapshotResult::dropped_demand for
-  /// the per-snapshot volume).
-  std::atomic<std::uint64_t> dropped_pair_snapshots{0};
-  /// Oracle resolve attempts beyond the first (the backoff+retry loop).
-  std::atomic<std::uint64_t> oracle_retries{0};
-  /// Snapshots whose oracle recovered on a retry after a failed attempt.
-  std::atomic<std::uint64_t> oracle_retry_successes{0};
-  /// Failed oracle attempts by lp::Status reason (kOptimal slot stays 0).
-  std::array<std::atomic<std::uint64_t>, lp::kStatusCount>
-      oracle_attempt_failures{};
-  /// Chaos-injected worker stalls executed (te/chaos.h).
-  std::atomic<std::uint64_t> chaos_stalls{0};
-
+class ServingStats {
+ public:
   ServingStats() = default;
   ServingStats(const ServingStats&) = delete;
   ServingStats& operator=(const ServingStats&) = delete;
 
+  void add(Counter c, std::uint64_t n = 1) noexcept { bump(counters_, c, n); }
+  /// One served snapshot on `rung` (the rungs sum to kServed).
+  void add(FallbackRung rung) noexcept { bump(rungs_, rung, 1); }
+  /// `n` warm misses for `reason` (kWarmMisses broken down).
+  void add(lp::WarmFallback reason, std::uint64_t n) noexcept {
+    bump(warm_fallbacks_, reason, n);
+  }
+  /// One failed oracle attempt that ended in `status`.
+  void add(lp::Status status) noexcept {
+    bump(oracle_attempt_failures_, status, 1);
+  }
+  void record(Stage stage, double seconds) noexcept {
+    stages_[static_cast<std::size_t>(stage)].record(seconds);
+  }
+
   void reset() noexcept;
 
-  /// Plain-value copy for reporting (racy while workers run; exact after
+  struct StageSummary {
+    std::uint64_t count = 0;
+    double p50 = 0.0, p99 = 0.0, p999 = 0.0, max = 0.0;  // seconds
+  };
+
+  /// Plain-value copy of every table (racy while workers run; exact after
   /// finish()).
   struct Snapshot {
-    std::uint64_t served = 0;
-    std::uint64_t slo_violations = 0;
-    std::uint64_t overflows = 0;
-    std::uint64_t result_backpressure = 0;
-    std::uint64_t oracle_failures = 0;
-    std::uint64_t warm_hits = 0;
-    std::uint64_t warm_misses = 0;
+    std::array<std::uint64_t, kCounterCount> counters{};
+    std::array<std::uint64_t, kFallbackRungCount> rungs{};
     std::array<std::uint64_t, lp::kWarmFallbackCount> warm_fallbacks{};
-    std::uint64_t failure_epochs = 0;
-    std::array<std::uint64_t, kFallbackRungCount> fallback_rungs{};
-    std::uint64_t invalid_outputs = 0;
-    std::uint64_t dropped_pair_snapshots = 0;
-    std::uint64_t oracle_retries = 0;
-    std::uint64_t oracle_retry_successes = 0;
     std::array<std::uint64_t, lp::kStatusCount> oracle_attempt_failures{};
-    std::uint64_t chaos_stalls = 0;
-    /// Served snapshots that left rung 0 (kLastGood + kUniform).
-    std::uint64_t degraded() const noexcept {
-      return fallback_rungs[1] + fallback_rungs[2];
+    std::array<StageSummary, kStageCount> stages{};
+
+    std::uint64_t operator[](Counter c) const noexcept {
+      return counters[static_cast<std::size_t>(c)];
     }
-    double serve_p50 = 0.0, serve_p99 = 0.0, serve_p999 = 0.0;
-    double e2e_p50 = 0.0, e2e_p99 = 0.0, e2e_p999 = 0.0;
-    double infer_p50 = 0.0, infer_p99 = 0.0;
-    double lp_p50 = 0.0, lp_p99 = 0.0;
-    double install_p50 = 0.0, install_p99 = 0.0;
-    double queue_p50 = 0.0, queue_p99 = 0.0;
-    double serve_max = 0.0, e2e_max = 0.0;
+    const StageSummary& operator[](Stage s) const noexcept {
+      return stages[static_cast<std::size_t>(s)];
+    }
+    /// {"counters", "rungs", "warm_fallbacks", "oracle_attempt_failures"}
+    /// as {name: n} objects, then "stages": {name: {"count", "p50_s",
+    /// "p99_s", "p999_s", "max_s"}}.
+    util::Json to_json() const;
   };
   Snapshot snapshot() const;
 
-  /// Human-readable stage/percentile table (used by `figret_cli serve`).
+  /// Stage latency table, then one line per table listing its nonzero
+  /// slots (used by `figret_cli serve`).
   void print(std::ostream& os) const;
+
+ private:
+  // One relaxed fetch_add: the whole recording cost of a counter.
+  template <std::size_t N, class Key>
+  static void bump(AtomicTable<N>& table, Key key, std::uint64_t n) noexcept {
+    table[static_cast<std::size_t>(key)].fetch_add(n,
+                                                   std::memory_order_relaxed);
+  }
+
+  AtomicTable<kCounterCount> counters_{};
+  AtomicTable<kFallbackRungCount> rungs_{};
+  AtomicTable<lp::kWarmFallbackCount> warm_fallbacks_{};
+  AtomicTable<lp::kStatusCount> oracle_attempt_failures_{};
+  std::array<util::LatencyHistogram, kStageCount> stages_;
 };
 
 }  // namespace figret::te

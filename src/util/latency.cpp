@@ -1,5 +1,6 @@
 #include "util/latency.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -70,8 +71,11 @@ double LatencyHistogram::percentile(double q) const noexcept {
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += buckets_[b].load(std::memory_order_relaxed);
+    // A bucket midpoint can lie above every recorded value; never report a
+    // percentile larger than the max.
     if (seen >= target)
-      return static_cast<double>(bucket_midpoint_nanos(b)) * 1e-9;
+      return std::min(static_cast<double>(bucket_midpoint_nanos(b)) * 1e-9,
+                      max_seconds());
   }
   return max_seconds();
 }

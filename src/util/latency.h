@@ -15,7 +15,7 @@ namespace figret::util {
 
 class LatencyHistogram {
  public:
-  /// Values above ~2^42 ns (~73 min) clamp into the last bucket.
+  /// Values of 2^43 ns (~2.4 h) and above clamp into the last bucket.
   static constexpr std::size_t kSubBuckets = 16;
   static constexpr std::size_t kTiers = 39;
   static constexpr std::size_t kBuckets = kSubBuckets * (kTiers + 1);
@@ -32,7 +32,8 @@ class LatencyHistogram {
   double mean_seconds() const noexcept;
 
   /// Approximate percentile (q in [0, 100]), from a racy single pass over
-  /// the buckets — exact once writers quiesce. 0 when empty.
+  /// the buckets — exact once writers quiesce. Never above max_seconds();
+  /// 0 when empty.
   double percentile(double q) const noexcept;
 
   void reset() noexcept;

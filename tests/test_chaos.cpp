@@ -354,7 +354,8 @@ TEST(ChaosLadder, RungsFollowTheSchedule) {
   EXPECT_EQ(rep.rungs[0], expect_fresh);
   EXPECT_EQ(rep.rungs[1], expect_lastgood);
   EXPECT_EQ(rep.rungs[2], expect_uniform);
-  EXPECT_EQ(rep.stats.invalid_outputs, expect_lastgood + expect_uniform);
+  EXPECT_EQ(rep.stats[Counter::kInvalidOutputs],
+            expect_lastgood + expect_uniform);
 }
 
 TEST(ChaosLadder, UniformFloorWhenLastGoodDisabled) {
@@ -418,7 +419,8 @@ TEST(ChaosLadder, ThrowingAdvisorIsDegradedNotFatal) {
   ASSERT_NO_THROW(rep = run_chaos_serving(loop, chaos, advisors));
   EXPECT_EQ(rep.served, 70u);
   EXPECT_TRUE(rep.all_finite);
-  EXPECT_EQ(rep.stats.invalid_outputs, chaos.summary().corrupt_demands);
+  EXPECT_EQ(rep.stats[Counter::kInvalidOutputs],
+            chaos.summary().corrupt_demands);
   EXPECT_GT(rep.rungs[1] + rep.rungs[2], 0u);
 }
 
@@ -450,12 +452,12 @@ TEST(ChaosOracle, InjectedOverrunsRecoverViaRetryWithoutColdFallback) {
   // oracle_failures proves no snapshot lost its normalizer.
   const auto overruns =
       static_cast<std::uint64_t>(chaos.summary().overruns);
-  EXPECT_EQ(rep.stats.oracle_retries, overruns);
-  EXPECT_EQ(rep.stats.oracle_retry_successes, overruns);
+  EXPECT_EQ(rep.stats[Counter::kOracleRetries], overruns);
+  EXPECT_EQ(rep.stats[Counter::kOracleRetrySuccesses], overruns);
   EXPECT_EQ(rep.stats.oracle_attempt_failures[static_cast<std::size_t>(
                 lp::Status::kDeadline)],
             overruns);
-  EXPECT_EQ(rep.stats.oracle_failures, 0u);
+  EXPECT_EQ(rep.stats[Counter::kOracleFailures], 0u);
   for (std::size_t k = 0; k < lp::kStatusCount; ++k) {
     if (k == static_cast<std::size_t>(lp::Status::kDeadline)) continue;
     EXPECT_EQ(rep.stats.oracle_attempt_failures[k], 0u) << "status " << k;
@@ -463,7 +465,7 @@ TEST(ChaosOracle, InjectedOverrunsRecoverViaRetryWithoutColdFallback) {
   // A deadline on a warm chain must not poison it into cold restarts: the
   // injection pre-expires the budget before any pivot, so the basis stays
   // healthy and the retry re-enters warm.
-  EXPECT_GT(rep.stats.warm_hits, 0u);
+  EXPECT_GT(rep.stats[Counter::kWarmHits], 0u);
 }
 
 // --- dropped demand (§4.5 all-paths-dead) ----------------------------------
@@ -491,7 +493,7 @@ TEST(ChaosSoak, IsolatedNodeDemandIsPricedAsDropped) {
     EXPECT_GT(r.dropped_demand, 0.0) << "index " << r.trace_index;
     EXPECT_TRUE(std::isfinite(r.raw_mlu));
   }
-  EXPECT_EQ(loop.stats().snapshot().dropped_pair_snapshots, 10u);
+  EXPECT_EQ(loop.stats().snapshot()[Counter::kDroppedPairSnapshots], 10u);
 }
 
 // --- the soak: reproducibility + recovery bound ----------------------------
@@ -522,6 +524,11 @@ TEST(ChaosSoak, BitReproducibleAcrossWorkerCounts) {
     const ChaosRunReport rep = run_chaos_serving(loop, chaos, ptrs);
     ASSERT_EQ(rep.served, 140u) << "workers " << workers;
     EXPECT_TRUE(rep.all_finite);
+    // The report's rung totals, counted from the drained results, agree
+    // with the loop's own rung family and served counter.
+    EXPECT_EQ(rep.rungs, rep.stats.rungs) << "workers " << workers;
+    EXPECT_EQ(rep.served, rep.stats[Counter::kServed])
+        << "workers " << workers;
     if (first) {
       ref_hash = rep.determinism_hash;
       ref_rungs = rep.rungs;

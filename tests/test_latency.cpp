@@ -56,6 +56,19 @@ TEST(LatencyHistogram, PercentilesAreMonotone) {
   EXPECT_NEAR(h.mean_seconds(), 500.5e-6, 50e-6);
 }
 
+TEST(LatencyHistogram, PercentileNeverExceedsMax) {
+  // A lone sample sits below its bucket's midpoint (100 ns -> midpoint
+  // 102 ns, 300 us -> 303.1 us); every percentile reports the max instead.
+  LatencyHistogram h;
+  h.record_nanos(100);
+  EXPECT_EQ(h.percentile(50), h.max_seconds());
+  EXPECT_EQ(h.percentile(99.9), h.max_seconds());
+  h.reset();
+  h.record_nanos(300000);
+  EXPECT_EQ(h.percentile(99), h.max_seconds());
+  EXPECT_EQ(h.max_seconds(), 300000 * 1e-9);
+}
+
 TEST(LatencyHistogram, RecordSecondsMatchesNanos) {
   LatencyHistogram a, b;
   a.record(1.5e-3);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "te/wcmp.h"
 #include "traffic/feed.h"
 #include "traffic/generators.h"
+#include "util/json.h"
 
 namespace figret::te {
 namespace {
@@ -238,8 +240,9 @@ TEST(ServingLoopStream, ServesEverySubmittedSnapshotExactly) {
     EXPECT_GE(r.serve_seconds, 0.0);
     EXPECT_GE(r.total_seconds, r.serve_seconds);
   }
-  EXPECT_EQ(loop.stats().served.load(), 78u);
-  EXPECT_EQ(loop.stats().overflows.load(), 0u);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s[Counter::kServed], 78u);
+  EXPECT_EQ(s[Counter::kOverflows], 0u);
 }
 
 TEST(ServingLoopStream, InstallServesQuantizedRatios) {
@@ -298,11 +301,11 @@ TEST(ServingLoopStream, OracleNormalizesAndChainsWarmStarts) {
     EXPECT_GE(r.normalized, 1.0 - 1e-6);
     EXPECT_GE(r.lp_seconds, 0.0);
   }
-  EXPECT_EQ(loop.stats().oracle_failures.load(), 0u);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s[Counter::kOracleFailures], 0u);
   // Per-worker chains across 58 consecutive resolves must score warm hits.
-  EXPECT_GT(loop.stats().warm_hits.load() + loop.stats().warm_misses.load(),
-            0u);
-  EXPECT_GT(loop.stats().warm_hits.load(), 0u);
+  EXPECT_GT(s[Counter::kWarmHits] + s[Counter::kWarmMisses], 0u);
+  EXPECT_GT(s[Counter::kWarmHits], 0u);
 }
 
 TEST(ServingLoopStream, NumericalOracleVerdictIsNotRetried) {
@@ -339,8 +342,8 @@ TEST(ServingLoopStream, NumericalOracleVerdictIsNotRetried) {
   ASSERT_EQ(results.size(), 10u);
   for (const auto& r : results) EXPECT_EQ(r.lp_attempts, 1u);
   const ServingStats::Snapshot s = loop.stats().snapshot();
-  EXPECT_EQ(s.oracle_retries, 0u);
-  EXPECT_EQ(s.oracle_failures, 10u);
+  EXPECT_EQ(s[Counter::kOracleRetries], 0u);
+  EXPECT_EQ(s[Counter::kOracleFailures], 10u);
   EXPECT_EQ(s.oracle_attempt_failures[static_cast<std::size_t>(
                 lp::Status::kNumerical)],
             10u);
@@ -387,7 +390,11 @@ TEST(ServingLoopStream, MidStreamFailureReroutesSubsequentSnapshots) {
   }
   EXPECT_EQ(healthy, 28u);
   EXPECT_EQ(failed_served, 30u);
-  EXPECT_EQ(loop.stats().failure_epochs.load(), 1u);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s[Counter::kFailureEpochs], 1u);
+  // Reroute is timed only under the mask; scoring times every snapshot.
+  EXPECT_EQ(s[Stage::kReroute].count, failed_served);
+  EXPECT_EQ(s[Stage::kScore].count, s[Counter::kServed]);
 
   // clear_failures() restores healthy serving on a restarted stream.
   loop.clear_failures();
@@ -454,7 +461,7 @@ TEST(ServingLoopStream, RetrainMonitorWatchesTheStream) {
   loop.finish();
   observe_drained();
 
-  EXPECT_EQ(loop.stats().served.load(), 58u);
+  EXPECT_EQ(loop.stats().snapshot()[Counter::kServed], 58u);
   EXPECT_FALSE(tripped_during_healthy)
       << "healthy traffic must not trip the detector";
   EXPECT_TRUE(monitor.should_retrain())
@@ -477,10 +484,9 @@ TEST(ServingLoopStream, SloViolationsAreCounted) {
     loop.start(advisors);
     for (std::uint32_t t = 1; t < 20; ++t) loop.submit(t);
     loop.finish();
-    EXPECT_EQ(loop.stats().slo_violations.load(), 19u);
     const auto snap = loop.stats().snapshot();
-    EXPECT_EQ(snap.slo_violations, 19u);
-    EXPECT_GT(snap.serve_p99, 0.0);
+    EXPECT_EQ(snap[Counter::kSloViolations], 19u);
+    EXPECT_GT(snap[Stage::kServe].p99, 0.0);
   }
   // Generous SLO: nothing violates.
   {
@@ -493,7 +499,7 @@ TEST(ServingLoopStream, SloViolationsAreCounted) {
     loop.start(advisors);
     for (std::uint32_t t = 1; t < 20; ++t) loop.submit(t);
     loop.finish();
-    EXPECT_EQ(loop.stats().slo_violations.load(), 0u);
+    EXPECT_EQ(loop.stats().snapshot()[Counter::kSloViolations], 0u);
   }
 }
 
@@ -514,8 +520,9 @@ TEST(ServingLoopStream, OverflowCountsRejectedSubmissions) {
   loop.finish();
 
   EXPECT_GT(rejected, 0u) << "a 5ms advisor behind a 4-slot ring must spill";
-  EXPECT_EQ(loop.stats().overflows.load(), rejected);
-  EXPECT_EQ(loop.stats().served.load() + rejected, 39u);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s[Counter::kOverflows], rejected);
+  EXPECT_EQ(s[Counter::kServed] + rejected, 39u);
 }
 
 TEST(ServingLoopStream, FeedDrivesTheLoop) {
@@ -553,8 +560,107 @@ TEST(ServingLoopStream, FeedDrivesTheLoop) {
   loop.drain(results);
 
   EXPECT_EQ(feed.accepted(), 49u);
-  EXPECT_EQ(loop.stats().served.load(), 49u);
+  EXPECT_EQ(loop.stats().snapshot()[Counter::kServed], 49u);
   EXPECT_EQ(results.size(), 49u);
+}
+
+/// A two-worker stream that touches every stage and most counters: install,
+/// oracle, a tiny SLO, and a failure mask over the second half.
+void run_busy_stream(ServingLoop& loop, const PathSet& ps) {
+  const TeConfig cfg = skewed_config(ps);
+  FixedAdvisor a(ps, cfg), b(ps, cfg);
+  std::vector<TeScheme*> advisors{&a, &b};
+  loop.start(advisors);
+  for (std::uint32_t t = 2; t < 20; ++t) loop.submit(t);
+  while (loop.completed() < loop.submitted()) std::this_thread::yield();
+  loop.install_failures(sample_safe_failures(ps, 1, 3));
+  for (std::uint32_t t = 20; t < 40; ++t) loop.submit(t);
+  loop.finish();
+}
+
+ServingLoop::Options busy_options() {
+  ServingLoop::Options opt;
+  opt.workers = 2;
+  opt.oracle = true;
+  opt.slo_seconds = 1e-12;
+  return opt;
+}
+
+TEST(ServingStatsTables, ResetZeroesEveryTable) {
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 40, 23);
+  ServingLoop loop(ps, trace, busy_options());
+  run_busy_stream(loop, ps);
+  const ServingStats::Snapshot before = loop.stats().snapshot();
+  ASSERT_EQ(before[Counter::kServed], 38u);
+  for (std::size_t k = 0; k < kStageCount; ++k)
+    ASSERT_GT(before.stages[k].count, 0u)
+        << to_string(static_cast<Stage>(k));
+
+  loop.stats().reset();
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  for (std::size_t k = 0; k < kCounterCount; ++k)
+    EXPECT_EQ(s.counters[k], 0u) << to_string(static_cast<Counter>(k));
+  for (const std::uint64_t v : s.rungs) EXPECT_EQ(v, 0u);
+  for (const std::uint64_t v : s.warm_fallbacks) EXPECT_EQ(v, 0u);
+  for (const std::uint64_t v : s.oracle_attempt_failures) EXPECT_EQ(v, 0u);
+  for (std::size_t k = 0; k < kStageCount; ++k) {
+    const ServingStats::StageSummary& st = s.stages[k];
+    EXPECT_EQ(st.count, 0u) << to_string(static_cast<Stage>(k));
+    EXPECT_EQ(st.p50, 0.0);
+    EXPECT_EQ(st.p999, 0.0);
+    EXPECT_EQ(st.max, 0.0);
+  }
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1))
+    ++n;
+  return n;
+}
+
+/// The scalar that follows `key` in compact JSON text.
+std::string scalar_after(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size();
+  return text.substr(begin, text.find_first_of(",}", begin) - begin);
+}
+
+TEST(ServingStatsTables, JsonExportMirrorsTheSnapshot) {
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 40, 23);
+  ServingLoop loop(ps, trace, busy_options());
+  run_busy_stream(loop, ps);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  const util::Json j = s.to_json();
+  EXPECT_EQ(j.size(), 5u);  // four counter tables + "stages"
+  const std::string text = j.dump(0);
+  const auto num = [](auto v) { return util::Json(v).dump(0); };
+
+  for (std::size_t k = 0; k < kCounterCount; ++k) {
+    const std::string key = std::string("\"") +
+                            to_string(static_cast<Counter>(k)) + "\":";
+    EXPECT_EQ(occurrences(text, key), 1u) << key;
+    EXPECT_EQ(scalar_after(text, key), num(s.counters[k])) << key;
+  }
+  for (std::size_t k = 0; k < kStageCount; ++k) {
+    const ServingStats::StageSummary& st = s.stages[k];
+    const std::string key =
+        std::string("\"") + to_string(static_cast<Stage>(k)) + "\":";
+    EXPECT_EQ(occurrences(text, key), 1u) << key;
+    const std::string value = "{\"count\":" + num(st.count) +
+                              ",\"p50_s\":" + num(st.p50) +
+                              ",\"p99_s\":" + num(st.p99) +
+                              ",\"p999_s\":" + num(st.p999) +
+                              ",\"max_s\":" + num(st.max) + "}";
+    EXPECT_NE(text.find(key + value), std::string::npos) << key << value;
+  }
+  const std::string fresh =
+      std::string("\"") + to_string(FallbackRung::kFresh) + "\":";
+  EXPECT_EQ(scalar_after(text, fresh), num(s.rungs[0]));
 }
 
 TEST(ServingLoopStream, ValidatesSubmissionsAndLifecycle) {
@@ -573,7 +679,7 @@ TEST(ServingLoopStream, ValidatesSubmissionsAndLifecycle) {
   EXPECT_THROW(loop.start(advisors), std::logic_error) << "double start";
   loop.submit(4);
   loop.finish();
-  EXPECT_EQ(loop.stats().served.load(), 1u);
+  EXPECT_EQ(loop.stats().snapshot()[Counter::kServed], 1u);
 
   // Wrong advisor count.
   ServingLoop loop2(ps, trace, opt);

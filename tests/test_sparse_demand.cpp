@@ -1,5 +1,5 @@
 // Sparse DemandMatrix unit tests plus sparse-vs-dense differential coverage
-// of the demand pipeline: edge loads (serial, reference, parallel), the LP,
+// of the demand pipeline: edge loads (serial and reference kernels), the LP,
 // predictors, and statistics must agree whether a snapshot is stored dense
 // or sparse.
 #include <gtest/gtest.h>
@@ -157,40 +157,6 @@ TEST_F(SparseEdgeLoads, FusedKernelIsBitIdenticalToReferenceOnFuzzedDemands) {
     EXPECT_EQ(fused, ref);
     // And the scoring wrappers agree.
     EXPECT_EQ(te::mlu(ps_, sp, cfg), te::mlu(ps_, dense, cfg));
-  }
-}
-
-TEST_F(SparseEdgeLoads, ParallelKernelMatchesWithinTolerance) {
-  util::Rng rng(123);
-  std::vector<double> serial, par;
-  te::EdgeLoadScratch scratch;
-  for (int trial = 0; trial < 10; ++trial) {
-    const DemandMatrix dense = fuzz_demand(rng, 0.4);
-    const auto cfg = te::uniform_config(ps_);
-    te::edge_loads_into(ps_, dense, cfg, serial);
-    for (std::size_t chunks : {1u, 2u, 3u, 7u}) {
-      te::edge_loads_parallel_into(ps_, dense, cfg, scratch, par, chunks);
-      ASSERT_EQ(par.size(), serial.size());
-      for (std::size_t e = 0; e < par.size(); ++e)
-        EXPECT_NEAR(par[e], serial[e], 1e-12) << "chunks=" << chunks;
-      te::edge_loads_parallel_into(ps_, dense.sparsified(), cfg, scratch, par,
-                                   chunks);
-      for (std::size_t e = 0; e < par.size(); ++e)
-        EXPECT_NEAR(par[e], serial[e], 1e-12) << "sparse chunks=" << chunks;
-    }
-  }
-}
-
-TEST_F(SparseEdgeLoads, ParallelKernelIsDeterministicForFixedChunks) {
-  util::Rng rng(321);
-  const DemandMatrix dm = fuzz_demand(rng, 0.5).sparsified();
-  const auto cfg = te::uniform_config(ps_);
-  te::EdgeLoadScratch scratch;
-  std::vector<double> first, again;
-  te::edge_loads_parallel_into(ps_, dm, cfg, scratch, first, 4);
-  for (int rep = 0; rep < 5; ++rep) {
-    te::edge_loads_parallel_into(ps_, dm, cfg, scratch, again, 4);
-    EXPECT_EQ(again, first);
   }
 }
 
