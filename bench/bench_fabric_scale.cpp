@@ -6,9 +6,9 @@
 //   1. edge_loads snapshots/sec: the pre-optimization path-major kernel
 //      (edge_loads_reference_into) vs the fused pair-major O(nnz) kernel
 //      (edge_loads_into);
-//   2. batched MLP forward rows/sec: the tiled/SIMD matmul_t under
-//      KernelMode::kTiled vs the pre-optimization kernels under
-//      KernelMode::kReference, on a per-source-shard FIGRET-style model
+//   2. batched MLP forward rows/sec: Mlp::forward_batch (tiled/SIMD
+//      matmul_t) vs the same layer loop over matmul_t_reference, on a
+//      per-source-shard FIGRET-style model
 //      (a full fat-tree-k16 output layer would be ~836 MB of weights — real
 //      deployments shard the model per source pod, and so does the bench);
 //   3. p50/p99 scoring latency (sparse demand -> MLU via the fused kernel).
@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -191,6 +192,40 @@ struct MlpResult {
   double tiled_p99_ms = 0.0;
 };
 
+/// Mlp::forward_batch with every layer product on the pre-optimization
+/// matmul_t_reference kernel: the same bias and activation loop, for the
+/// ReLU-hidden / identity-output model measure_mlp builds.
+const linalg::Matrix& forward_batch_reference(const nn::Mlp& mlp,
+                                              const linalg::Matrix& x,
+                                              nn::MlpBatchWorkspace& ws) {
+  const std::size_t layers = mlp.num_layers();
+  ws.pre.resize(layers);
+  ws.post.resize(layers);
+  const linalg::Matrix* in = &x;
+  for (std::size_t l = 0; l < layers; ++l) {
+    ws.pre[l] = in->matmul_t_reference(mlp.weights()[l]);
+    linalg::Matrix& pre = ws.pre[l];
+    const std::vector<double>& b = mlp.biases()[l];
+    for (std::size_t row = 0; row < pre.rows(); ++row) {
+      const std::span<double> v = pre.row(row);
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] += b[i];
+    }
+    linalg::Matrix& post = ws.post[l];
+    if (post.rows() != pre.rows() || post.cols() != pre.cols())
+      post = linalg::Matrix(pre.rows(), pre.cols());
+    const std::span<const double> src = pre.flat();
+    const std::span<double> dst = post.flat();
+    if (l + 1 < layers) {
+      for (std::size_t i = 0; i < src.size(); ++i)
+        dst[i] = src[i] > 0.0 ? src[i] : 0.0;  // ReLU
+    } else {
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    in = &post;
+  }
+  return ws.post.back();
+}
+
 MlpResult measure_mlp(const Topo& t, double min_seconds) {
   MlpResult r;
   constexpr std::size_t kHistory = 4;
@@ -206,7 +241,7 @@ MlpResult measure_mlp(const Topo& t, double min_seconds) {
   nn::MlpConfig cfg;
   cfg.layer_sizes = {r.input, 128, 128, r.output};
   // Identity output head: the output nonlinearity is identical scalar work
-  // in both kernel modes (at k=16 it is ~170k std::exp calls per batch) and
+  // for both kernels (at k=16 it is ~170k std::exp calls per batch) and
   // would dilute the matmul-kernel comparison this bench exists to make.
   cfg.output = nn::OutputActivation::kIdentity;
   cfg.seed = 7;
@@ -225,25 +260,23 @@ MlpResult measure_mlp(const Topo& t, double min_seconds) {
 
   nn::MlpBatchWorkspace ws;
   util::LatencyHistogram hist;
-  const auto run_mode = [&](linalg::KernelMode mode, bool record) {
-    linalg::set_kernel_mode(mode);
+  const auto run_kernel = [&](bool tiled) {
     const LoopStats st = run_passes(
         [&] {
           const auto s0 = Clock::now();
-          const linalg::Matrix& y = mlp.forward_batch(x, ws);
-          if (record) hist.record(seconds_since(s0));
+          const linalg::Matrix& y = tiled
+                                        ? mlp.forward_batch(x, ws)
+                                        : forward_batch_reference(mlp, x, ws);
+          if (tiled) hist.record(seconds_since(s0));
           g_sink += y(0, 0) + y(kBatch - 1, r.output - 1);
         },
         min_seconds / kRounds, 2);
-    linalg::set_kernel_mode(linalg::KernelMode::kTiled);
     return st.best_pass > 0.0 ? static_cast<double>(kBatch) / st.best_pass
                               : 0.0;
   };
   for (int round = 0; round < kRounds; ++round) {
-    r.tiled_rows_per_sec = std::max(
-        r.tiled_rows_per_sec, run_mode(linalg::KernelMode::kTiled, true));
-    r.ref_rows_per_sec = std::max(
-        r.ref_rows_per_sec, run_mode(linalg::KernelMode::kReference, false));
+    r.tiled_rows_per_sec = std::max(r.tiled_rows_per_sec, run_kernel(true));
+    r.ref_rows_per_sec = std::max(r.ref_rows_per_sec, run_kernel(false));
   }
   r.tiled_p50_ms = hist.percentile(50.0) * 1e3;
   r.tiled_p99_ms = hist.percentile(99.0) * 1e3;
@@ -348,8 +381,8 @@ int main() {
   std::cout << "\nedge_loads kernels (snapshots/sec; speedups vs the "
                "pre-optimization path-major kernel):\n";
   lt.print(std::cout);
-  std::cout << "\nbatched MLP forward (rows/sec; tiled vs KernelMode::"
-               "kReference on the same weights and inputs):\n";
+  std::cout << "\nbatched MLP forward (rows/sec; tiled vs matmul_t_reference "
+               "on the same weights and inputs):\n";
   mt.print(std::cout);
 
   jout.set("topologies", std::move(jtopos));

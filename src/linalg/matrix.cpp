@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,8 +13,11 @@
 // given machine they resolve to the same variant and remain bitwise
 // consistent with each other. The *_reference kernels are deliberately not
 // cloned — they are the pre-optimization baseline the differential tests and
-// benches compare against.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// benches compare against. ThreadSanitizer builds get no clones: the ifunc
+// resolvers run during relocation, before the TSan runtime is up, and crash
+// the process before main.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define FIGRET_ISA_CLONES \
   __attribute__((target_clones("arch=x86-64-v3", "default")))
 #define FIGRET_FORCE_INLINE inline __attribute__((always_inline))
@@ -26,8 +28,6 @@
 
 namespace figret::linalg {
 namespace {
-
-std::atomic<KernelMode> g_kernel_mode{KernelMode::kTiled};
 
 // ---------------------------------------------------------------------------
 // Microkernels. All reductions use kLanes (16) independent accumulator
@@ -100,14 +100,6 @@ FIGRET_FORCE_INLINE void rank1_update(double* out, std::size_t n, double a,
 
 }  // namespace
 
-void set_kernel_mode(KernelMode mode) noexcept {
-  g_kernel_mode.store(mode, std::memory_order_relaxed);
-}
-
-KernelMode kernel_mode() noexcept {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
-
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
@@ -139,7 +131,6 @@ FIGRET_ISA_CLONES
 Matrix Matrix::matmul(const Matrix& other) const {
   if (cols_ != other.rows_)
     throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference) return matmul_reference(other);
   Matrix out(rows_, other.cols_);
   const std::size_t n = other.cols_;
   // i-(k by 4)-j: four rows of B per sweep of the output row. No zero-skip
@@ -182,8 +173,6 @@ FIGRET_ISA_CLONES
 Matrix Matrix::t_matmul(const Matrix& other) const {
   if (rows_ != other.rows_)
     throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference)
-    return t_matmul_reference(other);
   Matrix out(cols_, other.cols_);
   const std::size_t n = other.cols_;
   // (k by 4)-i-j: out(i,:) accumulates four k-terms per sweep; A is read
@@ -228,8 +217,6 @@ FIGRET_ISA_CLONES
 Matrix Matrix::matmul_t(const Matrix& other) const {
   if (cols_ != other.cols_)
     throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference)
-    return matmul_t_reference(other);
   Matrix out(rows_, other.rows_);
   // Each output element is a row-by-row dot; dot_lanes gives four independent
   // FMA chains (the naive single-accumulator loop is latency-bound because

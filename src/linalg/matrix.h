@@ -20,13 +20,6 @@
 
 namespace figret::linalg {
 
-/// Process-wide kernel selection, used by benches and differential tests to
-/// run the pre-optimization kernels through the exact same call sites.
-/// Not thread-safe to toggle while kernels run; default is kTiled.
-enum class KernelMode { kTiled, kReference };
-void set_kernel_mode(KernelMode mode) noexcept;
-KernelMode kernel_mode() noexcept;
-
 class Matrix {
  public:
   Matrix() = default;

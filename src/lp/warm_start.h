@@ -62,10 +62,9 @@ class WarmStart {
   };
 
   bool has_basis() const noexcept { return !basis_.empty(); }
-  void clear();
 
-  /// Solves warm-started from this handle since the last clear(). Both the
-  /// primal path (basis still feasible) and the dual-simplex path count.
+  /// Solves warm-started from this handle. Both the primal path (basis
+  /// still feasible) and the dual-simplex path count.
   std::size_t hits() const noexcept { return hits_; }
   /// Solves that fell back to a cold start.
   std::size_t misses() const noexcept { return misses_; }

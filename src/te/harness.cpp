@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
-#include "te/serving_loop.h"
+#include "te/lp_schemes.h"
+#include "te/mlu.h"
 #include "util/parallel.h"
 
 namespace figret::te {
@@ -43,16 +45,34 @@ traffic::TrafficTrace Harness::train_trace() const {
 std::vector<double> Harness::omniscient_for_alive(
     const std::vector<bool>* alive) {
   // The dominant cost of a full evaluation (Fig 5 / Table 2): one LP per
-  // evaluated snapshot. Batch evaluation is a client of the streaming
-  // pipeline: a transient ServingLoop runs the sweep through the same ring
-  // and worker code as live serving, with warm-LP chains reset at the
-  // historical chunk boundaries so the assembled vector is bit-identical
-  // for any execution width (serving_loop.h documents the chunk rule).
-  ServingLoop::Options o;
-  o.workers = opt_.threads;
-  o.solver = opt_.solver;
-  ServingLoop loop(*ps_, trace_, o);
-  return loop.run_oracle_batch(eval_indices_, alive, opt_.warm_chunk);
+  // evaluated snapshot. A chunk is both one warm-LP chain (a fresh
+  // lp::WarmStart at its start) and one unit of parallelism, capped so that
+  // >= ~32 chunks exist. The rule depends only on warm_chunk and the eval
+  // count, never on `threads`, which keeps any width bit-identical.
+  const std::size_t n = eval_indices_.size();
+  const bool chain = opt_.warm_chunk > 0;
+  const std::size_t chunk = std::max<std::size_t>(
+      1, std::min<std::size_t>(chain ? opt_.warm_chunk : 1, n / 32));
+  std::vector<double> out(n, 0.0);
+  util::parallel_for(
+      0, (n + chunk - 1) / chunk,
+      [&](std::size_t c) {
+        lp::WarmStart warm;
+        lp::WarmStart* handle = chain ? &warm : nullptr;
+        for (std::size_t i = c * chunk; i < std::min(n, (c + 1) * chunk);
+             ++i) {
+          const MluLpResult res =
+              solve_mlu_lp(*ps_, trace_[eval_indices_[i]], nullptr, alive,
+                           &opt_.solver, handle);
+          if (!res.optimal())
+            throw std::runtime_error(
+                std::string("Harness: omniscient LP failed (status: ") +
+                lp::to_string(res.status) + ")");
+          out[i] = res.mlu;
+        }
+      },
+      opt_.threads);
+  return out;
 }
 
 const std::vector<double>& Harness::omniscient() {
@@ -65,11 +85,27 @@ std::vector<double> Harness::score_batch(const std::vector<TeConfig>* configs,
                                          const TeConfig* fixed,
                                          const std::vector<bool>* alive,
                                          std::size_t threads) {
-  ServingLoop::Options o;
-  o.workers = threads;
-  o.solver = opt_.solver;
-  ServingLoop loop(*ps_, trace_, o);
-  return loop.run_score_batch(eval_indices_, configs, fixed, alive);
+  // Scoring is pure per snapshot; a chunk only shares its scratch buffers.
+  constexpr std::size_t kChunk = 16;
+  const std::size_t n = eval_indices_.size();
+  std::vector<double> out(n, 0.0);
+  util::parallel_for(
+      0, (n + kChunk - 1) / kChunk,
+      [&](std::size_t c) {
+        TeConfig rerouted;
+        std::vector<double> edge_scratch;
+        for (std::size_t i = c * kChunk; i < std::min(n, (c + 1) * kChunk);
+             ++i) {
+          const TeConfig* served = configs != nullptr ? &(*configs)[i] : fixed;
+          if (alive != nullptr) {
+            reroute_into(*ps_, *served, *alive, rerouted);
+            served = &rerouted;
+          }
+          out[i] = mlu(*ps_, trace_[eval_indices_[i]], *served, edge_scratch);
+        }
+      },
+      threads);
+  return out;
 }
 
 SchemeEval Harness::finish(std::string name, std::vector<double> raw,

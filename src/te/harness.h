@@ -106,9 +106,11 @@ class Harness {
 
  private:
   std::vector<double> omniscient_for_alive(const std::vector<bool>* alive);
-  /// Scores configurations through a batch ServingLoop run (see
-  /// serving_loop.h): exactly one of `configs` (per eval index) / `fixed`.
-  /// With `alive`, traffic reroutes around dead paths before scoring.
+  /// MLU of configurations against the realized demand at every eval index,
+  /// fanned out over util::parallel_for in fixed-size chunks (each with its
+  /// own reroute/edge-load scratch): exactly one of `configs` (per eval
+  /// index) / `fixed`. With `alive`, traffic reroutes around dead paths
+  /// (§4.5) before scoring. Pure per snapshot, so bit-identical at any width.
   std::vector<double> score_batch(const std::vector<TeConfig>* configs,
                                   const TeConfig* fixed,
                                   const std::vector<bool>* alive,

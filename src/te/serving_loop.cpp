@@ -49,8 +49,6 @@ ServingLoop::~ServingLoop() {
     if (w->thread.joinable()) w->thread.join();
 }
 
-// --- streaming -------------------------------------------------------------
-
 void ServingLoop::start(std::span<TeScheme* const> advisors) {
   if (running_)
     throw std::logic_error("ServingLoop: start() while already running");
@@ -415,179 +413,10 @@ const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
 }
 
 void ServingLoop::aggregate_warm(const Worker& w) {
-  stats_.add(Counter::kWarmHits, w.warm_hits_acc + w.warm.hits());
-  stats_.add(Counter::kWarmMisses, w.warm_misses_acc + w.warm.misses());
+  stats_.add(Counter::kWarmHits, w.warm.hits());
+  stats_.add(Counter::kWarmMisses, w.warm.misses());
   for (std::size_t k = 0; k < lp::kWarmFallbackCount; ++k)
-    stats_.add(static_cast<lp::WarmFallback>(k),
-               w.warm_fallback_acc[k] + w.warm.miss_reasons()[k]);
-}
-
-// --- batch -----------------------------------------------------------------
-
-std::vector<double> ServingLoop::run_oracle_batch(
-    std::span<const std::size_t> indices, const std::vector<bool>* alive,
-    std::size_t warm_chunk) {
-  const std::size_t n = indices.size();
-  std::vector<double> out(n, 0.0);
-  if (n == 0) return out;
-  // The historical Harness chunk rule, reproduced exactly: a chunk is both
-  // one warm chain and one unit of parallelism, capped so >= ~32 chunks
-  // exist. Depends only on warm_chunk and n — never on the worker count —
-  // which is what keeps serial and parallel runs bit-identical.
-  const bool chain = warm_chunk > 0;
-  std::size_t chunk = chain ? warm_chunk : 1;
-  chunk = std::max<std::size_t>(1, std::min(chunk, n / 32));
-  BatchState bs;
-  bs.indices = indices;
-  bs.alive = alive;
-  bs.out = &out;
-  bs.oracle = true;
-  bs.chain = chain;
-  run_batch(bs, chunk);
-  return out;
-}
-
-std::vector<double> ServingLoop::run_score_batch(
-    std::span<const std::size_t> indices,
-    const std::vector<TeConfig>* configs, const TeConfig* fixed,
-    const std::vector<bool>* alive) {
-  const std::size_t n = indices.size();
-  if (configs != nullptr && configs->size() != n)
-    throw std::invalid_argument("ServingLoop: configs/indices size mismatch");
-  if ((configs == nullptr) == (fixed == nullptr))
-    throw std::invalid_argument(
-        "ServingLoop: pass exactly one of configs/fixed");
-  std::vector<double> out(n, 0.0);
-  if (n == 0) return out;
-  // Scoring is pure per index; chunking only amortizes ring traffic.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, n / (workers_ * 8 + 1));
-  BatchState bs;
-  bs.indices = indices;
-  bs.per_index = configs;
-  bs.fixed = fixed;
-  bs.alive = alive;
-  bs.out = &out;
-  run_batch(bs, chunk);
-  return out;
-}
-
-void ServingLoop::run_batch(BatchState& bs, std::size_t chunk) {
-  if (running_)
-    throw std::logic_error("ServingLoop: batch call while streaming");
-  const std::size_t n = bs.indices.size();
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
-
-  if (workers_ == 1) {
-    // Inline serial reference mode: no threads, no ring.
-    Worker w;
-    for (std::size_t c = 0; c < n_chunks; ++c)
-      process_batch_chunk(w, bs, c * chunk, std::min(n, (c + 1) * chunk));
-    aggregate_warm(w);
-  } else {
-    batch_stop_.store(false, std::memory_order_relaxed);
-    std::vector<std::unique_ptr<Worker>> workers;
-    for (std::size_t i = 0; i + 1 < workers_; ++i)
-      workers.push_back(std::make_unique<Worker>());
-    for (auto& w : workers)
-      w->thread = std::thread([this, &bs, wp = w.get()] {
-        Job job;
-        for (;;) {
-          if (jobs_.try_pop(job)) {
-            process_batch_chunk(*wp, bs, job.index, job.index + job.count);
-            bs.completed.fetch_add(job.count, std::memory_order_release);
-          } else if (batch_stop_.load(std::memory_order_acquire)) {
-            return;
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      });
-
-    // The caller is worker 0: it produces chunk jobs and helps drain the
-    // ring whenever it is full, so any chunk count flows through a bounded
-    // ring without deadlock.
-    Worker w0;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      Job job;
-      job.index = static_cast<std::uint32_t>(c * chunk);
-      job.count = static_cast<std::uint32_t>(std::min(n, (c + 1) * chunk) -
-                                             c * chunk);
-      while (!jobs_.try_push(job)) {
-        Job stolen;
-        if (jobs_.try_pop(stolen)) {
-          process_batch_chunk(w0, bs, stolen.index,
-                              stolen.index + stolen.count);
-          bs.completed.fetch_add(stolen.count, std::memory_order_release);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-    Job job;
-    while (jobs_.try_pop(job)) {
-      process_batch_chunk(w0, bs, job.index, job.index + job.count);
-      bs.completed.fetch_add(job.count, std::memory_order_release);
-    }
-    while (bs.completed.load(std::memory_order_acquire) < n)
-      std::this_thread::yield();
-    batch_stop_.store(true, std::memory_order_release);
-    for (auto& w : workers) w->thread.join();
-    aggregate_warm(w0);
-    for (auto& w : workers) aggregate_warm(*w);
-  }
-  if (bs.error) std::rethrow_exception(bs.error);
-}
-
-void ServingLoop::process_batch_chunk(Worker& w, BatchState& bs,
-                                      std::size_t begin, std::size_t end) {
-  // After a failure the remaining chunks only tick the completion counter so
-  // the producer's wait converges; their slots are never read.
-  if (bs.abort.load(std::memory_order_relaxed)) return;
-  try {
-    if (bs.oracle) {
-      lp::WarmStart* handle = nullptr;
-      if (bs.chain) {
-        // clear() makes the handle equivalent to a freshly constructed one
-        // (the historical per-chunk lp::WarmStart), preserving bit-identity;
-        // totals are banked first so finish-time stats stay exact.
-        w.warm_hits_acc += w.warm.hits();
-        w.warm_misses_acc += w.warm.misses();
-        for (std::size_t k = 0; k < lp::kWarmFallbackCount; ++k)
-          w.warm_fallback_acc[k] += w.warm.miss_reasons()[k];
-        w.warm.clear();
-        handle = &w.warm;
-      }
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t t = bs.indices[i];
-        const auto start = Clock::now();
-        const MluLpResult res = solve_mlu_lp(*ps_, (*trace_)[t], nullptr,
-                                             bs.alive, &opt_.solver, handle);
-        stats_.record(Stage::kLp, seconds_since(start, Clock::now()));
-        if (!res.optimal())
-          throw std::runtime_error(
-              std::string("Harness: omniscient LP failed (status: ") +
-              lp::to_string(res.status) + ")");
-        (*bs.out)[i] = res.mlu;
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const TeConfig& base =
-            bs.per_index != nullptr ? (*bs.per_index)[i] : *bs.fixed;
-        const TeConfig* served = &base;
-        if (bs.alive != nullptr) {
-          reroute_into(*ps_, base, *bs.alive, w.rerouted);
-          served = &w.rerouted;
-        }
-        (*bs.out)[i] =
-            te::mlu(*ps_, (*trace_)[bs.indices[i]], *served, w.edge_scratch);
-      }
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    if (!bs.error) bs.error = std::current_exception();
-    bs.abort.store(true, std::memory_order_relaxed);
-  }
+    stats_.add(static_cast<lp::WarmFallback>(k), w.warm.miss_reasons()[k]);
 }
 
 }  // namespace figret::te

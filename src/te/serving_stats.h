@@ -54,7 +54,7 @@ const char* to_string(Counter counter) noexcept;
 enum class Stage : std::uint8_t {
   kQueue,    // submit -> worker dequeue
   kInfer,    // scheme advise (Options::infer)
-  kLp,       // omniscient warm-LP resolve (Options::oracle, batch oracle)
+  kLp,       // omniscient warm-LP resolve (Options::oracle)
   kInstall,  // WCMP quantization + realized ratios (Options::install)
   kReroute,  // §4.5 reroute, while a failure mask is installed
   kScore,    // MLU of the served config (Options::score)

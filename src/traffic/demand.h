@@ -97,19 +97,6 @@ class DemandMatrix {
     }
   }
 
-  /// for_each_active restricted to pairs in [lo, hi): the unit of work for
-  /// chunked parallel consumers. O(hi - lo) dense, O(log nnz + visits) sparse.
-  template <typename F>
-  void for_each_active_in(std::size_t lo, std::size_t hi, F&& f) const {
-    if (sparse_) {
-      std::size_t i = lower_key(lo);
-      for (; i < keys_.size() && keys_[i] < hi; ++i) f(keys_[i], values_[i]);
-    } else {
-      hi = hi < values_.size() ? hi : values_.size();
-      for (std::size_t p = lo; p < hi; ++p) f(p, values_[p]);
-    }
-  }
-
   /// Sum of all demands.
   double total() const noexcept;
   /// Largest entry (0 for an empty matrix); demands are nonnegative.

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/yen.h"
+#include "te/failover.h"
 #include "te/lp_schemes.h"
+#include "te/mlu.h"
 #include "traffic/generators.h"
 
 namespace figret::te {
@@ -149,12 +154,77 @@ TEST(Harness, ParallelEvaluationBitIdenticalToSerial) {
   }
   EXPECT_EQ(ev_s.severe_congestion, ev_p.severe_congestion);
 
+  // Scoring is the plain per-snapshot MLU of the advised config. PredictionTe
+  // chains LP warm starts across advise() calls, so a reference instance
+  // that advises the same windows in the same order reproduces the configs.
+  const auto& idx = serial.eval_indices();
+  const auto advised = [&](PredictionTe& scheme, std::size_t t) {
+    const std::size_t window = scheme.history_window();
+    return scheme.advise(std::span<const traffic::DemandMatrix>(
+        trace.snapshots.data() + (t - window), window));
+  };
+  PredictionTe pred_ref(ps);
+  for (std::size_t i = 0; i < idx.size(); ++i)
+    EXPECT_EQ(ev_p.raw_mlu[i],
+              mlu(ps, trace[idx[i]], advised(pred_ref, idx[i])))
+        << "raw vs direct slot " << i;
+
   const auto failed = sample_safe_failures(ps, 1, 3);
   const SchemeEval f_s = serial.evaluate_under_failures(pred_s, failed);
   const SchemeEval f_p = parallel.evaluate_under_failures(pred_p, failed);
   ASSERT_EQ(f_s.normalized.size(), f_p.normalized.size());
-  for (std::size_t i = 0; i < f_s.normalized.size(); ++i)
+  for (std::size_t i = 0; i < f_s.normalized.size(); ++i) {
+    EXPECT_EQ(f_s.raw_mlu[i], f_p.raw_mlu[i]) << "failure raw slot " << i;
     EXPECT_EQ(f_s.normalized[i], f_p.normalized[i]) << "failure slot " << i;
+  }
+
+  // Under failures the advised config is rerouted around dead paths (§4.5)
+  // before scoring. pred_ref continues the chain pred_p continued.
+  const std::vector<bool> alive = surviving_paths(ps, failed);
+  for (std::size_t i = 0; i < idx.size(); ++i)
+    EXPECT_EQ(f_p.raw_mlu[i],
+              mlu(ps, trace[idx[i]],
+                  reroute(ps, advised(pred_ref, idx[i]), alive)))
+        << "failure raw vs direct slot " << i;
+}
+
+TEST(Harness, OmniscientMatchesDirectChunkedReference) {
+  // The chunk rule behind width-independence: chunk = warm_chunk clamped to
+  // keep >= ~32 chunks, one fresh lp::WarmStart per chunk. A hand-rolled
+  // serial sweep of that rule must equal omniscient() bit for bit at every
+  // width. 280 snapshots give 70 eval indices, so chunks hold 2 solves.
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 280, 23);
+  Harness::Options opt;
+  opt.max_window = 12;
+  opt.warm_chunk = 8;
+
+  const std::vector<std::size_t> idx = Harness(ps, trace, opt).eval_indices();
+  const std::size_t n = idx.size();
+  ASSERT_EQ(n, 70u);
+  const std::size_t chunk = std::max<std::size_t>(
+      1, std::min<std::size_t>(opt.warm_chunk, n / 32));
+  ASSERT_EQ(chunk, 2u);
+  std::vector<double> ref(n, 0.0);
+  for (std::size_t c = 0; c * chunk < n; ++c) {
+    lp::WarmStart warm;
+    for (std::size_t i = c * chunk; i < std::min(n, (c + 1) * chunk); ++i) {
+      const MluLpResult res =
+          solve_mlu_lp(ps, trace[idx[i]], nullptr, nullptr, &opt.solver,
+                       &warm);
+      ASSERT_TRUE(res.optimal());
+      ref[i] = res.mlu;
+    }
+  }
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    opt.threads = threads;
+    Harness h(ps, trace, opt);
+    const std::vector<double>& got = h.omniscient();
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(got[i], ref[i]) << "threads=" << threads << " slot " << i;
+  }
 }
 
 TEST(Harness, EvaluateAllMatchesIndividualEvaluates) {

@@ -87,20 +87,6 @@ TEST(TiledKernels, ZeroHeavyOperandsStillMatch) {
   }
 }
 
-TEST(TiledKernels, KernelModeRoutesThroughReference) {
-  util::Rng rng(105);
-  const auto a = random_matrix(9, 13, rng);
-  const auto b = random_matrix(13, 6, rng);
-  ASSERT_EQ(linalg::kernel_mode(), linalg::KernelMode::kTiled);
-  linalg::set_kernel_mode(linalg::KernelMode::kReference);
-  const auto via_mode = a.matmul(b);
-  linalg::set_kernel_mode(linalg::KernelMode::kTiled);
-  const auto direct = a.matmul_reference(b);
-  // Same kernel, same order: bit-identical.
-  for (std::size_t i = 0; i < via_mode.size(); ++i)
-    EXPECT_EQ(via_mode.flat()[i], direct.flat()[i]);
-}
-
 TEST(TiledKernels, DotMatvecAndMatmulTShareReductionOrder) {
   // The contract behind Mlp::forward_batch bit-identity: a 1-row matmul_t,
   // matvec_into, and dot all reduce in the same fixed lane order.

@@ -81,23 +81,6 @@ TEST(SparseDemand, CompactedPicksRepresentationByDensity) {
   EXPECT_TRUE(dense.compacted(1.0).is_sparse());
 }
 
-TEST(SparseDemand, ForEachActiveInVisitsExactlyTheRange) {
-  const auto dm = DemandMatrix::sparse(5, {1, 4, 9, 13, 19}, {1, 2, 3, 4, 5});
-  std::vector<std::size_t> seen;
-  dm.for_each_active_in(4, 14, [&](std::size_t p, double) {
-    seen.push_back(p);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{4, 9, 13}));
-
-  DemandMatrix dn(3);  // 6 pairs
-  for (std::size_t p = 0; p < dn.size(); ++p) dn[p] = 1.0;
-  seen.clear();
-  dn.for_each_active_in(2, 5, [&](std::size_t p, double) {
-    seen.push_back(p);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 4}));
-}
-
 TEST(SparseDemand, DotNormCosineMatchDenseComputation) {
   util::Rng rng(7);
   DemandMatrix a(8), b(8);
