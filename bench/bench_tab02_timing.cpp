@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "support/dense_simplex.h"
 #include "te/cope.h"
 #include "te/figret.h"
 #include "te/lp_schemes.h"
@@ -190,7 +191,8 @@ int main(int argc, char** argv) {
   jout.set("precomputation", std::move(jprecomp));
 
   // LP engine comparison on the omniscient-normalizer sweep: the dense
-  // tableau oracle vs the sparse revised simplex, cold per snapshot vs
+  // tableau test oracle (tests/support, solved directly on each snapshot's
+  // MLU LP) vs the sparse revised simplex, cold per snapshot vs
   // warm-started from the previous snapshot's optimal basis (consecutive
   // snapshots share the constraint structure, so the basis usually re-primes
   // in a handful of pivots). All three run serially over the same snapshots
@@ -213,26 +215,32 @@ int main(int argc, char** argv) {
       double seconds = 0.0;
       std::size_t pivots = 0;
     };
-    auto sweep = [&](const lp::SolverOptions& opt,
-                     lp::WarmStart* warm) {
+    auto sweep = [&](lp::WarmStart* warm) {
       EngineRun run;
       const auto t0 = Clock::now();
       for (std::size_t t = begin; t < ts.sc.trace.size(); ++t) {
         const te::MluLpResult res = te::solve_mlu_lp(
-            ts.sc.ps, ts.sc.trace[t], nullptr, nullptr, &opt, warm);
+            ts.sc.ps, ts.sc.trace[t], nullptr, nullptr, nullptr, warm);
         if (!res.optimal()) throw std::runtime_error("engine sweep LP failed");
         run.pivots += res.pivots;
       }
       run.seconds = seconds_since(t0);
       return run;
     };
-    lp::SolverOptions dense_opt;
-    dense_opt.engine = lp::Engine::kDenseTableau;
-    lp::SolverOptions revised_opt;  // default: kRevisedSparse
-    const EngineRun dense = sweep(dense_opt, nullptr);
-    const EngineRun cold = sweep(revised_opt, nullptr);
+    EngineRun dense;
+    {
+      const auto t0 = Clock::now();
+      for (std::size_t t = begin; t < ts.sc.trace.size(); ++t) {
+        const lp::LpResult res =
+            lp::solve(te::build_mlu_lp(ts.sc.ps, ts.sc.trace[t]));
+        if (!res.optimal()) throw std::runtime_error("dense sweep LP failed");
+        dense.pivots += res.iterations;
+      }
+      dense.seconds = seconds_since(t0);
+    }
+    const EngineRun cold = sweep(nullptr);
     lp::WarmStart warm;
-    const EngineRun hot = sweep(revised_opt, &warm);
+    const EngineRun hot = sweep(&warm);
     et.add_row({ts.sc.name, std::to_string(count),
                 util::fmt(dense.seconds, 3), std::to_string(dense.pivots),
                 util::fmt(cold.seconds, 3), std::to_string(cold.pivots),

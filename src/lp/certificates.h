@@ -14,7 +14,7 @@
 // battery (tests/test_lp_certificates.cpp).
 #pragma once
 
-#include "lp/simplex.h"
+#include "lp/problem.h"
 
 namespace figret::lp {
 

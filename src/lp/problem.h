@@ -1,18 +1,17 @@
-// Self-contained linear-programming solver (no external dependencies).
+// The linear-programming model shared by every LP call site: the problem
+// (LpProblem, Term, Relation), solve budgets and tolerances (SolveOptions),
+// and the typed result (Status, LpResult).
 //
 // The paper's baselines (Omniscient TE, Demand-prediction TE, Google's
 // Desensitization/"Hedging" TE, Oblivious TE, COPE) all reduce to LPs that
-// the authors solved with Gurobi. This module replaces Gurobi with a
-// two-phase primal simplex on a dense tableau with native support for
-// variable upper bounds, which is what the sensitivity-capped TE LPs need
-// (a cap `r_p <= F(s,d) * C_p` is a variable bound, not an extra row).
+// the authors solved with Gurobi. Here they are solved by the sparse revised
+// simplex of lp/revised_simplex.h, through lp::solve_with.
 //
-// Scope and limits (documented, asserted by tests):
+// Model scope:
 //  * minimization only (callers negate for max);
-//  * all variables have lower bound 0 and optional finite upper bound;
-//  * Dantzig pricing with an automatic switch to Bland's rule for
-//    anti-cycling after a pivot budget is exhausted;
-//  * detects infeasibility (phase-1 residual) and unboundedness.
+//  * all variables have lower bound 0 and an optional finite upper bound, so
+//    a sensitivity cap `r_p <= F(s,d) * C_p` is a variable bound, not a row;
+//  * rows are <=, = or >= with any sign of right-hand side.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +34,10 @@ enum class Status {
   /// discarded and `x` stays empty, but callers can distinguish "ran out of
   /// time" from "the LP is bad" and retry with a fresh budget.
   kDeadline,
-  /// The basis went numerically singular and could not be recovered (the
-  /// revised engine's refactorization found no usable pivot). Unlike
-  /// kIterationLimit or kDeadline, a larger budget cannot help: the same LP
-  /// reaches the same verdict, so callers must not retry it.
+  /// The basis went numerically singular and could not be recovered (the LU
+  /// refactorization found no usable pivot). Unlike kIterationLimit or
+  /// kDeadline, a larger budget cannot help: the same LP reaches the same
+  /// verdict, so callers must not retry it.
   kNumerical,
 };
 
@@ -49,10 +48,11 @@ inline constexpr std::size_t kStatusCount = 6;
 const char* to_string(Status status) noexcept;
 
 /// Basic values driven into (-clamp, 0) by cancellation in pivot updates are
-/// numerical noise, not infeasibility: both engines snap them to zero. The
-/// clamp is keyed to the feasibility tolerance (four decades below it, so
-/// values it absorbs could never count as violations), with a floor near
-/// machine precision so a very tight tolerance cannot disable the cleanup.
+/// numerical noise, not infeasibility: the revised engine and the dense test
+/// oracle both snap them to zero. The clamp is keyed to the feasibility
+/// tolerance (four decades below it, so values it absorbs could never count
+/// as violations), with a floor near machine precision so a very tight
+/// tolerance cannot disable the cleanup.
 constexpr double beta_clamp(double feasibility_tolerance) noexcept {
   const double scaled = 1e-4 * feasibility_tolerance;
   return scaled > 1e-13 ? scaled : 1e-13;
@@ -104,7 +104,8 @@ class LpProblem {
 struct SolveOptions {
   /// Hard pivot cap; kIterationLimit is returned when exhausted.
   std::size_t max_iterations = 200000;
-  /// Pivots before switching from Dantzig to Bland's rule.
+  /// Pivots before the pricing rule hands over to Bland's rule (the
+  /// anti-cycling backstop).
   std::size_t bland_after = 20000;
   double pivot_tolerance = 1e-9;
   double feasibility_tolerance = 1e-7;
@@ -131,8 +132,5 @@ struct LpResult {
 
   bool optimal() const noexcept { return status == Status::kOptimal; }
 };
-
-/// Solves the LP. The result vector `x` is populated only when optimal.
-LpResult solve(const LpProblem& problem, const SolveOptions& options = {});
 
 }  // namespace figret::lp

@@ -31,16 +31,21 @@ class RevisedSimplex {
  public:
   using VarState = WarmStart::VarState;
 
-  RevisedSimplex(const LpProblem& p, const SolverOptions& opt)
+  /// `prime_warm` false: ignore the basis stored in the handle passed to
+  /// run() (the cold rerun after a collapsed warm attempt) but still
+  /// capture the final optimal basis into it.
+  RevisedSimplex(const LpProblem& p, const SolverOptions& opt,
+                 bool prime_warm)
       : opt_(opt),
-        beta_clamp_(beta_clamp(opt.simplex.feasibility_tolerance)) {
+        beta_clamp_(beta_clamp(opt.simplex.feasibility_tolerance)),
+        prime_warm_(prime_warm) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
     n_struct_ = n;
     m_ = m;
 
-    // Normalize rows to rhs >= 0 (negation flips the relation), mirroring
-    // the dense engine so both see the same standard form.
+    // Normalize rows to rhs >= 0 (negation flips the relation): the same
+    // standard form the dense test oracle uses.
     std::vector<Relation> rels(m);
     b_.assign(m, 0.0);
     negated_.assign(m, false);
@@ -63,7 +68,7 @@ class RevisedSimplex {
       }
     }
 
-    // Column layout (identical to the dense engine): [0, n) structural, then
+    // Column layout (identical to the dense oracle): [0, n) structural, then
     // one slack/surplus per inequality, then one artificial per >=/= row.
     std::size_t n_slack = 0, n_art = 0;
     for (Relation r : rels) {
@@ -306,7 +311,7 @@ class RevisedSimplex {
   }
 
   WarmPrime try_warm_start(WarmStart* warm) {
-    if (!warm || !opt_.use_warm_start || !warm->has_basis())
+    if (!warm || !prime_warm_ || !warm->has_basis())
       return WarmPrime::kCold;
     // Probing costs a refactorization; back off when the handle keeps
     // missing (bursty traces whose bases never transfer).
@@ -347,8 +352,6 @@ class RevisedSimplex {
       stats_.warm_start_used = true;
       return WarmPrime::kPrimal;
     }
-    if (!opt_.dual_warm_start)
-      return reject(WarmFallback::kPrimalInfeasible);
 
     // Primal infeasible (the RHS-only change). The basis of the previous
     // optimum is dual feasible for the previous objective; if the objective
@@ -395,8 +398,7 @@ class RevisedSimplex {
 
   Status iterate(bool phase1) {
     const double piv_tol = opt_.simplex.pivot_tolerance;
-    const bool use_devex = opt_.pricing == Pricing::kDevex;
-    if (use_devex) devex_.assign(n_total_, 1.0);
+    devex_.assign(n_total_, 1.0);
     std::vector<double> y(m_, 0.0);
     std::vector<double> w(m_, 0.0);
     std::vector<double> rho(m_, 0.0);
@@ -407,7 +409,7 @@ class RevisedSimplex {
       if (deadline_exceeded()) return Status::kDeadline;
       const bool bland = iterations_ >= opt_.simplex.bland_after;
 
-      // Pricing: y = c_B' B^{-1} (BTRAN), then reduced costs column by
+      // Price: y = c_B' B^{-1} (BTRAN), then reduced costs column by
       // column against the untouched CSC matrix — O(nnz) per pass. Devex
       // divides the squared violation by a reference weight approximating
       // the steepest-edge norm; Bland takes the first violating index.
@@ -415,7 +417,6 @@ class RevisedSimplex {
       btran(y);
       const std::size_t limit = phase1 ? n_total_ : art_begin_;
       std::size_t enter = n_total_;
-      double best = piv_tol;
       double best_score = 0.0;
       for (std::size_t j = 0; j < limit; ++j) {
         if (state_[j] == VarState::kBasic) continue;
@@ -427,14 +428,9 @@ class RevisedSimplex {
           enter = j;  // first violating index (columns scanned in order)
           break;
         }
-        if (use_devex) {
-          const double score = viol * viol / devex_[j];
-          if (score > best_score) {
-            best_score = score;
-            enter = j;
-          }
-        } else if (viol > best) {
-          best = viol;
+        const double score = viol * viol / devex_[j];
+        if (score > best_score) {
+          best_score = score;
           enter = j;
         }
       }
@@ -514,7 +510,7 @@ class RevisedSimplex {
       // pivot row alpha_j = rho' a_j with rho = B^{-T} e_leave. Candidate
       // weights grow as their alignment with the pivot row does; the leaving
       // variable re-enters the candidate pool with the transferred weight.
-      if (use_devex && !bland) {
+      if (!bland) {
         rho.assign(m_, 0.0);
         rho[leave] = 1.0;
         btran(rho);
@@ -787,6 +783,7 @@ class RevisedSimplex {
 
   SolverOptions opt_;
   double beta_clamp_ = 0.0;
+  bool prime_warm_ = true;
   std::size_t n_struct_ = 0;
   std::size_t n_total_ = 0;
   std::size_t art_begin_ = 0;
@@ -815,18 +812,16 @@ class RevisedSimplex {
 
 }  // namespace
 
-LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
-                       WarmStart* warm, SolveStats* stats) {
-  RevisedSimplex simplex(problem, options);
+LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
+                    WarmStart* warm, SolveStats* stats) {
+  RevisedSimplex simplex(problem, options, /*prime_warm=*/true);
   SolveStats first;
   LpResult result = simplex.run(warm, &first);
   if (simplex.needs_cold_retry()) {
     // A warm basis that was accepted but collapsed mid-solve (singular
     // refactorization, dual-simplex breakdown): retry cold once —
     // correctness must never depend on the warm path.
-    SolverOptions cold = options;
-    cold.use_warm_start = false;
-    RevisedSimplex cold_simplex(problem, cold);
+    RevisedSimplex cold_simplex(problem, options, /*prime_warm=*/false);
     SolveStats retry;
     result = cold_simplex.run(warm, &retry);
     const WarmFallback why = first.fallback != WarmFallback::kNone
@@ -845,19 +840,6 @@ LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
   }
   if (stats) *stats = first;
   return result;
-}
-
-LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
-                    WarmStart* warm, SolveStats* stats) {
-  if (options.engine == Engine::kDenseTableau) {
-    LpResult result = solve(problem, options.simplex);
-    if (stats) {
-      *stats = SolveStats{};
-      stats->pivots = result.iterations;
-    }
-    return result;
-  }
-  return solve_revised(problem, options, warm, stats);
 }
 
 }  // namespace figret::lp

@@ -1,7 +1,10 @@
-// Sparse revised simplex (primal + dual) over a Forrest–Tomlin LU basis.
+// Sparse revised simplex (primal + dual) over a Forrest–Tomlin LU basis:
+// the library's one LP engine. Every LP call site solves an LpProblem
+// (lp/problem.h) through solve_with. A dense-tableau reference simplex lives
+// with the tests (tests/support/dense_simplex.h) as their differential
+// oracle; it is not part of the library.
 //
-// Drop-in second engine behind the LpProblem/Status/LpResult API of
-// lp/simplex.h. Differences from the dense tableau oracle:
+// Design:
 //  * the constraint matrix is stored once in CSC (lp/sparse.h) and never
 //    modified — pricing is O(nnz), not O(rows * cols);
 //  * the basis inverse is a Markowitz-ordered sparse LU factorization with
@@ -12,10 +15,10 @@
 //  * variable upper bounds are handled natively: nonbasic variables rest at
 //    either bound, the ratio test caps steps at both bounds, and bound flips
 //    cost no basis change;
-//  * pricing is devex (Forrest & Goldfarb reference weights) by default,
-//    which keeps pivot counts near steepest-edge at Dantzig cost; Bland's
-//    rule still takes over after `SolveOptions::bland_after` pivots as the
-//    anti-cycling backstop;
+//  * pricing is devex (Forrest & Goldfarb reference weights), which keeps
+//    pivot counts near steepest-edge at Dantzig cost; Bland's rule takes
+//    over after `SolveOptions::bland_after` pivots as the anti-cycling
+//    backstop;
 //  * an optimal basis can be captured in a WarmStart handle and re-primed
 //    into the next solve. When the re-primed basis is primal feasible the
 //    solve continues with the primal simplex; when an RHS-only change left
@@ -31,38 +34,17 @@
 // solve cold, so warm starts cannot change which answer is returned.
 #pragma once
 
-#include "lp/simplex.h"
+#include "lp/problem.h"
 #include "lp/warm_start.h"
 
 namespace figret::lp {
 
-enum class Engine {
-  kDenseTableau,   // lp/simplex.cpp — the reference oracle
-  kRevisedSparse,  // this file
-};
-
-/// Entering-variable selection rule of the revised engine.
-enum class Pricing {
-  kDantzig,  // most violating reduced cost (the historical default)
-  kDevex,    // reduced cost scaled by devex reference weights
-};
-
-/// Engine selection plus engine-specific knobs, shared by all LP call sites.
+/// Solver settings shared by all LP call sites.
 struct SolverOptions {
-  Engine engine = Engine::kRevisedSparse;
-  /// Pivot caps and tolerances (shared meaning across engines).
+  /// Pivot caps, tolerances and the wall-clock budget.
   SolveOptions simplex;
-  /// Revised engine: Forrest–Tomlin updates between LU rebuilds.
+  /// Forrest–Tomlin updates between LU rebuilds.
   std::size_t refactor_interval = 96;
-  /// Revised engine: honor a WarmStart handle when one is passed.
-  bool use_warm_start = true;
-  /// Revised engine: entering-variable rule (Bland still engages after
-  /// `simplex.bland_after` pivots regardless).
-  Pricing pricing = Pricing::kDevex;
-  /// Revised engine: re-optimize a primal-infeasible warm basis with the
-  /// dual simplex instead of discarding it. Off, every RHS-only change
-  /// falls back cold (the pre-dual behavior, kept for A/B benches).
-  bool dual_warm_start = true;
 };
 
 /// Per-solve observability (pivot counts for Table-2-style benches).
@@ -96,14 +78,9 @@ struct SolveStats {
   WarmFallback fallback = WarmFallback::kNone;
 };
 
-/// Revised-simplex solve. `warm` (optional, in/out) re-primes this solve and
+/// Solves the LP. `warm` (optional, in/out) re-primes this solve and
 /// captures the optimal basis for the next one; `stats` (optional, out)
 /// reports pivot/refactorization counts.
-LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
-                       WarmStart* warm = nullptr, SolveStats* stats = nullptr);
-
-/// Engine dispatch: dense oracle or revised sparse per `options.engine`.
-/// The dense engine ignores `warm` (it has no basis representation to prime).
 LpResult solve_with(const LpProblem& problem, const SolverOptions& options = {},
                     WarmStart* warm = nullptr, SolveStats* stats = nullptr);
 

@@ -56,8 +56,8 @@ LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
 
 /// Back-propagates a gradient with respect to the split ratios through the
 /// per-pair normalization r_p = s_p / sum(s): given dL/dr in `grad_r`,
-/// writes dL/ds into `grad_sig`. Shared by every loss built on the sigmoid
-/// + normalize head (figret_loss, latency_aware_loss).
+/// writes dL/ds into `grad_sig`. The last step of figret_loss's gradient;
+/// any loss built on the same sigmoid + normalize head can reuse it.
 void chain_through_normalization(const PathSet& ps,
                                  std::span<const double> sig,
                                  const TeConfig& ratios,

@@ -5,9 +5,9 @@
 //   * Desensitization TE    (Google Jupiter's "Hedging": LP on the
 //     peak-of-window anticipated matrix with uniform sensitivity caps)
 //
-// Every solve goes through lp::solve_with, so call sites pick the engine
-// (dense tableau oracle vs sparse revised simplex) via lp::SolverOptions and
-// may chain consecutive solves through an lp::WarmStart handle — successive
+// Every solve goes through lp::solve_with (the sparse revised simplex), so
+// call sites tune budgets and tolerances via lp::SolverOptions and may chain
+// consecutive solves through an lp::WarmStart handle — successive
 // snapshots share the constraint structure, so the previous optimal basis
 // usually re-primes the next solve down to a handful of pivots.
 #pragma once
@@ -56,8 +56,7 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
 ///                entries >= 1 are vacuous and dropped.
 /// `alive`      — optional path mask for fault-aware variants; dead paths
 ///                are excluded entirely (pairs with no live path are skipped).
-/// `solver`     — engine selection/knobs; nullptr uses SolverOptions{} (the
-///                sparse revised simplex).
+/// `solver`     — solver settings; nullptr uses SolverOptions{}.
 /// `warm`       — optional warm-start handle chaining consecutive solves.
 MluLpResult solve_mlu_lp(const PathSet& ps,
                          const traffic::DemandMatrix& demand,
@@ -99,7 +98,7 @@ class DesensitizationTe final : public TeScheme {
     double sensitivity_bound = 2.0 / 3.0;
     /// Peak window length for the anticipated matrix.
     std::size_t peak_window = 12;
-    /// LP engine selection (defaults to the sparse revised simplex).
+    /// LP solver settings.
     lp::SolverOptions solver;
   };
 

@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "lp/simplex.h"
+#include "lp/problem.h"
 #include "lp/warm_start.h"
 #include "util/json.h"
 #include "util/latency.h"
@@ -53,11 +53,11 @@ const char* to_string(Counter counter) noexcept;
 /// Timed stages of a served snapshot; a stage records only when it ran.
 enum class Stage : std::uint8_t {
   kQueue,    // submit -> worker dequeue
-  kInfer,    // scheme advise (Options::infer)
+  kInfer,    // scheme advise
   kLp,       // omniscient warm-LP resolve (Options::oracle)
   kInstall,  // WCMP quantization + realized ratios (Options::install)
   kReroute,  // §4.5 reroute, while a failure mask is installed
-  kScore,    // MLU of the served config (Options::score)
+  kScore,    // MLU of the served config
   kServe,    // submit -> installed (the SLO quantity)
   kE2e,      // submit -> result published
 };

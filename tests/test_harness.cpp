@@ -11,6 +11,7 @@
 
 #include "net/topology.h"
 #include "net/yen.h"
+#include "support/dense_simplex.h"
 #include "te/failover.h"
 #include "te/lp_schemes.h"
 #include "te/mlu.h"
@@ -273,15 +274,10 @@ TEST(Harness, SurfacesLpIterationLimit) {
 }
 
 TEST(Harness, EnginesAgreeOnOmniscientNormalizer) {
-  // Dense oracle, cold revised, and warm-chained revised all solve the same
-  // LPs to optimality: the normalizer vectors agree to LP tolerance.
+  // Cold revised and warm-chained revised normalizers both match the dense
+  // oracle solved directly on each evaluated snapshot's MLU LP.
   const PathSet ps = mesh_pathset(4);
   const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 80, 23);
-
-  Harness::Options dense_opt;
-  dense_opt.max_window = 12;
-  dense_opt.solver.engine = lp::Engine::kDenseTableau;
-  Harness dense(ps, trace, dense_opt);
 
   Harness::Options cold_opt;
   cold_opt.max_window = 12;
@@ -293,14 +289,17 @@ TEST(Harness, EnginesAgreeOnOmniscientNormalizer) {
   warm_opt.warm_chunk = 5;
   Harness warm(ps, trace, warm_opt);
 
-  const auto& d = dense.omniscient();
+  const auto& idx = cold.eval_indices();
   const auto& c = cold.omniscient();
   const auto& w = warm.omniscient();
-  ASSERT_EQ(d.size(), c.size());
-  ASSERT_EQ(d.size(), w.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_NEAR(d[i], c[i], 1e-6 * (1.0 + d[i])) << "slot " << i;
-    EXPECT_NEAR(d[i], w[i], 1e-6 * (1.0 + d[i])) << "slot " << i;
+  ASSERT_EQ(idx.size(), c.size());
+  ASSERT_EQ(idx.size(), w.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const lp::LpResult dense = lp::solve(build_mlu_lp(ps, trace[idx[i]]));
+    ASSERT_TRUE(dense.optimal()) << "slot " << i;
+    const double d = dense.objective;
+    EXPECT_NEAR(d, c[i], 1e-6 * (1.0 + d)) << "slot " << i;
+    EXPECT_NEAR(d, w[i], 1e-6 * (1.0 + d)) << "slot " << i;
   }
 }
 

@@ -1,8 +1,10 @@
 // Regression tests for classic cycling/degenerate LPs: Beale's example and a
-// Kuhn-style degenerate instance must terminate at the optimum in both
-// engines — with Bland's rule forced from the first pivot and with the
-// default Dantzig-then-Bland policy — plus warm-start-after-bound-tightening
-// coverage for the revised engine.
+// Kuhn-style degenerate instance must terminate at the optimum in the
+// revised engine and in the dense oracle — with Bland's rule forced from the
+// first pivot and with the default pricing-then-Bland policy — plus
+// warm-start coverage for the revised engine (bound tightening, RHS-only
+// dual resolves, fallback reasons, the cold rerun of a collapsed warm
+// attempt).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +12,7 @@
 
 #include "lp/certificates.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
+#include "support/dense_simplex.h"
 
 namespace figret::lp {
 namespace {
@@ -57,19 +59,16 @@ void expect_optimal_both(const LpProblem& p, double expected,
   // Tight enough that a cycle would trip the limit instead of "terminating"
   // by exhausting the default budget.
   simplex.max_iterations = 5000;
-  for (const Engine engine : {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-    SolverOptions opt;
-    opt.engine = engine;
-    opt.simplex = simplex;
-    const LpResult r = solve_with(p, opt);
+  SolverOptions opt;
+  opt.simplex = simplex;
+  auto check = [&](const char* engine, const LpResult& r) {
     ASSERT_EQ(r.status, Status::kOptimal)
-        << label << " engine " << static_cast<int>(engine) << " bland_after "
-        << bland_after;
-    EXPECT_NEAR(r.objective, expected, 1e-8)
-        << label << " engine " << static_cast<int>(engine);
-    EXPECT_TRUE(check_certificate(p, r).ok(1e-6))
-        << label << " engine " << static_cast<int>(engine);
-  }
+        << label << " " << engine << " bland_after " << bland_after;
+    EXPECT_NEAR(r.objective, expected, 1e-8) << label << " " << engine;
+    EXPECT_TRUE(check_certificate(p, r).ok(1e-6)) << label << " " << engine;
+  };
+  check("dense", solve(p, simplex));
+  check("revised", solve_with(p, opt));
 }
 
 TEST(LpDegeneracy, BealeTerminatesUnderBland) {
@@ -77,7 +76,8 @@ TEST(LpDegeneracy, BealeTerminatesUnderBland) {
 }
 
 TEST(LpDegeneracy, BealeTerminatesUnderDefaultPolicy) {
-  // Dantzig first; if it cycles the automatic Bland switch must rescue it
+  // Default pricing first (Dantzig in the dense oracle, devex in the
+  // revised engine); if it cycles the automatic Bland switch must rescue it
   // well within the 5000-pivot budget.
   expect_optimal_both(beale(), -0.05, /*bland_after=*/100, "Beale/Default");
 }
@@ -103,13 +103,13 @@ TEST(LpDegeneracy, WarmStartAfterBoundTighteningNonBinding) {
   WarmStart warm;
   SolverOptions opt;
   SolveStats stats;
-  const LpResult first = solve_revised(p, opt, &warm, &stats);
+  const LpResult first = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(first.optimal());
   EXPECT_NEAR(first.objective, -36.0, 1e-8);  // x = 2, y = 6
 
   p.set_upper_bound(x, 8.0);  // optimum has x = 2: basis stays feasible
   p.set_upper_bound(y, 7.0);  // and y = 6 < 7
-  const LpResult second = solve_revised(p, opt, &warm, &stats);
+  const LpResult second = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(second.optimal());
   EXPECT_NEAR(second.objective, -36.0, 1e-8);
   EXPECT_TRUE(stats.warm_start_used);
@@ -129,11 +129,11 @@ TEST(LpDegeneracy, WarmStartAfterBoundTighteningBinding) {
 
   WarmStart warm;
   SolverOptions opt;
-  const LpResult first = solve_revised(p, opt, &warm);
+  const LpResult first = solve_with(p, opt, &warm);
   ASSERT_TRUE(first.optimal());
 
   p.set_upper_bound(y, 4.0);  // previous optimum had y = 6: now infeasible
-  const LpResult second = solve_revised(p, opt, &warm);
+  const LpResult second = solve_with(p, opt, &warm);
   ASSERT_TRUE(second.optimal());
   // With y <= 4: x <= 4 and 3x + 2y <= 18 give x = 10/3, y = 4, obj -30.
   EXPECT_NEAR(second.objective, -30.0, 1e-8);
@@ -158,14 +158,14 @@ TEST(LpDegeneracy, RhsOnlyTighteningUsesDualNotCold) {
 
   WarmStart warm;
   SolverOptions opt;
-  ASSERT_TRUE(solve_revised(p, opt, &warm).optimal());  // x = 2, y = 6
+  ASSERT_TRUE(solve_with(p, opt, &warm).optimal());  // x = 2, y = 6
 
   // Tighten the joint capacity below the incumbent activity (3*2 + 2*6 = 18
   // -> cap 10). Re-pricing the stored basis against the new RHS drives its
   // x-component negative: primal infeasible, still dual feasible.
   p.set_rhs(2, 10.0);
   SolveStats stats;
-  const LpResult second = solve_revised(p, opt, &warm, &stats);
+  const LpResult second = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(second.optimal());
   EXPECT_TRUE(stats.warm_start_used);
   EXPECT_TRUE(stats.dual_simplex_used);
@@ -176,20 +176,6 @@ TEST(LpDegeneracy, RhsOnlyTighteningUsesDualNotCold) {
   ASSERT_TRUE(oracle.optimal());
   EXPECT_NEAR(second.objective, oracle.objective, 1e-8);
   EXPECT_TRUE(check_certificate(p, second).ok(1e-6));
-
-  // A/B knob: the same kind of resolve with the dual path disabled is the
-  // pre-fix behavior — a cold fallback, recorded as such.
-  WarmStart warm2;
-  ASSERT_TRUE(solve_revised(p, opt, &warm2).optimal());  // x = 0, y = 5
-  p.set_rhs(1, 4.0);  // 2y <= 4: the incumbent y = 5 is infeasible
-  SolverOptions no_dual = opt;
-  no_dual.dual_warm_start = false;
-  SolveStats stats2;
-  const LpResult third = solve_revised(p, no_dual, &warm2, &stats2);
-  ASSERT_TRUE(third.optimal());
-  EXPECT_FALSE(stats2.warm_start_used);
-  EXPECT_EQ(stats2.fallback, WarmFallback::kPrimalInfeasible);
-  EXPECT_EQ(warm2.misses_by(WarmFallback::kPrimalInfeasible), 1u);
 }
 
 TEST(LpDegeneracy, BetaClampTracksFeasibilityTolerance) {
@@ -202,24 +188,19 @@ TEST(LpDegeneracy, BetaClampTracksFeasibilityTolerance) {
   static_assert(beta_clamp(0.0) == 1e-13);
 
   // A near-degenerate instance must reach the same optimum under a tight and
-  // a loose feasibility tolerance in both engines: the clamp scales with the
-  // tolerance rather than fighting it.
+  // a loose feasibility tolerance in the revised engine and the dense
+  // oracle: the clamp scales with the tolerance rather than fighting it.
   for (const double feas : {1e-9, 1e-7, 1e-5}) {
-    SolveOptions simplex;
-    simplex.feasibility_tolerance = feas;
-    simplex.max_iterations = 5000;
-    simplex.bland_after = 0;  // Beale cycles under pure Dantzig
-    for (const Engine engine :
-         {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-      SolverOptions opt;
-      opt.engine = engine;
-      opt.simplex = simplex;
-      const LpResult r = solve_with(beale(), opt);
-      ASSERT_EQ(r.status, Status::kOptimal)
-          << "feas " << feas << " engine " << static_cast<int>(engine);
-      EXPECT_NEAR(r.objective, -0.05, 1e-7)
-          << "feas " << feas << " engine " << static_cast<int>(engine);
-    }
+    SolverOptions opt;
+    opt.simplex.feasibility_tolerance = feas;
+    opt.simplex.max_iterations = 5000;
+    opt.simplex.bland_after = 0;  // Beale cycles under pure Dantzig
+    auto check = [&](const char* engine, const LpResult& r) {
+      ASSERT_EQ(r.status, Status::kOptimal) << "feas " << feas << " " << engine;
+      EXPECT_NEAR(r.objective, -0.05, 1e-7) << "feas " << feas << " " << engine;
+    };
+    check("dense", solve(beale(), opt.simplex));
+    check("revised", solve_with(beale(), opt));
   }
 }
 
@@ -231,11 +212,11 @@ TEST(LpDegeneracy, FallbackReasonsRecorded) {
   // Structural change (extra row) -> signature mismatch.
   WarmStart warm;
   SolverOptions opt;
-  ASSERT_TRUE(solve_revised(p, opt, &warm).optimal());
+  ASSERT_TRUE(solve_with(p, opt, &warm).optimal());
   LpProblem q = p;
   q.add_constraint({{x, 2.0}}, Relation::kLessEq, 10.0);
   SolveStats stats;
-  ASSERT_TRUE(solve_revised(q, opt, &warm, &stats).optimal());
+  ASSERT_TRUE(solve_with(q, opt, &warm, &stats).optimal());
   EXPECT_EQ(stats.fallback, WarmFallback::kSignatureMismatch);
   EXPECT_EQ(warm.misses_by(WarmFallback::kSignatureMismatch), 1u);
 
@@ -247,14 +228,12 @@ TEST(LpDegeneracy, FallbackReasonsRecorded) {
 
 TEST(LpDegeneracy, IterationLimitStillReported) {
   // The anti-cycling machinery must not mask a genuine pivot-budget hit.
-  for (const Engine engine : {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-    SolverOptions opt;
-    opt.engine = engine;
-    opt.simplex.max_iterations = 1;
-    const LpResult r = solve_with(beale(), opt);
-    EXPECT_EQ(r.status, Status::kIterationLimit)
-        << "engine " << static_cast<int>(engine);
-  }
+  SolverOptions opt;
+  opt.simplex.max_iterations = 1;
+  EXPECT_EQ(solve(beale(), opt.simplex).status, Status::kIterationLimit)
+      << "dense";
+  EXPECT_EQ(solve_with(beale(), opt).status, Status::kIterationLimit)
+      << "revised";
 }
 
 TEST(LpDegeneracy, SingularBasisIsReportedAsNumerical) {
@@ -268,11 +247,41 @@ TEST(LpDegeneracy, SingularBasisIsReportedAsNumerical) {
   SolverOptions opt;
   opt.simplex.pivot_tolerance = 1e-20;
   SolveStats stats;
-  const LpResult r = solve_revised(p, opt, nullptr, &stats);
+  const LpResult r = solve_with(p, opt, nullptr, &stats);
   EXPECT_EQ(r.status, Status::kNumerical);
   EXPECT_STREQ(to_string(r.status), "numerical");
   EXPECT_TRUE(stats.singular_basis);
   EXPECT_TRUE(r.x.empty());
+}
+
+TEST(LpDegeneracy, CollapsedWarmAttemptRerunsCold) {
+  // A warm basis that is accepted (primal feasible) but goes singular
+  // mid-solve must be rerun cold, with the already-recorded hit demoted to
+  // a miss. Priming solve: y has no cost, so the optimum is x = 1 with y
+  // nonbasic. Giving y a cost makes it enter on its 1e-13 entry (the pivot
+  // tolerance is disabled), which the LU cannot factorize.
+  LpProblem p;
+  const auto x = p.add_variable(-1.0);
+  const auto y = p.add_variable(0.0);
+  p.add_constraint({{x, 1.0}}, Relation::kLessEq, 1.0);
+  p.add_constraint({{y, 1e-13}}, Relation::kLessEq, 1.0);
+  SolverOptions opt;
+  opt.simplex.pivot_tolerance = 1e-20;
+  WarmStart warm;
+  ASSERT_TRUE(solve_with(p, opt, &warm).optimal());
+  ASSERT_TRUE(warm.has_basis());
+
+  p.set_objective(y, -1.0);
+  SolveStats stats;
+  const LpResult r = solve_with(p, opt, &warm, &stats);
+  EXPECT_EQ(r.status, Status::kNumerical);
+  EXPECT_TRUE(stats.warm_start_attempted);
+  EXPECT_FALSE(stats.warm_start_used);
+  EXPECT_TRUE(stats.singular_basis);
+  EXPECT_EQ(stats.fallback, WarmFallback::kSingularBasis)
+      << "fell back: " << to_string(stats.fallback);
+  EXPECT_EQ(warm.hits(), 0u);
+  EXPECT_EQ(warm.misses_by(WarmFallback::kSingularBasis), 1u);
 }
 
 }  // namespace

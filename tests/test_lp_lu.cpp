@@ -487,7 +487,7 @@ TEST(LpLu, MatchesFullRescanReferenceOnGeantWarmBasis) {
   LpProblem prob;
   for (std::size_t t = 0; t < trace.size(); ++t) {
     prob = te::build_mlu_lp(ps, trace[t], nullptr, nullptr);
-    ASSERT_TRUE(solve_revised(prob, SolverOptions{}, &warm).optimal());
+    ASSERT_TRUE(solve_with(prob, SolverOptions{}, &warm).optimal());
   }
   const SparseMatrix A = standard_form(prob);
   std::vector<std::uint32_t> basis = warm.basis();

@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "support/dense_simplex.h"
 
 #include <gtest/gtest.h>
 
