@@ -13,7 +13,7 @@
 #include "bench_common.h"
 #include "te/figret.h"
 #include "te/harness.h"
-#include "te/two_stage.h"
+#include "te/lp_schemes.h"
 #include "traffic/predictor.h"
 #include "util/table.h"
 
@@ -65,7 +65,7 @@ int main() {
   t.add_row(std::move(row));
 
   auto add_two_stage = [&](std::unique_ptr<traffic::Predictor> pred) {
-    // A fresh copy for the MSE column (TwoStageTe owns the other).
+    // A fresh copy for the MSE column (the scheme owns the other).
     const std::string pname = pred->name();
     std::unique_ptr<traffic::Predictor> probe;
     if (pname == "last-value")
@@ -77,9 +77,11 @@ int main() {
     else
       probe = std::make_unique<traffic::LinearTrendPredictor>();
 
-    te::TwoStageOptions topt;
+    te::DesensitizationOptions topt;
+    topt.min_bound = 1.0 / 3.0;
     topt.window = 8;
-    te::TwoStageTe scheme(sc.ps, std::move(pred), topt);
+    te::DesensitizationTe scheme(sc.ps, topt, "TwoStage(" + pname + ")",
+                                 std::move(pred));
     auto r = bench::eval_row(harness.evaluate(scheme));
     r.push_back(util::fmt(mean_mse(sc, harness, *probe, 8) * 1e6, 3));
     t.add_row(std::move(r));

@@ -57,7 +57,7 @@ Scenario make_scenario(const std::string& name) {
                  full ? 4 : 6);
   }
   if (name == "UsCarrier") {
-    // Paper: 158 nodes / 378 arcs. Scaled for the dense-simplex baselines.
+    // Paper: 158 nodes / 378 arcs. Scaled for the per-snapshot LP baselines.
     const std::size_t n = full ? 64 : 40;
     const std::size_t links = full ? 80 : 50;
     return build(name,

@@ -3,9 +3,9 @@
 // Every bench reproduces one table or figure of the paper (DESIGN.md §3).
 // Scenarios mirror the paper's eight topology/trace combinations; the two
 // ToR-level fabrics and the two Topology-Zoo WANs are scaled down (single
-// CPU core, dense-simplex LP baselines) with the substitution documented in
-// the emitted header and in DESIGN.md §2. Set FIGRET_BENCH_FULL=1 in the
-// environment for larger instances.
+// CPU core, one LP solve per snapshot and baseline) with the substitution
+// documented in the emitted header and in DESIGN.md §2. Set
+// FIGRET_BENCH_FULL=1 in the environment for larger instances.
 #pragma once
 
 #include <iosfwd>

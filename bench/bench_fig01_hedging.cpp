@@ -54,10 +54,10 @@ SeriesStats run_scheme(const bench::Scenario& sc, te::TeScheme& scheme) {
 
 void run_scenario(const std::string& name) {
   const bench::Scenario sc = bench::make_scenario(name);
-  te::PredictionTe no_hedging(sc.ps);
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = sc.name == "GEANT" ? 2.0 / 3.0 : 0.5;
-  dopt.peak_window = 8;
+  te::DesensitizationTe no_hedging = te::prediction_te(sc.ps);
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = sc.name == "GEANT" ? 2.0 / 3.0 : 0.5;
+  dopt.window = 8;
   te::DesensitizationTe hedging(sc.ps, dopt);
 
   const SeriesStats none = run_scheme(sc, no_hedging);
@@ -123,7 +123,7 @@ void run_scenario_classes() {
   aopt.oracle_seeds = 3;
   aopt.seed = 619;
   traffic::RegretAdversary adversary(sc.ps, aopt);
-  te::PredictionTe victim(sc.ps);
+  te::DesensitizationTe victim = te::prediction_te(sc.ps);
   const std::size_t vwindow =
       std::max<std::size_t>(1, victim.history_window());
   const std::span<const traffic::DemandMatrix> vhist{
@@ -143,10 +143,10 @@ void run_scenario_classes() {
   for (const auto& [cls, trace] : classes) {
     bench::Scenario class_sc = sc;
     class_sc.trace = trace;
-    te::PredictionTe no_hedging(class_sc.ps);
-    te::DesensitizationTe::Options dopt;
-    dopt.sensitivity_bound = 2.0 / 3.0;
-    dopt.peak_window = 8;
+    te::DesensitizationTe no_hedging = te::prediction_te(class_sc.ps);
+    te::DesensitizationOptions dopt;
+    dopt.max_bound = dopt.min_bound = 2.0 / 3.0;
+    dopt.window = 8;
     te::DesensitizationTe hedging(class_sc.ps, dopt);
     const SeriesStats none = run_scheme(class_sc, no_hedging);
     const SeriesStats hedge = run_scheme(class_sc, hedging);

@@ -45,13 +45,14 @@ void run_scenario(const std::string& name) {
   te::FigretScheme dote(sc.ps, te::dote_options(fopt), "DOTE");
   t.add_row(bench::eval_row(harness.evaluate(dote)));
 
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = 2.0 / 3.0;  // Appendix C's "Original" setting
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  // Appendix C's "Original" setting.
+  dopt.max_bound = dopt.min_bound = 2.0 / 3.0;
+  dopt.window = 8;
   te::DesensitizationTe des(sc.ps, dopt);
   t.add_row(bench::eval_row(harness.evaluate(des)));
 
-  te::PredictionTe pred(sc.ps);
+  te::DesensitizationTe pred = te::prediction_te(sc.ps);
   t.add_row(bench::eval_row(harness.evaluate(pred)));
 
   te::TealOptions topt;

@@ -43,12 +43,13 @@ void run_scenario(const std::string& name) {
   t.add_row(bench::eval_row(harness.evaluate(figret)));
   te::FigretScheme dote(ps, te::dote_options(fopt), "DOTE");
   t.add_row(bench::eval_row(harness.evaluate(dote)));
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = 2.0 / 3.0;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = 2.0 / 3.0;
+  dopt.window = 8;
   te::DesensitizationTe des(ps, dopt);
   t.add_row(bench::eval_row(harness.evaluate(des)));
-  te::PredictionTe smore(ps);  // == SMORE under Racke path selection
+  // PredTE on Racke-selected paths is SMORE.
+  te::DesensitizationTe smore = te::prediction_te(ps);
   te::SchemeEval ev = harness.evaluate(smore);
   ev.name = "SMORE/PredTE";
   t.add_row(bench::eval_row(ev));

@@ -37,9 +37,9 @@ void run(const std::string& scenario_name) {
   te::FigretScheme dote(sc.ps, te::dote_options(fopt), "DOTE");
   dote.fit(harness.train_trace());
 
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = sc.name == "GEANT" ? 2.0 / 3.0 : 0.5;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = sc.name == "GEANT" ? 2.0 / 3.0 : 0.5;
+  dopt.window = 8;
 
   for (std::size_t failures = 1; failures <= 3; ++failures) {
     const auto failed =
@@ -53,7 +53,7 @@ void run(const std::string& scenario_name) {
         harness.evaluate_under_failures(dote, failed, /*fit=*/false)));
     te::DesensitizationTe des(sc.ps, dopt);
     t.add_row(bench::eval_row(harness.evaluate_under_failures(des, failed)));
-    te::FaultAwareDesTe fa(sc.ps, alive, dopt);
+    te::DesensitizationTe fa(sc.ps, dopt, "FA-DesTE", nullptr, alive);
     t.add_row(bench::eval_row(harness.evaluate_under_failures(fa, failed)));
 
     std::cout << "\n--- " << sc.name << ", " << failures

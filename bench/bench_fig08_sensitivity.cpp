@@ -82,9 +82,9 @@ void run_scenario(const std::string& name) {
 
   std::cout << "\n--- " << sc.name << " (" << sc.note << ") ---\n";
 
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = 0.5;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = 0.5;
+  dopt.window = 8;
   te::DesensitizationTe hedge(sc.ps, dopt);
   hedge.fit(harness.train_trace());
   const auto hedge_sens = mean_sensitivities(sc, harness, hedge);

@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "te/harness.h"
-#include "te/heuristic_f.h"
 #include "te/lp_schemes.h"
 #include "util/table.h"
 
@@ -50,18 +49,18 @@ int main() {
 
   util::Table t(bench::eval_header());
   for (const ParamSet& p : sets) {
-    te::HeuristicFOptions opt;
+    te::DesensitizationOptions opt;
     opt.shape = te::FShape::kLinear;
     opt.min_bound = p.min_bound;
     opt.max_bound = p.max_bound;
-    opt.peak_window = 8;
-    te::HeuristicFTe scheme(sc.ps, opt, std::string("linearF ") + p.label);
+    opt.window = 8;
+    te::DesensitizationTe scheme(sc.ps, opt, std::string("linearF ") + p.label);
     t.add_row(bench::eval_row(harness.evaluate(scheme)));
   }
   // Plain Des TE reference (uniform 2/3 bound).
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = 2.0 / 3.0;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = 2.0 / 3.0;
+  dopt.window = 8;
   te::DesensitizationTe des(sc.ps, dopt);
   t.add_row(bench::eval_row(harness.evaluate(des)));
   t.print(std::cout);

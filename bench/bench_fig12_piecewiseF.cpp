@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "te/harness.h"
-#include "te/heuristic_f.h"
 #include "te/lp_schemes.h"
 #include "util/table.h"
 
@@ -53,13 +52,13 @@ int main() {
 
   util::Table t(bench::eval_header());
   for (const ParamSet& p : sets) {
-    te::HeuristicFOptions opt;
+    te::DesensitizationOptions opt;
     opt.shape = te::FShape::kPiecewise;
     opt.min_bound = p.min_bound;
     opt.max_bound = p.max_bound;
     opt.breakpoint = p.breakpoint;
-    opt.peak_window = 8;
-    te::HeuristicFTe scheme(sc.ps, opt, std::string("pwF ") + p.label);
+    opt.window = 8;
+    te::DesensitizationTe scheme(sc.ps, opt, std::string("pwF ") + p.label);
     t.add_row(bench::eval_row(harness.evaluate(scheme)));
   }
   t.print(std::cout);

@@ -63,13 +63,13 @@ int main() {
   te::FigretScheme dote(paths, te::dote_options(fopt), "DOTE");
   add(harness.evaluate_under_failures(dote, failed));
 
-  te::DesensitizationTe::Options dopt;
-  dopt.sensitivity_bound = 0.5;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.max_bound = dopt.min_bound = 0.5;
+  dopt.window = 8;
   te::DesensitizationTe des(paths, dopt);
   add(harness.evaluate_under_failures(des, failed));
 
-  te::FaultAwareDesTe fa(paths, alive, dopt);
+  te::DesensitizationTe fa(paths, dopt, "FA-DesTE", nullptr, alive);
   add(harness.evaluate_under_failures(fa, failed));
 
   t.print(std::cout);

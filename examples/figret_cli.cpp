@@ -32,13 +32,11 @@
 #include "te/cope.h"
 #include "te/figret.h"
 #include "te/harness.h"
-#include "te/heuristic_f.h"
 #include "te/lp_schemes.h"
 #include "te/oblivious.h"
 #include "te/retrain_monitor.h"
 #include "te/serving_loop.h"
 #include "te/teal_like.h"
-#include "te/two_stage.h"
 #include "traffic/adversary.h"
 #include "traffic/feed.h"
 #include "traffic/generators.h"
@@ -208,7 +206,7 @@ traffic::TrafficTrace make_traffic(const util::Args& args,
     // tiled over the held-out last quarter (the 0.75 split both modes use).
     traffic::TrafficTrace trace = traffic::wan_trace(nodes, len, seed);
     const std::size_t cut = len * 3 / 4;
-    te::PredictionTe victim(paths);
+    te::DesensitizationTe victim = te::prediction_te(paths);
     const std::size_t window =
         std::max<std::size_t>(1, victim.history_window());
     if (cut < window || cut >= len)
@@ -229,17 +227,23 @@ traffic::TrafficTrace make_traffic(const util::Args& args,
   throw UsageError("unknown --traffic " + kind);
 }
 
-/// One untrained advisor instance for a serving worker. FIGRET/DOTE are
-/// handled separately (train once, clone the checkpoint per worker).
-std::unique_ptr<te::TeScheme> make_worker_scheme(const std::string& name,
-                                                 const te::PathSet& paths) {
+/// One untrained advisor, for batch evaluation or a serving worker.
+/// FIGRET/DOTE (train once, clone the checkpoint per worker) and the static
+/// Oblivious/COPE configurations are handled by the callers.
+std::unique_ptr<te::TeScheme> make_scheme(const std::string& name,
+                                          const te::PathSet& paths) {
   if (name == "teal") return std::make_unique<te::TealLikeTe>(paths);
   if (name == "des") return std::make_unique<te::DesensitizationTe>(paths);
-  if (name == "pred") return std::make_unique<te::PredictionTe>(paths);
-  if (name == "heuristic") return std::make_unique<te::HeuristicFTe>(paths);
+  if (name == "pred")
+    return std::make_unique<te::DesensitizationTe>(te::prediction_te(paths));
+  te::DesensitizationOptions rank_f;  // variance-rank F in [1/3, 2/3]
+  rank_f.min_bound = 1.0 / 3.0;
+  if (name == "heuristic")
+    return std::make_unique<te::DesensitizationTe>(paths, rank_f, "HeurF");
   if (name == "twostage")
-    return std::make_unique<te::TwoStageTe>(
-        paths, std::make_unique<traffic::EwmaPredictor>(0.4));
+    return std::make_unique<te::DesensitizationTe>(
+        paths, rank_f, "TwoStage(ewma)",
+        std::make_unique<traffic::EwmaPredictor>(0.4));
   if (name == "oblivious" || name == "cope")
     throw UsageError("--scheme " + name +
                      " serves one static configuration — use batch mode");
@@ -304,7 +308,7 @@ int run_serve(const util::Args& args) {
     }
   } else {
     for (std::size_t i = 0; i < workers; ++i) {
-      schemes.push_back(make_worker_scheme(scheme_name, paths));
+      schemes.push_back(make_scheme(scheme_name, paths));
       schemes.back()->fit(train);
     }
   }
@@ -529,7 +533,6 @@ int main(int argc, char** argv) {
     fopt.robust_weight = flag_double(args, "robust-weight", 4.0);
 
     const std::string scheme_name = args.get_or("scheme", "figret");
-    std::unique_ptr<te::TeScheme> scheme;
     te::SchemeEval result;
     if (scheme_name == "figret" || scheme_name == "dote") {
       auto fig = std::make_unique<te::FigretScheme>(
@@ -541,28 +544,6 @@ int main(int argc, char** argv) {
         std::cout << "model saved to " << *path << " ("
                   << fig->model().num_parameters() << " parameters)\n";
       }
-      scheme = std::move(fig);
-    } else if (scheme_name == "teal") {
-      auto s = std::make_unique<te::TealLikeTe>(paths);
-      result = harness.evaluate(*s);
-      scheme = std::move(s);
-    } else if (scheme_name == "des") {
-      auto s = std::make_unique<te::DesensitizationTe>(paths);
-      result = harness.evaluate(*s);
-      scheme = std::move(s);
-    } else if (scheme_name == "pred") {
-      auto s = std::make_unique<te::PredictionTe>(paths);
-      result = harness.evaluate(*s);
-      scheme = std::move(s);
-    } else if (scheme_name == "heuristic") {
-      auto s = std::make_unique<te::HeuristicFTe>(paths);
-      result = harness.evaluate(*s);
-      scheme = std::move(s);
-    } else if (scheme_name == "twostage") {
-      auto s = std::make_unique<te::TwoStageTe>(
-          paths, std::make_unique<traffic::EwmaPredictor>(0.4));
-      result = harness.evaluate(*s);
-      scheme = std::move(s);
     } else if (scheme_name == "oblivious") {
       te::ObliviousOptions oopt;
       oopt.time_budget_seconds = flag_double(args, "budget", 60.0);
@@ -571,7 +552,6 @@ int main(int argc, char** argv) {
       result = harness.evaluate_config(
           s->result().converged ? "Oblivious" : "Oblivious (budget hit)",
           s->advise({}));
-      scheme = std::move(s);
     } else if (scheme_name == "cope") {
       te::CopeOptions copt;
       copt.oblivious.time_budget_seconds = flag_double(args, "budget", 60.0);
@@ -579,9 +559,8 @@ int main(int argc, char** argv) {
       s->fit(harness.train_trace());
       result = harness.evaluate_config(
           s->result().converged ? "COPE" : "COPE (budget hit)", s->advise({}));
-      scheme = std::move(s);
     } else {
-      throw UsageError("unknown --scheme " + scheme_name);
+      result = harness.evaluate(*make_scheme(scheme_name, paths));
     }
 
     const util::BoxStats s = result.stats();

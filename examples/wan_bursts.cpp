@@ -52,8 +52,8 @@ int main() {
   te::FigretScheme dote(paths, te::dote_options(fopt), "DOTE");
   add(harness.evaluate(dote));
 
-  te::DesensitizationTe::Options dopt;
-  dopt.peak_window = 8;
+  te::DesensitizationOptions dopt;
+  dopt.window = 8;
   te::DesensitizationTe hedging(paths, dopt);
   te::SchemeEval ev = harness.evaluate(hedging);
   ev.name = "Hedging (Jupiter)";

@@ -90,6 +90,9 @@ void disconnected_pairs_into(const PathSet& ps, const std::vector<bool>& alive,
 std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
                                               std::size_t count,
                                               std::uint64_t seed) {
+  if (count > ps.num_edges())
+    throw std::invalid_argument(
+        "sample_safe_failures: count exceeds the number of edges");
   util::Rng rng(seed);
   for (int attempt = 0; attempt < 10000; ++attempt) {
     std::vector<net::EdgeId> failed;

@@ -54,7 +54,9 @@ void disconnected_pairs_into(const PathSet& ps, const std::vector<bool>& alive,
 
 /// Picks `count` distinct random edges whose removal keeps every SD pair
 /// reachable through at least one candidate path (so experiments measure
-/// congestion, not disconnection). Throws after too many rejected samples.
+/// congestion, not disconnection). Throws std::invalid_argument when `count`
+/// exceeds the edge count, std::runtime_error after too many rejected
+/// samples.
 std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
                                               std::size_t count,
                                               std::uint64_t seed);

@@ -1,7 +1,11 @@
 #include "te/lp_schemes.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
+
+#include "traffic/stats.h"
 
 namespace figret::te {
 
@@ -94,19 +98,30 @@ MluLpResult solve_mlu_lp(const PathSet& ps,
 }
 
 std::vector<double> sensitivity_caps(const PathSet& ps,
-                                     const std::vector<double>& f_per_pair) {
+                                     const std::vector<double>& f_per_pair,
+                                     const std::vector<bool>* alive) {
   if (f_per_pair.size() != ps.num_pairs())
     throw std::invalid_argument("sensitivity_caps: size mismatch");
+  if (alive && alive->size() != ps.num_paths())
+    throw std::invalid_argument("sensitivity_caps: alive size mismatch");
+  // NaN or F <= 0 would make every cap vacuous (0 * inf is NaN, and
+  // std::min(1.0, NaN) is 1.0) or silently clamp to the feasibility floor.
+  for (double f : f_per_pair)
+    if (!(f > 0.0))
+      throw std::invalid_argument("sensitivity_caps: F must be > 0");
   std::vector<double> caps(ps.num_paths(), 1.0);
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
     const std::size_t begin = ps.pair_begin(pr);
     const std::size_t end = ps.pair_end(pr);
     double sum = 0.0;
+    bool live = false;
     for (std::size_t p = begin; p < end; ++p) {
       caps[p] = std::min(1.0, f_per_pair[pr] * ps.path_capacity(p));
+      if (alive && !(*alive)[p]) continue;
       sum += caps[p];
+      live = true;
     }
-    if (sum < 1.0) {
+    if (live && sum < 1.0) {
       // Infeasible bound for this pair (Appendix C: "Min should not be less
       // than 1/n"): relax proportionally so the caps just admit a split.
       const double scale = 1.0 / sum + 1e-9;
@@ -117,87 +132,81 @@ std::vector<double> sensitivity_caps(const PathSet& ps,
   return caps;
 }
 
-TeConfig PredictionTe::advise(
-    std::span<const traffic::DemandMatrix> history) {
-  if (history.empty())
-    throw std::invalid_argument("PredictionTe: empty history");
-  const MluLpResult res =
-      solve_mlu_lp(*ps_, history.back(), nullptr, nullptr, &solver_, &warm_);
-  if (!res.optimal())
-    throw std::runtime_error(std::string("PredictionTe: LP status: ") +
-                             lp::to_string(res.status));
-  return normalize_config(*ps_, res.config);
+DesensitizationTe::DesensitizationTe(
+    const PathSet& ps, const DesensitizationOptions& opt, std::string name,
+    std::unique_ptr<traffic::Predictor> predictor, std::vector<bool> alive)
+    : ps_(&ps),
+      opt_(opt),
+      name_(std::move(name)),
+      predictor_(predictor ? std::move(predictor)
+                           : std::make_unique<traffic::PeakPredictor>()),
+      alive_(std::move(alive)) {
+  if (!(opt_.min_bound > 0.0) || !(opt_.max_bound > 0.0))
+    throw std::invalid_argument(name_ + ": bounds must be > 0");
+  if (opt_.min_bound > opt_.max_bound)
+    throw std::invalid_argument(name_ + ": min_bound > max_bound");
+  if (opt_.window == 0)
+    throw std::invalid_argument(name_ + ": window must be >= 1");
+  if (!alive_.empty() && alive_.size() != ps.num_paths())
+    throw std::invalid_argument(name_ + ": alive mask size mismatch");
+  // A uniform F does not depend on variance rank: fix the caps now, so the
+  // scheme advises without fit().
+  if (opt_.min_bound == opt_.max_bound) {
+    f_.assign(ps.num_pairs(), opt_.max_bound);
+    caps_ = sensitivity_caps(ps, f_, alive_mask());
+  }
 }
 
-DesensitizationTe::DesensitizationTe(const PathSet& ps)
-    : DesensitizationTe(ps, Options{}) {}
+void DesensitizationTe::fit(const traffic::TrafficTrace& train) {
+  if (opt_.min_bound == opt_.max_bound) return;
+  const std::vector<double> var = traffic::pair_variances(train);
+  const std::size_t pairs = ps_->num_pairs();
+  if (var.size() != pairs)
+    throw std::invalid_argument(name_ + ": trace/topology mismatch");
 
-DesensitizationTe::DesensitizationTe(const PathSet& ps, const Options& opt)
-    : ps_(&ps), opt_(opt) {
-  caps_ = sensitivity_caps(
-      ps, std::vector<double>(ps.num_pairs(), opt_.sensitivity_bound));
+  // Ascending variance order: rank 0 = most stable pair.
+  std::vector<std::size_t> order(pairs);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return var[a] < var[b]; });
+
+  f_.assign(pairs, opt_.max_bound);
+  for (std::size_t rank = 0; rank < pairs; ++rank) {
+    const double frac =
+        pairs > 1 ? static_cast<double>(rank) / static_cast<double>(pairs - 1)
+                  : 0.0;
+    double bound = opt_.max_bound;
+    switch (opt_.shape) {
+      case FShape::kLinear:
+        // Fig 9: bound decreases linearly from Max (stable) to Min (bursty).
+        bound = opt_.max_bound - frac * (opt_.max_bound - opt_.min_bound);
+        break;
+      case FShape::kPiecewise:
+        // Fig 11: lenient below the breakpoint, strict above it.
+        bound = frac < opt_.breakpoint ? opt_.max_bound : opt_.min_bound;
+        break;
+    }
+    f_[order[rank]] = bound;
+  }
+  caps_ = sensitivity_caps(*ps_, f_, alive_mask());
 }
 
 TeConfig DesensitizationTe::advise(
     std::span<const traffic::DemandMatrix> history) {
+  if (caps_.empty())
+    throw std::logic_error(name_ + ": advise() before fit()");
   if (history.empty())
-    throw std::invalid_argument("DesensitizationTe: empty history");
-  // Anticipated matrix: per-pair peak over the window (paper §5.1 (2)).
-  traffic::DemandMatrix peak(ps_->num_nodes());
-  for (const auto& dm : history)
-    dm.for_each_active(
-        [&](std::size_t p, double v) { peak[p] = std::max(peak[p], v); });
-
-  const MluLpResult res =
-      solve_mlu_lp(*ps_, peak, &caps_, nullptr, &opt_.solver, &warm_);
+    throw std::invalid_argument(name_ + ": empty history");
+  const traffic::DemandMatrix anticipated = predictor_->predict(history);
+  MluLpResult res = solve_mlu_lp(*ps_, anticipated, &caps_, alive_mask(),
+                                 &opt_.solver, &warm_);
   if (!res.optimal())
-    throw std::runtime_error(std::string("DesensitizationTe: LP status: ") +
+    throw std::runtime_error(name_ + ": LP status: " +
                              lp::to_string(res.status));
-  return normalize_config(*ps_, res.config);
-}
-
-FaultAwareDesTe::FaultAwareDesTe(const PathSet& ps, std::vector<bool> alive)
-    : FaultAwareDesTe(ps, std::move(alive), DesensitizationTe::Options{}) {}
-
-FaultAwareDesTe::FaultAwareDesTe(const PathSet& ps, std::vector<bool> alive,
-                                 const DesensitizationTe::Options& opt)
-    : ps_(&ps), opt_(opt), alive_(std::move(alive)) {
-  if (alive_.size() != ps.num_paths())
-    throw std::invalid_argument("FaultAwareDesTe: alive mask size mismatch");
-  // Sensitivity caps computed over live paths only, so feasibility relaxation
-  // accounts for the reduced path diversity.
-  std::vector<double> f(ps.num_pairs(), opt_.sensitivity_bound);
-  caps_.assign(ps.num_paths(), 1.0);
-  for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
-    double sum = 0.0;
-    for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p) {
-      caps_[p] = std::min(1.0, f[pr] * ps.path_capacity(p));
-      if (alive_[p]) sum += caps_[p];
-    }
-    if (sum < 1.0 && sum > 0.0) {
-      const double scale = 1.0 / sum + 1e-9;
-      for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
-        caps_[p] = std::min(1.0, caps_[p] * scale);
-    }
-  }
-}
-
-TeConfig FaultAwareDesTe::advise(
-    std::span<const traffic::DemandMatrix> history) {
-  if (history.empty())
-    throw std::invalid_argument("FaultAwareDesTe: empty history");
-  traffic::DemandMatrix peak(ps_->num_nodes());
-  for (const auto& dm : history)
-    dm.for_each_active(
-        [&](std::size_t p, double v) { peak[p] = std::max(peak[p], v); });
-
-  const MluLpResult res =
-      solve_mlu_lp(*ps_, peak, &caps_, &alive_, &opt_.solver, &warm_);
-  if (!res.optimal())
-    throw std::runtime_error(std::string("FaultAwareDesTe: LP status: ") +
-                             lp::to_string(res.status));
-  // Normalize only over live paths (dead paths keep ratio 0).
-  TeConfig cfg = res.config;
+  if (alive_.empty()) return normalize_config(*ps_, std::move(res.config));
+  // Normalize over live paths only: dead paths and pairs with no live path
+  // keep ratio 0 (normalize_config would spread those uniformly).
+  TeConfig cfg = std::move(res.config);
   for (std::size_t pr = 0; pr < ps_->num_pairs(); ++pr) {
     double sum = 0.0;
     for (std::size_t p = ps_->pair_begin(pr); p < ps_->pair_end(pr); ++p)
@@ -207,6 +216,15 @@ TeConfig FaultAwareDesTe::advise(
         cfg[p] /= sum;
   }
   return cfg;
+}
+
+DesensitizationTe prediction_te(const PathSet& ps) {
+  // +inf bounds give caps of exactly 1, which build_mlu_lp treats as no cap.
+  DesensitizationOptions opt;
+  opt.max_bound = opt.min_bound = std::numeric_limits<double>::infinity();
+  opt.window = 1;
+  return DesensitizationTe(ps, opt, "PredTE",
+                           std::make_unique<traffic::LastValuePredictor>());
 }
 
 }  // namespace figret::te

@@ -1,9 +1,16 @@
 // Linear-programming TE: the optimization core (paper Appendix B) and the
-// LP-based baselines of §5.1 —
-//   * Omniscient TE         (LP on the true upcoming demand; the normalizer)
-//   * Demand-prediction TE  (LP on the previous snapshot)
-//   * Desensitization TE    (Google Jupiter's "Hedging": LP on the
-//     peak-of-window anticipated matrix with uniform sensitivity caps)
+// LP-based baselines of §5.1, §4.2.1 and Appendix C. Every baseline solves
+// the same min-MLU LP on an anticipated demand under per-pair sensitivity
+// caps r_p <= F(s,d) * C_p (Eq. 4/5); they differ only in how the demand is
+// anticipated and how F is chosen, so one class, DesensitizationTe, covers
+// them all:
+//   * Demand-prediction TE  (prediction_te: the last snapshot, no cap)
+//   * Desensitization TE    (Google Jupiter's "Hedging": per-pair peak of
+//     the window, one uniform bound F)
+//   * Fault-aware Des TE    (the same, told in advance which paths survive)
+//   * Heuristic F           (Appendix C: F set by training-variance rank)
+//   * Two-stage TE          (§4.2.1: an explicit predictor's point forecast)
+// The Omniscient TE normalizer is solve_mlu_lp on the true upcoming demand.
 //
 // Every solve goes through lp::solve_with (the sparse revised simplex), so
 // call sites tune budgets and tolerances via lp::SolverOptions and may chain
@@ -12,11 +19,13 @@
 // usually re-primes the next solve down to a handful of pivots.
 #pragma once
 
-#include <optional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "lp/revised_simplex.h"
 #include "te/scheme.h"
+#include "traffic/predictor.h"
 
 namespace figret::te {
 
@@ -69,72 +78,74 @@ MluLpResult solve_mlu_lp(const PathSet& ps,
 /// Guarantees per-pair feasibility (sum of caps >= 1) by proportionally
 /// relaxing any pair whose caps are collectively too tight — the paper's
 /// Appendix C feasibility caveat ("Min should not be less than 1/n").
+/// With an `alive` mask only live paths count toward a pair's sum, and a pair
+/// with no live path is left unrelaxed. Every F must be > 0 (+inf means no
+/// cap); NaN or F <= 0 throws std::invalid_argument.
 std::vector<double> sensitivity_caps(const PathSet& ps,
-                                     const std::vector<double>& f_per_pair);
+                                     const std::vector<double>& f_per_pair,
+                                     const std::vector<bool>* alive = nullptr);
 
-/// Demand-prediction-based TE [2,23,24]: LP on the previous snapshot.
-class PredictionTe final : public TeScheme {
- public:
-  explicit PredictionTe(const PathSet& ps) : ps_(&ps) {}
-  PredictionTe(const PathSet& ps, const lp::SolverOptions& solver)
-      : ps_(&ps), solver_(solver) {}
-  std::string name() const override { return "PredTE"; }
-  void fit(const traffic::TrafficTrace&) override {}
-  TeConfig advise(std::span<const traffic::DemandMatrix> history) override;
+/// Shape of the variance-rank -> bound mapping (Appendix C).
+enum class FShape { kLinear, kPiecewise };
 
- private:
-  const PathSet* ps_;
-  lp::SolverOptions solver_;
-  lp::WarmStart warm_;  // advise() calls chain across snapshots
+struct DesensitizationOptions {
+  /// Sensitivity bound F of the most stable pair (lenient; Appendix C
+  /// "Original" uses 2/3 with capacities normalized to min 1) ...
+  double max_bound = 2.0 / 3.0;
+  /// ... and of the most bursty pair (strict). Equal bounds give one uniform
+  /// F, fixed at construction; otherwise fit() ranks pairs by training
+  /// variance. +inf on both disables the caps.
+  double min_bound = 2.0 / 3.0;
+  /// Rank -> bound mapping when the bounds differ: linear from max_bound to
+  /// min_bound (Fig 9), or piecewise (Fig 11) with the `breakpoint` fraction
+  /// of pairs (by ascending variance) at max_bound and the rest at min_bound.
+  FShape shape = FShape::kLinear;
+  double breakpoint = 0.8;
+  /// History window handed to the predictor.
+  std::size_t window = 12;
+  /// LP engine for the per-advise solve (warm-started across snapshots).
+  lp::SolverOptions solver;
 };
 
-/// Desensitization-based TE (Google Jupiter [37], COUDER [44]): anticipated
-/// matrix = per-pair peak over a window, uniform sensitivity cap F.
+/// The sensitivity-capped LP scheme: each advise() anticipates the demand
+/// with `predictor` (null: traffic::PeakPredictor) and solves the MLU LP
+/// under the caps of F. With a non-empty `alive` mask it optimizes over the
+/// live paths only (§5.3 "FA Des TE") and normalizes over them, so dead
+/// paths and disconnected pairs stay 0.
 class DesensitizationTe final : public TeScheme {
  public:
-  struct Options {
-    /// Uniform path-sensitivity bound (Appendix C "Original" uses 2/3 with
-    /// capacities normalized to min 1).
-    double sensitivity_bound = 2.0 / 3.0;
-    /// Peak window length for the anticipated matrix.
-    std::size_t peak_window = 12;
-    /// LP solver settings.
-    lp::SolverOptions solver;
-  };
-
-  explicit DesensitizationTe(const PathSet& ps);
-  DesensitizationTe(const PathSet& ps, const Options& opt);
-  std::string name() const override { return "DesTE"; }
-  void fit(const traffic::TrafficTrace&) override {}
+  explicit DesensitizationTe(
+      const PathSet& ps, const DesensitizationOptions& opt = {},
+      std::string name = "DesTE",
+      std::unique_ptr<traffic::Predictor> predictor = nullptr,
+      std::vector<bool> alive = {});
+  std::string name() const override { return name_; }
+  /// Freezes a variance-rank F on the training trace; a no-op when F is
+  /// uniform.
+  void fit(const traffic::TrafficTrace& train) override;
   TeConfig advise(std::span<const traffic::DemandMatrix> history) override;
-  std::size_t history_window() const override { return opt_.peak_window; }
+  std::size_t history_window() const override { return opt_.window; }
+
+  /// The per-pair bounds F (empty until fit() for a variance-rank F).
+  const std::vector<double>& pair_bounds() const noexcept { return f_; }
 
  private:
-  const PathSet* ps_;
-  Options opt_;
-  std::vector<double> caps_;
-  lp::WarmStart warm_;
-};
+  const std::vector<bool>* alive_mask() const noexcept {
+    return alive_.empty() ? nullptr : &alive_;
+  }
 
-/// Fault-aware Desensitization TE (§5.3 "FA Des TE"): identical to
-/// DesensitizationTe but told *in advance* which paths will survive, so it
-/// optimizes only over live paths instead of rerouting after the fact.
-class FaultAwareDesTe final : public TeScheme {
- public:
-  FaultAwareDesTe(const PathSet& ps, std::vector<bool> alive);
-  FaultAwareDesTe(const PathSet& ps, std::vector<bool> alive,
-                  const DesensitizationTe::Options& opt);
-  std::string name() const override { return "FA-DesTE"; }
-  void fit(const traffic::TrafficTrace&) override {}
-  TeConfig advise(std::span<const traffic::DemandMatrix> history) override;
-  std::size_t history_window() const override { return opt_.peak_window; }
-
- private:
   const PathSet* ps_;
-  DesensitizationTe::Options opt_;
+  DesensitizationOptions opt_;
+  std::string name_;
+  std::unique_ptr<traffic::Predictor> predictor_;
   std::vector<bool> alive_;
+  std::vector<double> f_;
   std::vector<double> caps_;
-  lp::WarmStart warm_;
+  lp::WarmStart warm_;  // consecutive advise() solves share structure
 };
+
+/// Demand-prediction-based TE [2,23,24] ("PredTE"): the uncapped LP on the
+/// previous snapshot.
+DesensitizationTe prediction_te(const PathSet& ps);
 
 }  // namespace figret::te

@@ -54,7 +54,7 @@ TEST(RegretAdversary, EveryCandidateIsHoseFeasible) {
   AdversaryOptions opt = small_options();
   opt.record_candidates = true;
   RegretAdversary adv(ps, opt);
-  te::PredictionTe victim(ps);
+  te::DesensitizationTe victim = te::prediction_te(ps);
   const auto hist = history_for(ps, 4);
   const AdversaryResult res = adv.attack(victim, hist);
   ASSERT_EQ(res.candidates.size(), res.search.size());
@@ -71,7 +71,7 @@ TEST(RegretAdversary, EveryCandidateIsHoseFeasible) {
 TEST(RegretAdversary, BestSoFarRegretIsMonotonePerStep) {
   const te::PathSet ps = mesh_pathset(4);
   RegretAdversary adv(ps, small_options());
-  te::PredictionTe victim(ps);
+  te::DesensitizationTe victim = te::prediction_te(ps);
   const auto hist = history_for(ps, 4);
   const AdversaryResult res = adv.attack(victim, hist);
   ASSERT_FALSE(res.search.empty());
@@ -104,7 +104,8 @@ TEST(RegretAdversary, IdenticalSeedsGiveBitIdenticalSearchTraces) {
   const auto hist = history_for(ps, 4);
   const auto run = [&] {
     RegretAdversary adv(ps, small_options());
-    te::PredictionTe victim(ps);  // fresh victim: no warm-start carry-over
+    // Fresh victim: no warm-start carry-over.
+    te::DesensitizationTe victim = te::prediction_te(ps);
     return adv.attack(victim, hist);
   };
   const AdversaryResult a = run();
@@ -128,7 +129,7 @@ TEST(RegretAdversary, ProjectionIsRegretNeutral) {
   // and denominator are linear in D.
   const te::PathSet ps = mesh_pathset(4);
   RegretAdversary adv(ps, small_options());
-  te::PredictionTe victim(ps);
+  te::DesensitizationTe victim = te::prediction_te(ps);
   const auto hist = history_for(ps, 4);
   // An infeasible demand: far above the hose bounds.
   DemandMatrix big = hist.back();
@@ -155,7 +156,7 @@ TEST(RegretAdversary, ExtraSeedsAreConsideredAtStepZero) {
   opt.steps = 1;
   opt.record_candidates = true;
   RegretAdversary adv(ps, opt);
-  te::PredictionTe victim(ps);
+  te::DesensitizationTe victim = te::prediction_te(ps);
   const auto hist = history_for(ps, 4);
   const std::vector<DemandMatrix> seeds = {hist.front()};
   const AdversaryResult res = adv.attack(victim, hist, seeds);
@@ -191,7 +192,7 @@ TEST(RegretAdversary, BudgetBoundsCandidateEvaluations) {
   opt.steps = 3;
   opt.iterations = 9;
   RegretAdversary adv(ps, opt);
-  te::PredictionTe victim(ps);
+  te::DesensitizationTe victim = te::prediction_te(ps);
   const auto hist = history_for(ps, 4);
   const AdversaryResult res = adv.attack(victim, hist);
   EXPECT_EQ(res.search.size(), opt.steps * opt.iterations);

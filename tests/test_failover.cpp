@@ -85,6 +85,13 @@ TEST(Reroute, PreservesValidityForSurvivingPairs) {
   }
 }
 
+TEST(SampleSafeFailures, RejectsCountAboveEdgeCount) {
+  // full_mesh(3) has 6 arcs: asking for 7 distinct ones used to spin forever.
+  const PathSet ps = mesh_pathset(3);
+  ASSERT_EQ(ps.num_edges(), 6u);
+  EXPECT_THROW(sample_safe_failures(ps, 7, 1), std::invalid_argument);
+}
+
 TEST(Reroute, DisconnectedPairGetsZeroRatios) {
   // A 2-node network with a single bidirectional link: failing 0->1 leaves
   // pair (0,1) with no path at all.

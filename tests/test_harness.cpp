@@ -75,7 +75,7 @@ TEST(Harness, NormalizedMluNeverBelowOne) {
   // >= 1 (up to LP tolerance) — the invariant behind Fig 5's y-axis.
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const SchemeEval ev = h.evaluate(pred);
   EXPECT_EQ(ev.name, "PredTE");
   ASSERT_EQ(ev.normalized.size(), h.eval_indices().size());
@@ -86,7 +86,7 @@ TEST(Harness, NormalizedMluNeverBelowOne) {
 TEST(Harness, SevereCongestionCounter) {
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const SchemeEval ev = h.evaluate(pred);
   std::size_t expected = 0;
   for (double v : ev.normalized)
@@ -106,7 +106,7 @@ TEST(Harness, FailureEvaluationUsesFaultAwareOracle) {
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
   const auto failed = sample_safe_failures(ps, 1, 3);
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const SchemeEval ev = h.evaluate_under_failures(pred, failed);
   for (double v : ev.normalized) EXPECT_GE(v, 1.0 - 1e-6);
 }
@@ -114,7 +114,7 @@ TEST(Harness, FailureEvaluationUsesFaultAwareOracle) {
 TEST(Harness, StatsSummarizeNormalizedSeries) {
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const SchemeEval ev = h.evaluate(pred);
   const util::BoxStats s = ev.stats();
   EXPECT_LE(s.min, s.median);
@@ -145,7 +145,8 @@ TEST(Harness, ParallelEvaluationBitIdenticalToSerial) {
   for (std::size_t i = 0; i < omni_s.size(); ++i)
     EXPECT_EQ(omni_s[i], omni_p[i]) << "omniscient slot " << i;
 
-  PredictionTe pred_s(ps), pred_p(ps);
+  DesensitizationTe pred_s = prediction_te(ps);
+  DesensitizationTe pred_p = prediction_te(ps);
   const SchemeEval ev_s = serial.evaluate(pred_s);
   const SchemeEval ev_p = parallel.evaluate(pred_p);
   ASSERT_EQ(ev_s.normalized.size(), ev_p.normalized.size());
@@ -155,16 +156,16 @@ TEST(Harness, ParallelEvaluationBitIdenticalToSerial) {
   }
   EXPECT_EQ(ev_s.severe_congestion, ev_p.severe_congestion);
 
-  // Scoring is the plain per-snapshot MLU of the advised config. PredictionTe
+  // Scoring is the plain per-snapshot MLU of the advised config. PredTE
   // chains LP warm starts across advise() calls, so a reference instance
   // that advises the same windows in the same order reproduces the configs.
   const auto& idx = serial.eval_indices();
-  const auto advised = [&](PredictionTe& scheme, std::size_t t) {
+  const auto advised = [&](DesensitizationTe& scheme, std::size_t t) {
     const std::size_t window = scheme.history_window();
     return scheme.advise(std::span<const traffic::DemandMatrix>(
         trace.snapshots.data() + (t - window), window));
   };
-  PredictionTe pred_ref(ps);
+  DesensitizationTe pred_ref = prediction_te(ps);
   for (std::size_t i = 0; i < idx.size(); ++i)
     EXPECT_EQ(ev_p.raw_mlu[i],
               mlu(ps, trace[idx[i]], advised(pred_ref, idx[i])))
@@ -235,13 +236,14 @@ TEST(Harness, EvaluateAllMatchesIndividualEvaluates) {
   opt.max_window = 12;
   Harness h(ps, trace, opt);
 
-  PredictionTe a(ps), b(ps);
+  DesensitizationTe a = prediction_te(ps);
+  DesensitizationTe b = prediction_te(ps);
   DesensitizationTe c(ps);
   std::vector<TeScheme*> schemes{&a, &b, &c};
   const std::vector<SchemeEval> all = h.evaluate_all(schemes);
   ASSERT_EQ(all.size(), 3u);
 
-  PredictionTe ref_a(ps);
+  DesensitizationTe ref_a = prediction_te(ps);
   DesensitizationTe ref_c(ps);
   const SchemeEval ea = h.evaluate(ref_a);
   const SchemeEval ec = h.evaluate(ref_c);
@@ -317,14 +319,14 @@ TEST(Harness, ConcurrentEvaluatesMatchSerial) {
 
   // Serial reference.
   Harness ref(ps, trace, opt);
-  PredictionTe ref_pred(ps);
+  DesensitizationTe ref_pred = prediction_te(ps);
   DesensitizationTe ref_des(ps);
   const SchemeEval want_pred = ref.evaluate(ref_pred);
   const SchemeEval want_des = ref.evaluate(ref_des);
 
   for (int round = 0; round < 3; ++round) {
     Harness h(ps, trace, opt);  // fresh: omniscient materializes under race
-    PredictionTe pred(ps);
+    DesensitizationTe pred = prediction_te(ps);
     DesensitizationTe des(ps);
     SchemeEval got_pred, got_des;
     std::thread t1([&] { got_pred = h.evaluate(pred); });
@@ -348,8 +350,8 @@ TEST(Harness, ConcurrentEvaluatesMatchSerial) {
 TEST(Harness, WindowTooLargeThrows) {
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
-  DesensitizationTe::Options opt;
-  opt.peak_window = 50;  // exceeds max_window = 12
+  DesensitizationOptions opt;
+  opt.window = 50;  // exceeds max_window = 12
   DesensitizationTe des(ps, opt);
   EXPECT_THROW(h.evaluate(des), std::invalid_argument);
 }

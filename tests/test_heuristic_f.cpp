@@ -1,4 +1,6 @@
-#include "te/heuristic_f.h"
+// The Appendix C heuristic-F configurations of DesensitizationTe: per-pair
+// sensitivity bounds set by training-variance rank.
+#include "te/lp_schemes.h"
 
 #include <gtest/gtest.h>
 
@@ -24,11 +26,11 @@ traffic::TrafficTrace bursty_trace(std::size_t n, std::size_t len) {
 
 TEST(HeuristicF, LinearBoundsDecreaseWithVarianceRank) {
   const PathSet ps = mesh_pathset(5);
-  HeuristicFOptions opt;
+  DesensitizationOptions opt;
   opt.shape = FShape::kLinear;
   opt.max_bound = 0.8;
   opt.min_bound = 0.3;
-  HeuristicFTe scheme(ps, opt);
+  DesensitizationTe scheme(ps, opt, "HeurF");
   const auto trace = bursty_trace(5, 200);
   scheme.fit(trace);
 
@@ -46,12 +48,12 @@ TEST(HeuristicF, LinearBoundsDecreaseWithVarianceRank) {
 
 TEST(HeuristicF, PiecewiseBreakpointSplitsBounds) {
   const PathSet ps = mesh_pathset(5);
-  HeuristicFOptions opt;
+  DesensitizationOptions opt;
   opt.shape = FShape::kPiecewise;
   opt.max_bound = 0.8;
   opt.min_bound = 0.4;
   opt.breakpoint = 0.75;
-  HeuristicFTe scheme(ps, opt);
+  DesensitizationTe scheme(ps, opt, "HeurF");
   scheme.fit(bursty_trace(5, 200));
   const auto& f = scheme.pair_bounds();
   std::size_t lenient = 0, strict = 0;
@@ -71,11 +73,11 @@ TEST(HeuristicF, PiecewiseBreakpointSplitsBounds) {
 
 TEST(HeuristicF, AdviseRespectsPerPairBounds) {
   const PathSet ps = mesh_pathset(4);
-  HeuristicFOptions opt;
+  DesensitizationOptions opt;
   opt.shape = FShape::kLinear;
   opt.max_bound = 0.7;
   opt.min_bound = 0.4;
-  HeuristicFTe scheme(ps, opt);
+  DesensitizationTe scheme(ps, opt, "HeurF");
   const auto trace = bursty_trace(4, 150);
   scheme.fit(trace);
   std::vector<traffic::DemandMatrix> history(trace.snapshots.end() - 3,
@@ -98,18 +100,18 @@ TEST(HeuristicF, RelaxedBoundsImproveNormalCase) {
   std::vector<traffic::DemandMatrix> history(trace.snapshots.end() - 5,
                                              trace.snapshots.end());
 
-  HeuristicFOptions strict;
+  DesensitizationOptions strict;
   strict.shape = FShape::kLinear;
   strict.max_bound = 0.5;
   strict.min_bound = 0.4;
-  HeuristicFTe strict_scheme(ps, strict);
+  DesensitizationTe strict_scheme(ps, strict, "HeurF");
   strict_scheme.fit(trace);
 
-  HeuristicFOptions relaxed;
+  DesensitizationOptions relaxed;
   relaxed.shape = FShape::kLinear;
   relaxed.max_bound = 0.95;
   relaxed.min_bound = 0.4;
-  HeuristicFTe relaxed_scheme(ps, relaxed);
+  DesensitizationTe relaxed_scheme(ps, relaxed, "HeurF");
   relaxed_scheme.fit(trace);
 
   // Compare on a typical (training-tail mean) demand.
@@ -126,17 +128,19 @@ TEST(HeuristicF, RelaxedBoundsImproveNormalCase) {
 
 TEST(HeuristicF, FitRequiredBeforeAdvise) {
   const PathSet ps = mesh_pathset(4);
-  HeuristicFTe scheme(ps);
+  DesensitizationOptions opt;
+  opt.min_bound = 1.0 / 3.0;  // rank-dependent F is frozen by fit()
+  DesensitizationTe scheme(ps, opt, "HeurF");
   std::vector<traffic::DemandMatrix> history(1, traffic::DemandMatrix(4, 1.0));
   EXPECT_THROW(scheme.advise(history), std::logic_error);
 }
 
 TEST(HeuristicF, RejectsInvertedBounds) {
   const PathSet ps = mesh_pathset(4);
-  HeuristicFOptions opt;
+  DesensitizationOptions opt;
   opt.min_bound = 0.9;
   opt.max_bound = 0.3;
-  EXPECT_THROW(HeuristicFTe(ps, opt), std::invalid_argument);
+  EXPECT_THROW(DesensitizationTe(ps, opt), std::invalid_argument);
 }
 
 }  // namespace

@@ -55,9 +55,9 @@ TEST(Integration, MeshDcPipelineOrderings) {
   FigretScheme dote(pipe.ps, dote_options(small_figret()), "DOTE");
   const SchemeEval ev_dote = pipe.harness.evaluate(dote);
 
-  DesensitizationTe::Options des_opt;
-  des_opt.sensitivity_bound = 0.45;
-  des_opt.peak_window = 8;
+  DesensitizationOptions des_opt;
+  des_opt.max_bound = des_opt.min_bound = 0.45;
+  des_opt.window = 8;
   DesensitizationTe des(pipe.ps, des_opt);
   const SchemeEval ev_des = pipe.harness.evaluate(des);
 
@@ -73,14 +73,14 @@ TEST(Integration, GeantWanPipeline) {
   // GEANT with WAN-like traffic, LP schemes subsampled via stride.
   Pipeline pipe(net::geant(), traffic::wan_trace(23, 60, 37), 5);
 
-  PredictionTe pred(pipe.ps);
+  DesensitizationTe pred = prediction_te(pipe.ps);
   const SchemeEval ev_pred = pipe.harness.evaluate(pred);
   for (double v : ev_pred.normalized) EXPECT_GE(v, 1.0 - 1e-6);
 
   // Desensitization with the paper's 2/3 bound stays feasible on GEANT's
   // heterogeneous capacities.
-  DesensitizationTe::Options des_opt;
-  des_opt.peak_window = 8;
+  DesensitizationOptions des_opt;
+  des_opt.window = 8;
   DesensitizationTe des(pipe.ps, des_opt);
   const SchemeEval ev_des = pipe.harness.evaluate(des);
   for (double v : ev_des.normalized) EXPECT_GE(v, 1.0 - 1e-6);
@@ -98,7 +98,7 @@ TEST(Integration, RackePathsPipeline) {
   hopt.max_window = 12;
   Harness harness(ps, traffic::wan_trace(23, 60, 41), hopt);
 
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const SchemeEval ev = harness.evaluate(pred);
   for (double v : ev.normalized) EXPECT_GE(v, 1.0 - 1e-6);
 }
@@ -112,7 +112,7 @@ TEST(Integration, FailureProtocolEndToEnd) {
       pipe.harness.evaluate_under_failures(figret, failed);
 
   const auto alive = surviving_paths(pipe.ps, failed);
-  FaultAwareDesTe fa_des(pipe.ps, alive);
+  DesensitizationTe fa_des(pipe.ps, {}, "FA-DesTE", nullptr, alive);
   const SchemeEval ev_fa =
       pipe.harness.evaluate_under_failures(fa_des, failed);
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+
+#include "net/fabric.h"
 #include "net/topology.h"
 #include "net/yen.h"
+#include "te/failover.h"
 #include "te/mlu.h"
 #include "traffic/generators.h"
 #include "util/rng.h"
@@ -134,6 +140,38 @@ TEST(SensitivityCaps, VacuousForFatPaths) {
   }
 }
 
+TEST(SensitivityCaps, RejectsBoundsThatDisableHedging) {
+  // F = 0 or NaN used to give every cap 1.0 (0 * inf is NaN and
+  // std::min(1.0, NaN) is 1.0), and F = -0.5 the same caps as F = 1/3.
+  const PathSet ps = mesh_pathset(4);
+  for (double f : {0.0, -0.5, std::nan("")})
+    EXPECT_THROW(
+        sensitivity_caps(ps, std::vector<double>(ps.num_pairs(), f)),
+        std::invalid_argument)
+        << "F = " << f;
+  // +inf stays allowed: no cap, every entry exactly 1.
+  const auto caps = sensitivity_caps(
+      ps, std::vector<double>(ps.num_pairs(),
+                              std::numeric_limits<double>::infinity()));
+  for (double c : caps) EXPECT_EQ(c, 1.0);
+}
+
+TEST(SensitivityCaps, AliveMaskRelaxesOverLivePathsOnly) {
+  const PathSet ps = mesh_pathset(4);  // 3 paths/pair, capacity 1
+  std::vector<bool> alive(ps.num_paths(), true);
+  for (std::size_t p = ps.pair_begin(0); p < ps.pair_end(0); ++p)
+    alive[p] = false;                // pair 0: no live path
+  alive[ps.pair_begin(1)] = false;   // pair 1: two live paths
+  const auto caps = sensitivity_caps(
+      ps, std::vector<double>(ps.num_pairs(), 0.01), &alive);
+  for (std::size_t p = ps.pair_begin(0); p < ps.pair_end(0); ++p)
+    EXPECT_DOUBLE_EQ(caps[p], 0.01);  // not relaxed
+  double live_sum = 0.0;
+  for (std::size_t p = ps.pair_begin(1); p < ps.pair_end(1); ++p)
+    if (alive[p]) live_sum += caps[p];
+  EXPECT_GE(live_sum, 1.0);
+}
+
 TEST(MluLp, AliveMaskExcludesDeadPaths) {
   const PathSet ps = mesh_pathset(4);
   std::vector<bool> alive(ps.num_paths(), true);
@@ -151,7 +189,7 @@ TEST(MluLp, AliveMaskExcludesDeadPaths) {
 
 TEST(PredictionTe, OptimalForPreviousDemand) {
   const PathSet ps = triangle_pathset();
-  PredictionTe scheme(ps);
+  DesensitizationTe scheme = prediction_te(ps);
   scheme.fit({});
   const std::vector<traffic::DemandMatrix> history{fig3_demand(1, 1, 1)};
   const TeConfig cfg = scheme.advise(history);
@@ -163,7 +201,7 @@ TEST(PredictionTe, VulnerableToBursts) {
   // Configured for (1,1,1) but hit by a burst: prediction-based TE gets the
   // full 2.0 penalty (Fig 3 scheme 1's burst behaviour).
   const PathSet ps = triangle_pathset();
-  PredictionTe scheme(ps);
+  DesensitizationTe scheme = prediction_te(ps);
   const std::vector<traffic::DemandMatrix> history{fig3_demand(1, 1, 1)};
   const TeConfig cfg = scheme.advise(history);
   EXPECT_NEAR(mlu(ps, fig3_demand(4, 1, 1), cfg), 2.0, 1e-6);
@@ -171,8 +209,8 @@ TEST(PredictionTe, VulnerableToBursts) {
 
 TEST(DesensitizationTe, BoundsSensitivityOnUnitMesh) {
   const PathSet ps = mesh_pathset(4);
-  DesensitizationTe::Options opt;
-  opt.sensitivity_bound = 0.5;
+  DesensitizationOptions opt;
+  opt.max_bound = opt.min_bound = 0.5;
   DesensitizationTe scheme(ps, opt);
   std::vector<traffic::DemandMatrix> history(3, traffic::DemandMatrix(4, 0.2));
   const TeConfig cfg = scheme.advise(history);
@@ -186,10 +224,10 @@ TEST(DesensitizationTe, MoreRobustLessOptimalThanPred) {
   // its normal-case MLU is worse than Pred TE's 0.5, but its burst-case MLU
   // is better than Pred TE's 2.0 — the §2.1 trade-off.
   const PathSet ps = triangle_pathset();
-  DesensitizationTe::Options opt;
-  opt.sensitivity_bound = 0.25;  // with C_p = 2: r_p <= 0.5 on every path
+  DesensitizationOptions opt;
+  opt.max_bound = opt.min_bound = 0.25;  // C_p = 2: r_p <= 0.5 on every path
   DesensitizationTe des(ps, opt);
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   const std::vector<traffic::DemandMatrix> history{fig3_demand(1, 1, 1)};
   const TeConfig des_cfg = des.advise(history);
   const TeConfig pred_cfg = pred.advise(history);
@@ -220,7 +258,7 @@ TEST(FaultAwareDesTe, NeverUsesDeadPaths) {
   std::vector<bool> alive(ps.num_paths(), true);
   alive[ps.pair_begin(2)] = false;
   alive[ps.pair_begin(5) + 1] = false;
-  FaultAwareDesTe scheme(ps, alive);
+  DesensitizationTe scheme(ps, {}, "FA-DesTE", nullptr, alive);
   std::vector<traffic::DemandMatrix> history(2, traffic::DemandMatrix(4, 0.3));
   const TeConfig cfg = scheme.advise(history);
   for (std::size_t pid = 0; pid < ps.num_paths(); ++pid)
@@ -233,9 +271,151 @@ TEST(FaultAwareDesTe, NeverUsesDeadPaths) {
   }
 }
 
+TEST(DesensitizationTe, RejectsBadOptions) {
+  const PathSet ps = mesh_pathset(4);
+  for (double f : {0.0, -0.5, std::nan("")}) {
+    DesensitizationOptions uniform;
+    uniform.max_bound = uniform.min_bound = f;
+    EXPECT_THROW(DesensitizationTe(ps, uniform), std::invalid_argument);
+    DesensitizationOptions low;
+    low.min_bound = f;
+    EXPECT_THROW(DesensitizationTe(ps, low), std::invalid_argument);
+  }
+  DesensitizationOptions no_window;
+  no_window.window = 0;
+  EXPECT_THROW(DesensitizationTe(ps, no_window), std::invalid_argument);
+  EXPECT_THROW(DesensitizationTe(ps, {}, "FA-DesTE", nullptr,
+                                 std::vector<bool>(ps.num_paths() + 1, true)),
+               std::invalid_argument);
+}
+
+// Each configuration must be exactly the capped LP it names: over a warm
+// chain on a sparse fat-tree trace, advise() is compared bitwise against a
+// hand-built solve_mlu_lp chain on the same anticipated demands.
+class CappedLpChain : public ::testing::Test {
+ protected:
+  using Anticipate = std::function<traffic::DemandMatrix(
+      std::span<const traffic::DemandMatrix>)>;
+
+  static constexpr std::size_t kSteps = 12;
+
+  void expect_chain(DesensitizationTe& scheme, const Anticipate& anticipate,
+                    const std::vector<double>* caps,
+                    const std::vector<bool>* alive = nullptr) {
+    lp::WarmStart warm;
+    const std::size_t w = scheme.history_window();
+    for (std::size_t t = w; t < w + kSteps; ++t) {
+      const std::span<const traffic::DemandMatrix> hist(
+          trace_.snapshots.data() + (t - w), w);
+      const TeConfig got = scheme.advise(hist);
+      MluLpResult ref =
+          solve_mlu_lp(ps_, anticipate(hist), caps, alive, nullptr, &warm);
+      ASSERT_TRUE(ref.optimal());
+      const TeConfig want = alive ? normalize_live(std::move(ref.config))
+                                  : normalize_config(ps_, ref.config);
+      ASSERT_EQ(got, want) << scheme.name() << " at t = " << t;
+    }
+  }
+
+  // Per-pair normalization over the LP's own (live-path) support.
+  TeConfig normalize_live(TeConfig cfg) const {
+    for (std::size_t pr = 0; pr < ps_.num_pairs(); ++pr) {
+      double sum = 0.0;
+      for (std::size_t p = ps_.pair_begin(pr); p < ps_.pair_end(pr); ++p)
+        sum += cfg[p];
+      if (sum > 1e-12)
+        for (std::size_t p = ps_.pair_begin(pr); p < ps_.pair_end(pr); ++p)
+          cfg[p] /= sum;
+    }
+    return cfg;
+  }
+
+  std::vector<double> uniform_caps(double f,
+                                   const std::vector<bool>* alive = nullptr) {
+    return sensitivity_caps(ps_, std::vector<double>(ps_.num_pairs(), f),
+                            alive);
+  }
+
+  const net::FatTree ft_ = net::fat_tree(4);
+  const PathSet ps_ = PathSet::build(ft_.graph, net::fat_tree_paths(ft_, 4));
+  const traffic::TrafficTrace trace_ = traffic::fabric_trace(
+      ft_.graph.num_nodes(), 40, 5, {.active_fraction = 0.05});
+};
+
+TEST_F(CappedLpChain, PredictionTeIsTheUncappedLpOnTheLastSnapshot) {
+  ASSERT_TRUE(trace_[0].is_sparse());
+  DesensitizationTe pred = prediction_te(ps_);
+  EXPECT_EQ(pred.name(), "PredTE");
+  EXPECT_EQ(pred.history_window(), 1u);
+  expect_chain(
+      pred,
+      [](std::span<const traffic::DemandMatrix> h) { return h.back(); },
+      nullptr);
+}
+
+TEST_F(CappedLpChain, DesTeIsTheUniformlyCappedLpOnTheWindowPeak) {
+  // A loose bound leaves the LP room to follow the anticipated demand (at
+  // F = 0.5 the caps alone fix most splits on this fabric).
+  DesensitizationOptions opt;
+  opt.max_bound = opt.min_bound = 0.8;
+  opt.window = 4;
+  DesensitizationTe des(ps_, opt);
+  traffic::PeakPredictor peak;
+  const auto caps = uniform_caps(0.8);
+  expect_chain(
+      des,
+      [&](std::span<const traffic::DemandMatrix> h) {
+        return peak.predict(h);
+      },
+      &caps);
+}
+
+TEST_F(CappedLpChain, FaultAwareDesTeLeavesDisconnectedPairsAtZero) {
+  // Failing both uplinks of edge switch 0 disconnects every pair it sources.
+  const net::NodeId tor = ft_.edge_sw(0, 0);
+  const std::vector<net::EdgeId> failed{
+      ft_.graph.find_edge(tor, ft_.agg_sw(0, 0)),
+      ft_.graph.find_edge(tor, ft_.agg_sw(0, 1))};
+  const std::vector<bool> alive = surviving_paths(ps_, failed);
+  DesensitizationOptions opt;
+  opt.window = 4;
+  DesensitizationTe fa(ps_, opt, "FA-DesTE", nullptr, alive);
+  traffic::PeakPredictor peak;
+  const auto caps = uniform_caps(opt.max_bound, &alive);
+  expect_chain(
+      fa,
+      [&](std::span<const traffic::DemandMatrix> h) {
+        return peak.predict(h);
+      },
+      &caps, &alive);
+
+  const std::span<const traffic::DemandMatrix> hist(trace_.snapshots.data(),
+                                                    opt.window);
+  const TeConfig cfg = fa.advise(hist);
+  std::size_t disconnected = 0;
+  for (std::size_t pr = 0; pr < ps_.num_pairs(); ++pr) {
+    bool live = false;
+    double sum = 0.0;
+    for (std::size_t p = ps_.pair_begin(pr); p < ps_.pair_end(pr); ++p) {
+      live = live || alive[p];
+      if (!alive[p]) {
+        EXPECT_EQ(cfg[p], 0.0);
+      }
+      sum += cfg[p];
+    }
+    if (live) {
+      EXPECT_NEAR(sum, 1.0, 1e-9);
+    } else {
+      ++disconnected;
+      EXPECT_EQ(sum, 0.0);
+    }
+  }
+  EXPECT_GT(disconnected, 0u);
+}
+
 TEST(Schemes, ThrowOnEmptyHistory) {
   const PathSet ps = triangle_pathset();
-  PredictionTe pred(ps);
+  DesensitizationTe pred = prediction_te(ps);
   DesensitizationTe des(ps);
   EXPECT_THROW(pred.advise({}), std::invalid_argument);
   EXPECT_THROW(des.advise({}), std::invalid_argument);

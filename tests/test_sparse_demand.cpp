@@ -161,7 +161,7 @@ TEST_F(SparseEdgeLoads, LpSchemesAdviseOnSparseHistory) {
   for (int t = 0; t < 4; ++t)
     history.push_back(fuzz_demand(rng, 0.1).sparsified());
 
-  te::PredictionTe pred(ps_);
+  te::DesensitizationTe pred = te::prediction_te(ps_);
   const auto cfg_pred = pred.advise(history);
   EXPECT_TRUE(te::valid_config(ps_, cfg_pred));
 
@@ -172,7 +172,7 @@ TEST_F(SparseEdgeLoads, LpSchemesAdviseOnSparseHistory) {
   // Dense history gives the same configs (representation must not matter).
   std::vector<DemandMatrix> dense_history;
   for (const auto& dm : history) dense_history.push_back(dm.densified());
-  te::PredictionTe pred2(ps_);
+  te::DesensitizationTe pred2 = te::prediction_te(ps_);
   te::DesensitizationTe des2(ps_);
   const auto cfg_pred2 = pred2.advise(dense_history);
   const auto cfg_des2 = des2.advise(dense_history);

@@ -1,4 +1,6 @@
-#include "te/two_stage.h"
+// The two-stage configuration of DesensitizationTe (paper §4.2.1): an
+// explicit predictor's point forecast under a linear variance-rank F.
+#include "te/lp_schemes.h"
 
 #include <gtest/gtest.h>
 
@@ -17,59 +19,61 @@ PathSet mesh_pathset(std::size_t n) {
   return PathSet::build(g, net::all_pairs_k_shortest(g, 3));
 }
 
-TEST(TwoStage, RejectsBadConstruction) {
-  const PathSet ps = mesh_pathset(4);
-  EXPECT_THROW(TwoStageTe(ps, nullptr), std::invalid_argument);
-  TwoStageOptions bad;
-  bad.min_bound = 0.9;
-  bad.max_bound = 0.3;
-  EXPECT_THROW(
-      TwoStageTe(ps, std::make_unique<traffic::LastValuePredictor>(), bad),
-      std::invalid_argument);
+DesensitizationTe two_stage(const PathSet& ps,
+                            std::unique_ptr<traffic::Predictor> predictor,
+                            double min_bound = 1.0 / 3.0,
+                            double max_bound = 2.0 / 3.0) {
+  DesensitizationOptions opt;
+  opt.min_bound = min_bound;
+  opt.max_bound = max_bound;
+  std::string name = "TwoStage(" + predictor->name() + ")";
+  return DesensitizationTe(ps, opt, std::move(name), std::move(predictor));
 }
 
-TEST(TwoStage, NameIncludesPredictor) {
+TEST(TwoStage, RejectsBadConstruction) {
   const PathSet ps = mesh_pathset(4);
-  TwoStageTe scheme(ps, std::make_unique<traffic::EwmaPredictor>(0.5));
-  EXPECT_EQ(scheme.name(), "TwoStage(ewma)");
+  EXPECT_THROW(
+      two_stage(ps, std::make_unique<traffic::LastValuePredictor>(), 0.9, 0.3),
+      std::invalid_argument);
 }
 
 TEST(TwoStage, FitBeforeAdviseEnforced) {
   const PathSet ps = mesh_pathset(4);
-  TwoStageTe scheme(ps, std::make_unique<traffic::LastValuePredictor>());
+  DesensitizationTe scheme =
+      two_stage(ps, std::make_unique<traffic::LastValuePredictor>());
   std::vector<traffic::DemandMatrix> h(1, traffic::DemandMatrix(4, 1.0));
   EXPECT_THROW(scheme.advise(h), std::logic_error);
 }
 
-TEST(TwoStage, ProducesValidConfigsAndRecordsPrediction) {
+TEST(TwoStage, AdvisesTheCappedLpOnThePrediction) {
   const PathSet ps = mesh_pathset(4);
-  TwoStageTe scheme(ps, std::make_unique<traffic::MovingAveragePredictor>());
+  DesensitizationTe scheme =
+      two_stage(ps, std::make_unique<traffic::MovingAveragePredictor>());
   const auto trace = traffic::dc_tor_trace(4, 120, 3);
   scheme.fit(trace.slice(0, 90));
   std::vector<traffic::DemandMatrix> h(trace.snapshots.begin() + 90,
                                        trace.snapshots.begin() + 98);
   const TeConfig cfg = scheme.advise(h);
   EXPECT_TRUE(valid_config(ps, cfg));
-  // The recorded prediction is the predictor's output on the same history.
+  // Exactly the LP of Eq. 5 on the predictor's output, under the frozen F.
   traffic::MovingAveragePredictor ref;
-  const traffic::DemandMatrix expect = ref.predict(h);
-  for (std::size_t p = 0; p < expect.size(); ++p)
-    EXPECT_DOUBLE_EQ(scheme.last_prediction()[p], expect[p]);
+  const auto caps = sensitivity_caps(ps, scheme.pair_bounds());
+  const MluLpResult lp = solve_mlu_lp(ps, ref.predict(h), &caps);
+  ASSERT_TRUE(lp.optimal());
+  EXPECT_EQ(cfg, normalize_config(ps, lp.config));
 }
 
 TEST(TwoStage, RespectsFineGrainedCaps) {
   const PathSet ps = mesh_pathset(4);
-  TwoStageOptions opt;
-  opt.max_bound = 0.7;
-  opt.min_bound = 0.4;
-  TwoStageTe scheme(ps, std::make_unique<traffic::LastValuePredictor>(), opt);
+  DesensitizationTe scheme = two_stage(
+      ps, std::make_unique<traffic::LastValuePredictor>(), 0.4, 0.7);
   const auto trace = traffic::dc_tor_trace(4, 120, 7);
   scheme.fit(trace.slice(0, 90));
   std::vector<traffic::DemandMatrix> h{trace[95]};
   const TeConfig cfg = scheme.advise(h);
   const auto sens = path_sensitivities(ps, cfg);
   // Every sensitivity obeys the loosest bound (tighter per-pair bounds are
-  // checked via the HeuristicF machinery it shares).
+  // checked by the heuristic-F suite, which runs the same F code).
   for (double s : sens) EXPECT_LE(s, 0.7 + 1e-6);
 }
 
@@ -92,8 +96,9 @@ TEST(TwoStage, EndToEndBeatsTwoStageOnBurstyTraffic) {
   FigretScheme figret(ps, fopt);
   const SchemeEval ev_e2e = harness.evaluate(figret);
 
-  TwoStageTe two_stage(ps, std::make_unique<traffic::EwmaPredictor>(0.4));
-  const SchemeEval ev_two = harness.evaluate(two_stage);
+  DesensitizationTe ewma =
+      two_stage(ps, std::make_unique<traffic::EwmaPredictor>(0.4));
+  const SchemeEval ev_two = harness.evaluate(ewma);
 
   EXPECT_LT(ev_e2e.average(), ev_two.average() * 1.05);
 }
