@@ -11,9 +11,7 @@
 // microkernels below are force-inlined so every cloned caller compiles them
 // under its own ISA; all fast kernels carry the same clone list, so on any
 // given machine they resolve to the same variant and remain bitwise
-// consistent with each other. The *_reference kernels are deliberately not
-// cloned — they are the pre-optimization baseline the differential tests and
-// benches compare against. ThreadSanitizer builds get no clones: the ifunc
+// consistent with each other. ThreadSanitizer builds get no clones: the ifunc
 // resolvers run during relocation, before the TSan runtime is up, and crash
 // the process before main.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
@@ -93,6 +91,33 @@ FIGRET_FORCE_INLINE void rank4_update(double* out, std::size_t n, double a0,
     out[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
 }
 
+// Folds n <= 4 terms v[i] * w[i][o] into the lane chains t[o], in order i =
+// 0, 1, ...: per element the same sequence of multiply-adds as n successive
+// lanes_accum steps.
+FIGRET_FORCE_INLINE void lane_terms(double* t, std::size_t width,
+                                    std::size_t n, const double* const* w,
+                                    const double* v) noexcept {
+  switch (n) {
+    case 0:
+      return;
+    case 1:
+      for (std::size_t o = 0; o < width; ++o) t[o] += v[0] * w[0][o];
+      return;
+    case 2:
+      for (std::size_t o = 0; o < width; ++o)
+        t[o] = t[o] + v[0] * w[0][o] + v[1] * w[1][o];
+      return;
+    case 3:
+      for (std::size_t o = 0; o < width; ++o)
+        t[o] = t[o] + v[0] * w[0][o] + v[1] * w[1][o] + v[2] * w[2][o];
+      return;
+    default:
+      for (std::size_t o = 0; o < width; ++o)
+        t[o] = t[o] + v[0] * w[0][o] + v[1] * w[1][o] + v[2] * w[2][o] +
+               v[3] * w[3][o];
+  }
+}
+
 FIGRET_FORCE_INLINE void rank1_update(double* out, std::size_t n, double a,
                          const double* b) noexcept {
   for (std::size_t j = 0; j < n; ++j) out[j] += a * b[j];
@@ -134,8 +159,7 @@ Matrix Matrix::matmul(const Matrix& other) const {
   Matrix out(rows_, other.cols_);
   const std::size_t n = other.cols_;
   // i-(k by 4)-j: four rows of B per sweep of the output row. No zero-skip
-  // branch — the dense path must not pay a compare per scalar (the footgun
-  // the reference kernel keeps for sparsity-heavy callers).
+  // branch — the dense path must not pay a compare per scalar.
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* arow = data_.data() + i * cols_;
     double* orow = out.data_.data() + i * n;
@@ -147,24 +171,6 @@ Matrix Matrix::matmul(const Matrix& other) const {
     }
     for (; k < cols_; ++k)
       rank1_update(orow, n, arow[k], other.data_.data() + k * n);
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_reference(const Matrix& other) const {
-  if (cols_ != other.rows_)
-    throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  // The pre-optimization i-k-j kernel, zero-skip branch included: profitable
-  // only when the left operand is mostly zeros.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + i * out.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aik * brow[j];
-    }
   }
   return out;
 }
@@ -192,23 +198,6 @@ Matrix Matrix::t_matmul(const Matrix& other) const {
     const double* brow = other.data_.data() + k * n;
     for (std::size_t i = 0; i < cols_; ++i)
       rank1_update(out.data_.data() + i * n, n, arow[i], brow);
-  }
-  return out;
-}
-
-Matrix Matrix::t_matmul_reference(const Matrix& other) const {
-  if (rows_ != other.rows_)
-    throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
-  Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    const double* arow = data_.data() + k * cols_;
-    const double* brow = other.data_.data() + k * other.cols_;
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = out.data_.data() + i * out.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aki * brow[j];
-    }
   }
   return out;
 }
@@ -263,22 +252,6 @@ Matrix Matrix::matmul_t(const Matrix& other) const {
           out.data_[i * oc + j] =
               dot_lanes(data_.data() + i * cols_, brow, cols_);
       }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_t_reference(const Matrix& other) const {
-  if (cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
-  Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* arow = data_.data() + i * cols_;
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      const double* brow = other.data_.data() + j * other.cols_;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) acc += arow[k] * brow[k];
-      out(i, j) = acc;
     }
   }
   return out;
@@ -342,6 +315,53 @@ void matvec_into(const Matrix& a, std::span<const double> x,
   y.resize(a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i)
     y[i] = dot_lanes(a.row(i).data(), x.data(), a.cols());
+}
+
+FIGRET_ISA_CLONES
+void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
+                        std::span<const double> value,
+                        std::vector<double>& y) {
+  const std::size_t nnz = index.size();
+  if (value.size() != nnz)
+    throw std::invalid_argument("matvec_sparse_into: index/value mismatch");
+  for (std::size_t a = 0; a < nnz; ++a)
+    if (index[a] >= at.rows() || (a > 0 && index[a] <= index[a - 1]))
+      throw std::invalid_argument(
+          "matvec_sparse_into: index not strictly ascending or out of range");
+  const std::size_t out = at.cols();
+  y.resize(out);
+  // acc[lane][o] is the lane chain of output o: active index k feeds lane
+  // k % kLanes, in ascending k — the order lanes_accum gives the dense dot,
+  // minus the zero terms. Outputs are swept in blocks so the accumulators
+  // (16 x kBlock doubles, 16 KB) stay in L1 for any width.
+  constexpr std::size_t kBlock = 128;
+  // A window of 4 * kLanes consecutive indices holds at most four per lane;
+  // each lane's terms in the window are folded in one pass over the block
+  // (the same FMA chain, one accumulator load/store per four terms).
+  constexpr std::size_t kWindow = 4 * kLanes;
+  double acc[kLanes * kBlock] = {};
+  const double* w[kLanes][4] = {};  // per lane: the window's weight rows
+  double v[kLanes][4] = {};         // and their input values
+  for (std::size_t o0 = 0; o0 < out; o0 += kBlock) {
+    const std::size_t width = std::min(kBlock, out - o0);
+    std::fill(acc, acc + kLanes * width, 0.0);
+    for (std::size_t a = 0; a < nnz;) {
+      const std::size_t end = index[a] - index[a] % kWindow + kWindow;
+      std::size_t n[kLanes] = {};
+      for (; a < nnz && index[a] < end; ++a) {
+        const std::size_t lane = index[a] % kLanes;
+        w[lane][n[lane]] = at.row(index[a]).data() + o0;
+        v[lane][n[lane]++] = value[a];
+      }
+      for (std::size_t lane = 0; lane < kLanes; ++lane)
+        lane_terms(acc + lane * width, width, n[lane], w[lane], v[lane]);
+    }
+    for (std::size_t o = 0; o < width; ++o) {
+      double c[kLanes];
+      for (std::size_t j = 0; j < kLanes; ++j) c[j] = acc[j * width + o];
+      y[o0 + o] = lanes_tree(c);
+    }
+  }
 }
 
 FIGRET_ISA_CLONES

@@ -7,11 +7,11 @@
 // cache-blocked tiled kernels with branch-free, explicitly vectorizable
 // microkernels — 16 independent accumulator chains per reduction so the
 // compiler can keep FMA pipelines full without -ffast-math reassociation.
-// Every reduction (dot, matvec, matmul_t element) sums in the *same* fixed
-// order, so the batched NN forward is bit-identical to the per-sample path.
-// The pre-optimization kernels survive as the *_reference variants: they are
-// the differential-test oracles and the bench baselines, and matmul_reference
-// keeps the zero-skip branch for sparsity-heavy callers that want it.
+// Every reduction (dot, matvec, sparse-input matvec, matmul_t element) sums
+// in the *same* fixed order, so the batched NN forward and the sparse-input
+// serving forward are bit-identical to the per-sample path. The
+// pre-optimization kernels are differential-test oracles and live with the
+// tests (tests/support/reference_kernels.h), not here.
 #pragma once
 
 #include <cstddef>
@@ -60,14 +60,6 @@ class Matrix {
   /// this * transpose(other). Requires cols() == other.cols().
   Matrix matmul_t(const Matrix& other) const;
 
-  /// Pre-optimization kernels, kept as differential oracles and as the
-  /// sparse-aware variant (matmul_reference skips zero left-operand entries,
-  /// which LP-style callers with sparse operands may prefer over the dense
-  /// tiled path).
-  Matrix matmul_reference(const Matrix& other) const;
-  Matrix t_matmul_reference(const Matrix& other) const;
-  Matrix matmul_t_reference(const Matrix& other) const;
-
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double scalar) noexcept;
@@ -95,6 +87,18 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 /// same order as dot(a.row(i), x).
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
+
+/// y = A x for a sparse x, reading only the rows of `at` = transpose(A)
+/// ([A.cols() x A.rows()]) named by the active entries: x[index[i]] =
+/// value[i], every other entry zero. `index` must be strictly ascending and
+/// below at.rows(), with value.size() == index.size() (std::invalid_argument
+/// otherwise). Each y[i] reduces in the same lane order as matvec_into on the
+/// dense x, so for finite `at` the result is bit-identical to it: an omitted
+/// zero term leaves its lane unchanged (lanes start at +0 and never become
+/// -0). Explicit zeros in `value` are allowed. Allocation-free once y has
+/// capacity.
+void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
+                        std::span<const double> value, std::vector<double>& y);
 
 /// Dot product over the common prefix of the two spans. Sixteen independent
 /// accumulator chains (lanes k%16), combined by a fixed pairwise tree — the

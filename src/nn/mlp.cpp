@@ -51,17 +51,32 @@ std::span<const double> Mlp::forward(std::span<const double> x,
                                      MlpWorkspace& ws) const {
   if (x.size() != input_size())
     throw std::invalid_argument("Mlp::forward: input size mismatch");
-  const std::size_t layers = weight_.size();
-  ws.pre.resize(layers);
-  ws.post.resize(layers);
+  ws.pre.resize(weight_.size());
+  ws.post.resize(weight_.size());
+  // Same reduction order as the batched matmul_t kernel, so forward_batch
+  // rows stay bit-identical to this path.
+  linalg::matvec_into(weight_[0], x, ws.pre[0]);
+  return finish_forward(ws);
+}
 
-  std::span<const double> in = x;
+std::span<const double> Mlp::forward_sparse(
+    std::span<const std::size_t> index, std::span<const double> value,
+    const linalg::Matrix& w0_t, MlpWorkspace& ws) const {
+  if (w0_t.rows() != input_size() || w0_t.cols() != weight_[0].rows())
+    throw std::invalid_argument("Mlp::forward_sparse: w0_t shape mismatch");
+  ws.pre.resize(weight_.size());
+  ws.post.resize(weight_.size());
+  // Same lane order as matvec_into, so the first layer is bit-identical to
+  // forward() on the dense row.
+  linalg::matvec_sparse_into(w0_t, index, value, ws.pre[0]);
+  return finish_forward(ws);
+}
+
+std::span<const double> Mlp::finish_forward(MlpWorkspace& ws) const {
+  const std::size_t layers = weight_.size();
   for (std::size_t l = 0; l < layers; ++l) {
-    const linalg::Matrix& w = weight_[l];
     auto& pre = ws.pre[l];
-    // Same reduction order as the batched matmul_t kernel, so forward_batch
-    // rows stay bit-identical to this path.
-    linalg::matvec_into(w, in, pre);
+    if (l > 0) linalg::matvec_into(weight_[l], ws.post[l - 1], pre);
     const std::vector<double>& b = bias_[l];
     for (std::size_t r = 0; r < pre.size(); ++r) pre[r] += b[r];
 
@@ -76,7 +91,6 @@ std::span<const double> Mlp::forward(std::span<const double> x,
     } else {
       post = pre;
     }
-    in = post;
   }
   return ws.post.back();
 }

@@ -60,6 +60,17 @@ class Mlp {
   std::span<const double> forward(std::span<const double> x,
                                   MlpWorkspace& ws) const;
 
+  /// Forward pass for a sparse input row: x[index[i]] = value[i], zero
+  /// elsewhere (index strictly ascending). `w0_t` must be
+  /// weights()[0].transposed(), kept by the caller so the first layer reads
+  /// only the weight rows of active inputs. Output is bit-identical to
+  /// forward() on the dense row (linalg::matvec_sparse_into); the returned
+  /// span aliases ws.post.back() like forward()'s.
+  std::span<const double> forward_sparse(std::span<const std::size_t> index,
+                                         std::span<const double> value,
+                                         const linalg::Matrix& w0_t,
+                                         MlpWorkspace& ws) const;
+
   /// Backpropagates dL/d(output) through the pass recorded in `ws`,
   /// *accumulating* into `grads` (callers zero() between minibatches).
   void backward(std::span<const double> x, const MlpWorkspace& ws,
@@ -92,6 +103,10 @@ class Mlp {
   }
 
  private:
+  /// Completes a pass whose ws.pre[0] holds W0 x (bias not yet added):
+  /// layer 0 bias and activation, then every later layer.
+  std::span<const double> finish_forward(MlpWorkspace& ws) const;
+
   MlpConfig cfg_;
   std::vector<linalg::Matrix> weight_;
   std::vector<std::vector<double>> bias_;

@@ -1,6 +1,7 @@
 #include "te/figret.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -29,32 +30,34 @@ const nn::Mlp& FigretScheme::model() const {
   return *model_;
 }
 
-std::vector<double> FigretScheme::build_input(
-    std::span<const traffic::DemandMatrix> history) const {
-  std::vector<double> x;
-  build_input_into(history, x);
-  return x;
-}
-
-void FigretScheme::build_input_into(
+void FigretScheme::gather_input(
     std::span<const traffic::DemandMatrix> history,
-    std::vector<double>& out) const {
+    std::vector<std::size_t>& index, std::vector<double>& value) const {
   const std::size_t pairs = ps_->num_pairs();
   if (history.size() < opt_.history)
     throw std::invalid_argument("FigretScheme: history shorter than window");
-  out.assign(opt_.history * pairs, 0.0);
-  // Most recent snapshot last, matching training layout.
+  index.clear();
+  value.clear();
+  // Most recent snapshot last, matching training layout; pairs ascend within
+  // a snapshot, so the indices h * pairs + p ascend overall.
   const std::size_t offset = history.size() - opt_.history;
   for (std::size_t h = 0; h < opt_.history; ++h) {
     const auto& dm = history[offset + h];
     if (dm.size() != pairs)
       throw std::invalid_argument("FigretScheme: demand size mismatch");
-    // Scatter over active pairs only — the buffer is already zero-filled, so
-    // a sparse snapshot costs O(nnz) here instead of O(n^2).
     dm.for_each_active([&](std::size_t p, double v) {
-      out[h * pairs + p] = v / input_scale_;
+      if (v == 0.0) return;
+      index.push_back(h * pairs + p);
+      value.push_back(v / input_scale_);
     });
   }
+}
+
+void FigretScheme::install_model(nn::Mlp model) {
+  model_ = std::make_unique<nn::Mlp>(std::move(model));
+  w0_t_ = model_->weights().front().transposed();
+  active_index_.reserve(model_->input_size());
+  active_value_.reserve(model_->input_size());
 }
 
 void FigretScheme::fit(const traffic::TrafficTrace& train) {
@@ -84,13 +87,13 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   mcfg.layer_sizes.push_back(ps_->num_paths());
   mcfg.output = nn::OutputActivation::kSigmoid;
   mcfg.seed = opt_.seed;
-  model_ = std::make_unique<nn::Mlp>(mcfg);
+  nn::Mlp model(mcfg);
 
   nn::AdamConfig acfg;
   acfg.learning_rate = opt_.learning_rate;
   acfg.clip_norm = opt_.clip_norm;
-  nn::Adam adam(*model_, acfg);
-  nn::MlpGradients grads = model_->make_gradients();
+  nn::Adam adam(model, acfg);
+  nn::MlpGradients grads = model.make_gradients();
 
   const LossConfig lcfg{opt_.robust_weight};
   util::Rng rng(opt_.seed ^ 0xF16A2Eu);
@@ -105,6 +108,8 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   // gradient averaging, update schedule) is unchanged from the matvec path.
   const std::size_t in_dim = opt_.history * pairs;
   std::vector<double> grad_sig;
+  std::vector<std::size_t> index;
+  std::vector<double> value;
   nn::MlpBatchWorkspace bws;
   for (std::size_t epoch = 0; epoch < opt_.epochs; ++epoch) {
     // Shuffle sample order each epoch (stochastic minibatch SGD).
@@ -118,12 +123,15 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
       linalg::Matrix x(batch, in_dim);
       for (std::size_t b = 0; b < batch; ++b) {
         const std::size_t t = samples[perm[k0 + b]];
-        const auto row = build_input(
-            {train.snapshots.data() + (t - opt_.history), opt_.history});
-        std::copy(row.begin(), row.end(), x.row(b).begin());
+        gather_input({train.snapshots.data() + (t - opt_.history),
+                      opt_.history},
+                     index, value);
+        const std::span<double> row = x.row(b);
+        for (std::size_t i = 0; i < index.size(); ++i)
+          row[index[i]] = value[i];
       }
 
-      const linalg::Matrix& sig = model_->forward_batch(x, bws);
+      const linalg::Matrix& sig = model.forward_batch(x, bws);
       linalg::Matrix dl(batch, ps_->num_paths());
       const double inv = 1.0 / static_cast<double>(opt_.batch_size);
       for (std::size_t b = 0; b < batch; ++b) {
@@ -137,11 +145,12 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
       }
 
       grads.zero();
-      model_->backward_batch(x, bws, dl, grads);
-      adam.step(*model_, grads);
+      model.backward_batch(x, bws, dl, grads);
+      adam.step(model, grads);
     }
     final_epoch_loss_ = epoch_loss / static_cast<double>(samples.size());
   }
+  install_model(std::move(model));
 }
 
 TeConfig FigretScheme::advise(
@@ -154,8 +163,9 @@ TeConfig FigretScheme::advise(
 void FigretScheme::advise_into(std::span<const traffic::DemandMatrix> history,
                                TeConfig& out) {
   if (!model_) throw std::logic_error("FigretScheme: advise() before fit()");
-  build_input_into(history, advise_input_);
-  const auto sig = model_->forward(advise_input_, ws_);
+  gather_input(history, active_index_, active_value_);
+  const auto sig =
+      model_->forward_sparse(active_index_, active_value_, w0_t_, ws_);
   ratios_from_sigmoid_into(*ps_, sig, out);
 }
 
@@ -208,6 +218,10 @@ void FigretScheme::load(std::istream& is) {
     throw std::runtime_error("FigretScheme::load: unsupported version");
   const auto history = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
   const double scale = read_pod<double>(is);
+  // A NaN, infinite or non-positive scale would turn every input into NaN
+  // (or inf) and every served split with it.
+  if (!std::isfinite(scale) || scale <= 0.0)
+    throw std::runtime_error("FigretScheme::load: invalid input scale");
   const auto n_weights = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
   if (n_weights != ps_->num_pairs())
     throw std::runtime_error(
@@ -226,7 +240,7 @@ void FigretScheme::load(std::istream& is) {
   opt_.history = history;
   input_scale_ = scale;
   pair_weights_ = std::move(weights);
-  model_ = std::make_unique<nn::Mlp>(std::move(loaded));
+  install_model(std::move(loaded));
 }
 
 void FigretScheme::load_file(const std::string& path) {

@@ -52,9 +52,11 @@ class FigretScheme final : public TeScheme {
   std::string name() const override { return name_; }
   void fit(const traffic::TrafficTrace& train) override;
   TeConfig advise(std::span<const traffic::DemandMatrix> history) override;
-  /// Serving-loop hot path: one forward pass with every buffer (input row,
-  /// MLP workspace, output ratios) reused across calls — zero allocations
-  /// once the buffers reach capacity. Bit-identical to advise().
+  /// Serving-loop hot path: one forward pass with every buffer (active
+  /// input list, MLP workspace, output ratios) reused across calls — zero
+  /// allocations once the output reaches capacity. The first layer reads
+  /// only the weight rows of nonzero inputs (nn::Mlp::forward_sparse), and
+  /// the result is bit-identical to model().forward() on the dense input.
   void advise_into(std::span<const traffic::DemandMatrix> history,
                    TeConfig& out) override;
   std::size_t history_window() const override { return opt_.history; }
@@ -66,22 +68,30 @@ class FigretScheme final : public TeScheme {
   }
   /// Mean training loss of the final epoch (monitoring / tests).
   double final_epoch_loss() const noexcept { return final_epoch_loss_; }
+  /// Global divisor applied to every demand before it enters the model.
+  double input_scale() const noexcept { return input_scale_; }
   const nn::Mlp& model() const;
 
   /// Persists the full trained state (model, input scale, pair weights) so
   /// a controller can ship without retraining (§6: retraining is rare).
   /// save() requires a fitted scheme; load() replaces the current state and
-  /// validates the checkpoint against this scheme's PathSet dimensions.
+  /// validates the checkpoint against this scheme's PathSet dimensions and
+  /// rejects a non-finite or non-positive input scale.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   void load(std::istream& is);
   void load_file(const std::string& path);
 
  private:
-  std::vector<double> build_input(
-      std::span<const traffic::DemandMatrix> history) const;
-  void build_input_into(std::span<const traffic::DemandMatrix> history,
-                        std::vector<double>& out) const;
+  /// The model input for the last history_window() snapshots as its
+  /// nonzero entries, (index, value) with index ascending: O(nnz) per
+  /// snapshot, stored zeros skipped.
+  void gather_input(std::span<const traffic::DemandMatrix> history,
+                    std::vector<std::size_t>& index,
+                    std::vector<double>& value) const;
+  /// The one place model_ is assigned: also rebuilds the transposed first
+  /// layer advise_into() reads, so the two can never disagree.
+  void install_model(nn::Mlp model);
 
   const PathSet* ps_;
   FigretOptions opt_;
@@ -90,9 +100,12 @@ class FigretScheme final : public TeScheme {
   double input_scale_ = 1.0;
   double final_epoch_loss_ = 0.0;
   std::unique_ptr<nn::Mlp> model_;
+  /// model_->weights()[0] transposed ([input x hidden]).
+  linalg::Matrix w0_t_;
   mutable nn::MlpWorkspace ws_;
-  /// advise_into() scratch (input row), reused across snapshots.
-  std::vector<double> advise_input_;
+  /// advise_into() scratch (active input list), reserved to the input width.
+  std::vector<std::size_t> active_index_;
+  std::vector<double> active_value_;
 };
 
 /// Convenience factory for the DOTE baseline.

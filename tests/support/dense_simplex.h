@@ -1,6 +1,6 @@
 // Dense-tableau reference simplex: the differential oracle for the LP test
 // battery and the cold-solve baseline column of bench_tab02_timing. It is
-// built as the figret_lp_oracle library, for tests and benches only; the
+// built as the figret_oracles library, for tests and benches only; the
 // library's own LP path is lp::solve_with (lp/revised_simplex.h).
 //
 // A two-phase primal simplex on a dense tableau with native support for

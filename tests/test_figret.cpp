@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/yen.h"
@@ -18,6 +22,53 @@ namespace {
 PathSet mesh_pathset(std::size_t n) {
   const net::Graph g = net::full_mesh(n);
   return PathSet::build(g, net::all_pairs_k_shortest(g, 3));
+}
+
+// The reference advise: the dense input row through model().forward, as the
+// scheme served before the sparse first layer.
+TeConfig dense_advise(const FigretScheme& scheme, const PathSet& ps,
+                      std::span<const traffic::DemandMatrix> history) {
+  const std::size_t pairs = ps.num_pairs();
+  const std::size_t window = scheme.history_window();
+  std::vector<double> row(window * pairs, 0.0);
+  const std::size_t offset = history.size() - window;
+  for (std::size_t h = 0; h < window; ++h)
+    history[offset + h].for_each_active([&](std::size_t p, double v) {
+      row[h * pairs + p] = v / scheme.input_scale();
+    });
+  nn::MlpWorkspace ws;
+  TeConfig out;
+  ratios_from_sigmoid_into(ps, scheme.model().forward(row, ws), out);
+  return out;
+}
+
+// advise_into must serve exactly the dense forward's ratios, on dense,
+// sparse and all-zero windows alike.
+void expect_advise_matches_dense(FigretScheme& scheme, const PathSet& ps,
+                                 const traffic::TrafficTrace& trace,
+                                 const std::string& when) {
+  const std::size_t window = scheme.history_window();
+  std::vector<std::vector<traffic::DemandMatrix>> windows;
+  for (std::size_t t = trace.size() - 6; t <= trace.size(); ++t)
+    windows.emplace_back(trace.snapshots.begin() + (t - window),
+                         trace.snapshots.begin() + t);
+  std::vector<traffic::DemandMatrix> mixed = windows.back();
+  mixed[0] = traffic::DemandMatrix(ps.num_nodes(), 0.0);
+  for (std::size_t h = 1; h < mixed.size(); h += 2)
+    mixed[h] = mixed[h].sparsified();
+  windows.push_back(std::move(mixed));
+  windows.emplace_back(window, traffic::DemandMatrix(ps.num_nodes(), 0.0));
+
+  TeConfig served;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    scheme.advise_into(windows[i], served);
+    const TeConfig want = dense_advise(scheme, ps, windows[i]);
+    ASSERT_EQ(served.size(), want.size()) << when;
+    EXPECT_EQ(std::memcmp(served.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << when << ", window " << i;
+  }
 }
 
 FigretOptions fast_options() {
@@ -250,6 +301,59 @@ TEST(Figret, LoadRejectsGarbage) {
   std::stringstream buffer;
   buffer << "not a checkpoint";
   EXPECT_THROW(scheme.load(buffer), std::runtime_error);
+}
+
+TEST(Figret, AdviseIntoMatchesDenseForwardAfterFitLoadAndRefit) {
+  // advise_into serves from a transposed copy of the first layer; a copy
+  // left stale by fit() or load() would serve another model's splits.
+  const PathSet ps = mesh_pathset(4);
+  const auto trace = traffic::dc_tor_trace(4, 60, 31);
+  FigretScheme scheme(ps, fast_options());
+  scheme.fit(trace);
+  expect_advise_matches_dense(scheme, ps, trace, "after fit");
+
+  std::stringstream buffer;
+  scheme.save(buffer);
+  FigretScheme fresh(ps, fast_options());
+  fresh.load(buffer);
+  expect_advise_matches_dense(fresh, ps, trace, "after load");
+
+  const std::span<const traffic::DemandMatrix> last{
+      trace.snapshots.data() + trace.size() - 4, 4};
+  const TeConfig first = scheme.advise(last);
+  scheme.fit(traffic::dc_tor_trace(4, 60, 37));
+  const TeConfig second = scheme.advise(last);
+  ASSERT_EQ(first.size(), second.size());
+  EXPECT_NE(std::memcmp(first.data(), second.data(),
+                        first.size() * sizeof(double)),
+            0)
+      << "refit on another trace should change the model";
+  expect_advise_matches_dense(scheme, ps, trace, "after refit");
+}
+
+TEST(Figret, LoadRejectsInvalidInputScale) {
+  const PathSet ps = mesh_pathset(4);
+  FigretScheme trained(ps, fast_options());
+  trained.fit(traffic::dc_tor_trace(4, 60, 29));
+  std::stringstream buffer;
+  trained.save(buffer);
+  const std::string checkpoint = buffer.str();
+  // Layout: magic (4 bytes), version (u32), history (u64), input scale.
+  constexpr std::size_t kScaleOffset = 4 + 4 + 8;
+  ASSERT_GT(checkpoint.size(), kScaleOffset + sizeof(double));
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0}) {
+    std::string patched = checkpoint;
+    std::memcpy(patched.data() + kScaleOffset, &bad, sizeof bad);
+    std::istringstream in(patched);
+    FigretScheme scheme(ps, fast_options());
+    EXPECT_THROW(scheme.load(in), std::runtime_error) << "scale " << bad;
+  }
+  std::istringstream intact(checkpoint);
+  FigretScheme scheme(ps, fast_options());
+  EXPECT_NO_THROW(scheme.load(intact));
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Differential tests for the tiled/SIMD linalg kernels against the
 // pre-optimization reference kernels, over random shapes including ragged
-// tiles (dimensions that are not multiples of the unroll widths).
+// tiles (dimensions that are not multiples of the unroll widths), and of the
+// sparse-input matvec against the dense matvec, bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "support/reference_kernels.h"
 #include "util/rng.h"
 
 namespace figret {
@@ -48,7 +54,7 @@ TEST(TiledKernels, MatmulMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.k, s.n, rng);
-    expect_near(a.matmul(b), a.matmul_reference(b));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
   }
 }
 
@@ -57,7 +63,7 @@ TEST(TiledKernels, TMatmulMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.k, s.m, rng);
     const auto b = random_matrix(s.k, s.n, rng);
-    expect_near(a.t_matmul(b), a.t_matmul_reference(b));
+    expect_near(a.t_matmul(b), linalg::t_matmul_reference(a, b));
   }
 }
 
@@ -66,7 +72,7 @@ TEST(TiledKernels, MatmulTMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.n, s.k, rng);
-    expect_near(a.matmul_t(b), a.matmul_t_reference(b));
+    expect_near(a.matmul_t(b), linalg::matmul_t_reference(a, b));
   }
 }
 
@@ -81,9 +87,9 @@ TEST(TiledKernels, ZeroHeavyOperandsStillMatch) {
       if (rng.bernoulli(0.7)) v = 0.0;
     for (double& v : b.flat())
       if (rng.bernoulli(0.4)) v = 0.0;
-    expect_near(a.matmul(b), a.matmul_reference(b));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
     const auto at = a.transposed();
-    expect_near(at.t_matmul(b), at.t_matmul_reference(b));
+    expect_near(at.t_matmul(b), linalg::t_matmul_reference(at, b));
   }
 }
 
@@ -114,7 +120,7 @@ TEST(TiledKernels, KTiledMatmulTMatchesSinglePassBitExactly) {
     const auto a = random_matrix(3, k, rng);
     const auto b = random_matrix(5, k, rng);
     const auto tiled = a.matmul_t(b);
-    expect_near(tiled, a.matmul_t_reference(b));
+    expect_near(tiled, linalg::matmul_t_reference(a, b));
     for (std::size_t i = 0; i < a.rows(); ++i)
       for (std::size_t j = 0; j < b.rows(); ++j)
         EXPECT_EQ(tiled(i, j), linalg::dot(a.row(i), b.row(j)))
@@ -131,11 +137,117 @@ TEST(TiledKernels, RandomizedShapesSweep) {
     const auto a = random_matrix(m, k, rng);
     const auto b = random_matrix(k, n, rng);
     const auto bt = b.transposed();
-    expect_near(a.matmul(b), a.matmul_reference(b));
-    expect_near(a.matmul_t(bt), a.matmul_t_reference(bt));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
+    expect_near(a.matmul_t(bt), linalg::matmul_t_reference(a, bt));
     const auto at = a.transposed();
-    expect_near(at.t_matmul(b), at.t_matmul_reference(b));
+    expect_near(at.t_matmul(b), linalg::t_matmul_reference(at, b));
   }
+}
+
+// --- sparse-input matvec -----------------------------------------------------
+
+struct SparseInput {
+  std::vector<std::size_t> index;
+  std::vector<double> value;
+  std::vector<double> dense;
+};
+
+// Each index is active with probability `density`; an active entry is an
+// explicit zero with probability `zero_frac`, so zeros inside the active
+// list are exercised alongside the omitted ones.
+SparseInput random_sparse(std::size_t in, double density, double zero_frac,
+                          util::Rng& rng) {
+  SparseInput x;
+  x.dense.assign(in, 0.0);
+  for (std::size_t k = 0; k < in; ++k) {
+    if (!rng.bernoulli(density)) continue;
+    const double v = rng.bernoulli(zero_frac) ? 0.0 : rng.uniform(-1.0, 1.0);
+    x.index.push_back(k);
+    x.value.push_back(v);
+    x.dense[k] = v;
+  }
+  return x;
+}
+
+// Bitwise comparison: matvec_sparse_into promises the dense kernel's exact
+// result, signed zeros included, not a value within tolerance.
+void expect_sparse_matches_dense(const linalg::Matrix& a, const SparseInput& x,
+                                 const std::string& what) {
+  std::vector<double> dense, sparse;
+  linalg::matvec_into(a, x.dense, dense);
+  linalg::matvec_sparse_into(a.transposed(), x.index, x.value, sparse);
+  ASSERT_EQ(sparse.size(), dense.size()) << what;
+  EXPECT_EQ(std::memcmp(sparse.data(), dense.data(),
+                        dense.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+TEST(SparseMatvec, BitIdenticalToMatvecAcrossDensitiesAndWidths) {
+  util::Rng rng(109);
+  for (std::size_t in : {37u, 15840u})
+    for (std::size_t out : {1u, 7u, 128u, 200u})
+      for (double density : {0.0, 0.01, 0.5, 1.0}) {
+        const auto a = random_matrix(out, in, rng);
+        const auto x = random_sparse(in, density, 0.1, rng);
+        expect_sparse_matches_dense(
+            a, x,
+            "in=" + std::to_string(in) + " out=" + std::to_string(out) +
+                " density=" + std::to_string(density));
+      }
+}
+
+TEST(SparseMatvec, EveryLaneAndWindowPosition) {
+  // Actives at k = j and k = j + 16m for every lane j, in runs that put
+  // 1..4 terms of one lane into the same 64-wide window, plus a lone index
+  // at the end of a window.
+  util::Rng rng(110);
+  const std::size_t in = 200, out = 9;
+  const auto a = random_matrix(out, in, rng);
+  for (std::size_t stride : {1u, 3u, 16u, 17u, 32u, 63u, 64u}) {
+    for (std::size_t start = 0; start < 16; ++start) {
+      SparseInput x;
+      x.dense.assign(in, 0.0);
+      for (std::size_t k = start; k < in; k += stride) {
+        const double v = rng.uniform(-1.0, 1.0);
+        x.index.push_back(k);
+        x.value.push_back(v);
+        x.dense[k] = v;
+      }
+      expect_sparse_matches_dense(a, x,
+                                  "stride=" + std::to_string(stride) +
+                                      " start=" + std::to_string(start));
+    }
+  }
+}
+
+TEST(SparseMatvec, AllExplicitZerosGivePositiveZero) {
+  util::Rng rng(111);
+  const auto a = random_matrix(5, 40, rng);
+  const auto x = random_sparse(40, 0.5, 1.0, rng);
+  ASSERT_FALSE(x.index.empty());
+  expect_sparse_matches_dense(a, x, "all zeros");
+  std::vector<double> y;
+  linalg::matvec_sparse_into(a.transposed(), x.index, x.value, y);
+  for (double v : y) EXPECT_FALSE(std::signbit(v));
+}
+
+TEST(SparseMatvec, RejectsMalformedActiveLists) {
+  const linalg::Matrix at(10, 3, 1.0);
+  std::vector<double> y;
+  const std::vector<double> two = {1.0, 2.0};
+  const std::vector<std::size_t> descending = {4, 2};
+  const std::vector<std::size_t> repeated = {4, 4};
+  const std::vector<std::size_t> out_of_range = {2, 10};
+  const std::vector<std::size_t> one = {2};
+  EXPECT_THROW(linalg::matvec_sparse_into(at, descending, two, y),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::matvec_sparse_into(at, repeated, two, y),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::matvec_sparse_into(at, out_of_range, two, y),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::matvec_sparse_into(at, one, two, y),
+               std::invalid_argument);
 }
 
 }  // namespace

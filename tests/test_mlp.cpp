@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -288,6 +290,52 @@ TEST(Mlp, ForwardBatchRejectsWrongWidth) {
   MlpBatchWorkspace bws;
   const linalg::Matrix bad(2, 5);
   EXPECT_THROW(m.forward_batch(bad, bws), std::invalid_argument);
+}
+
+TEST(Mlp, ForwardSparseMatchesForwardBitForBit) {
+  // The serving path: a wide, mostly-zero input through the transposed first
+  // layer must give forward()'s output bytes, for either output head.
+  for (const OutputActivation head :
+       {OutputActivation::kSigmoid, OutputActivation::kIdentity}) {
+    MlpConfig cfg;
+    cfg.layer_sizes = {300, 32, 32, 11};
+    cfg.output = head;
+    cfg.seed = 41;
+    const Mlp m(cfg);
+    const linalg::Matrix w0_t = m.weights()[0].transposed();
+    util::Rng rng(43);
+    MlpWorkspace dense_ws, sparse_ws;
+    for (const double density : {0.0, 0.01, 0.2, 1.0}) {
+      std::vector<double> x(m.input_size(), 0.0);
+      std::vector<std::size_t> index;
+      std::vector<double> value;
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        if (!rng.bernoulli(density)) continue;
+        x[k] = rng.uniform(0.0, 1.0);
+        index.push_back(k);
+        value.push_back(x[k]);
+      }
+      const auto dense = m.forward(x, dense_ws);
+      const auto sparse = m.forward_sparse(index, value, w0_t, sparse_ws);
+      ASSERT_EQ(sparse.size(), dense.size());
+      EXPECT_EQ(std::memcmp(sparse.data(), dense.data(),
+                            dense.size() * sizeof(double)),
+                0)
+          << "density " << density;
+    }
+  }
+}
+
+TEST(Mlp, ForwardSparseRejectsWrongTransposedShape) {
+  MlpConfig cfg;
+  cfg.layer_sizes = {6, 4, 2};
+  const Mlp m(cfg);
+  MlpWorkspace ws;
+  const std::vector<std::size_t> index = {1};
+  const std::vector<double> value = {0.5};
+  // The untransposed weights have the swapped shape.
+  EXPECT_THROW(m.forward_sparse(index, value, m.weights()[0], ws),
+               std::invalid_argument);
 }
 
 }  // namespace
