@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "te/cope.h"
 #include "te/figret.h"
 #include "te/harness.h"
 #include "te/lp_schemes.h"
@@ -65,22 +64,15 @@ void run_scenario(const std::string& name) {
   // ToR scale). A wall-clock budget substitutes for the paper's 1-day cap.
   const bool small = sc.ps.num_nodes() <= 23;
   if (small) {
-    te::ObliviousOptions oopt;
-    oopt.time_budget_seconds = bench::full_mode() ? 600.0 : 45.0;
-    te::ObliviousTe obl(sc.ps, oopt);
-    obl.fit(harness.train_trace());
-    te::SchemeEval ev = harness.evaluate_config("Oblivious", obl.advise({}));
-    if (!obl.result().converged) ev.name += " (budget hit)";
-    t.add_row(bench::eval_row(ev));
-
-    te::CopeOptions copt;
-    copt.penalty_ratio = 2.0;
-    copt.oblivious = oopt;
-    te::CopeTe cope(sc.ps, copt);
-    cope.fit(harness.train_trace());
-    te::SchemeEval cev = harness.evaluate_config("COPE", cope.advise({}));
-    if (!cope.result().converged) cev.name += " (budget hit)";
-    t.add_row(bench::eval_row(cev));
+    te::HoseRobustOptions ropt;
+    ropt.time_budget_seconds = bench::full_mode() ? 600.0 : 45.0;
+    for (const double penalty_ratio : {0.0, 2.0}) {  // Oblivious, COPE
+      ropt.penalty_ratio = penalty_ratio;
+      te::HoseRobustTe robust(sc.ps, ropt);
+      te::SchemeEval ev = harness.evaluate(robust);
+      if (!robust.result().converged) ev.name += " (budget hit)";
+      t.add_row(bench::eval_row(ev));
+    }
   }
 
   std::cout << "\n--- " << sc.name << " (" << sc.note << "; "

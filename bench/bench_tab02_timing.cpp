@@ -24,7 +24,6 @@
 
 #include "bench_common.h"
 #include "support/dense_simplex.h"
-#include "te/cope.h"
 #include "te/figret.h"
 #include "te/lp_schemes.h"
 #include "te/oblivious.h"
@@ -159,18 +158,17 @@ int main(int argc, char** argv) {
   for (auto& ts : scenarios()) {
     std::string obl_cell = "-", cope_cell = "-";
     if (ts.sc.ps.num_nodes() <= 30) {
-      te::ObliviousOptions oopt;
-      oopt.time_budget_seconds = budget;
+      te::HoseRobustOptions ropt;
+      ropt.time_budget_seconds = budget;
       const auto t0 = Clock::now();
-      const te::ObliviousResult r = te::solve_oblivious(ts.sc.ps, oopt);
+      const te::HoseRobustResult r = te::solve_hose_robust(ts.sc.ps, ropt);
       obl_cell = r.converged
                      ? "Feasible (" + util::fmt(seconds_since(t0), 1) + "s)"
                      : "Infeasible (budget)";
-      te::CopeOptions copt;
-      copt.oblivious = oopt;
+      ropt.penalty_ratio = te::kDefaultCopePenaltyRatio;
       const auto t1 = Clock::now();
-      const te::CopeResult c =
-          te::solve_cope(ts.sc.ps, ts.sc.trace.slice(0, 40), copt);
+      const te::HoseRobustResult c =
+          te::solve_hose_robust(ts.sc.ps, ropt, ts.sc.trace.slice(0, 40));
       cope_cell = c.converged
                       ? "Feasible (" + util::fmt(seconds_since(t1), 1) + "s)"
                       : "Infeasible (budget)";

@@ -29,7 +29,6 @@
 #include "net/yen.h"
 #include "nn/serialize.h"
 #include "te/chaos.h"
-#include "te/cope.h"
 #include "te/figret.h"
 #include "te/harness.h"
 #include "te/lp_schemes.h"
@@ -544,21 +543,14 @@ int main(int argc, char** argv) {
         std::cout << "model saved to " << *path << " ("
                   << fig->model().num_parameters() << " parameters)\n";
       }
-    } else if (scheme_name == "oblivious") {
-      te::ObliviousOptions oopt;
-      oopt.time_budget_seconds = flag_double(args, "budget", 60.0);
-      auto s = std::make_unique<te::ObliviousTe>(paths, oopt);
-      s->fit(harness.train_trace());
-      result = harness.evaluate_config(
-          s->result().converged ? "Oblivious" : "Oblivious (budget hit)",
-          s->advise({}));
-    } else if (scheme_name == "cope") {
-      te::CopeOptions copt;
-      copt.oblivious.time_budget_seconds = flag_double(args, "budget", 60.0);
-      auto s = std::make_unique<te::CopeTe>(paths, copt);
-      s->fit(harness.train_trace());
-      result = harness.evaluate_config(
-          s->result().converged ? "COPE" : "COPE (budget hit)", s->advise({}));
+    } else if (scheme_name == "oblivious" || scheme_name == "cope") {
+      te::HoseRobustOptions ropt;
+      ropt.time_budget_seconds = flag_double(args, "budget", 60.0);
+      if (scheme_name == "cope")
+        ropt.penalty_ratio = te::kDefaultCopePenaltyRatio;
+      te::HoseRobustTe robust(paths, ropt);
+      result = harness.evaluate(robust);
+      if (!robust.result().converged) result.name += " (budget hit)";
     } else {
       result = harness.evaluate(*make_scheme(scheme_name, paths));
     }

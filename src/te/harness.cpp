@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -81,10 +82,8 @@ const std::vector<double>& Harness::omniscient() {
   return *omniscient_;
 }
 
-std::vector<double> Harness::score_batch(const std::vector<TeConfig>* configs,
-                                         const TeConfig* fixed,
-                                         const std::vector<bool>* alive,
-                                         std::size_t threads) {
+std::vector<double> Harness::score_batch(const std::vector<TeConfig>& configs,
+                                         const std::vector<bool>* alive) {
   // Scoring is pure per snapshot; a chunk only shares its scratch buffers.
   constexpr std::size_t kChunk = 16;
   const std::size_t n = eval_indices_.size();
@@ -96,7 +95,7 @@ std::vector<double> Harness::score_batch(const std::vector<TeConfig>* configs,
         std::vector<double> edge_scratch;
         for (std::size_t i = c * kChunk; i < std::min(n, (c + 1) * kChunk);
              ++i) {
-          const TeConfig* served = configs != nullptr ? &(*configs)[i] : fixed;
+          const TeConfig* served = &configs[i];
           if (alive != nullptr) {
             reroute_into(*ps_, *served, *alive, rerouted);
             served = &rerouted;
@@ -104,7 +103,7 @@ std::vector<double> Harness::score_batch(const std::vector<TeConfig>* configs,
           out[i] = mlu(*ps_, trace_[eval_indices_[i]], *served, edge_scratch);
         }
       },
-      threads);
+      opt_.threads);
   return out;
 }
 
@@ -128,10 +127,6 @@ SchemeEval Harness::finish(std::string name, std::vector<double> raw,
   return ev;
 }
 
-SchemeEval Harness::evaluate(TeScheme& scheme, bool fit) {
-  return evaluate_with_width(scheme, fit, opt_.threads);
-}
-
 std::vector<TeConfig> Harness::advise_all(TeScheme& scheme,
                                           std::size_t window,
                                           double* advise_seconds) {
@@ -150,8 +145,7 @@ std::vector<TeConfig> Harness::advise_all(TeScheme& scheme,
   return configs;
 }
 
-SchemeEval Harness::evaluate_with_width(TeScheme& scheme, bool fit,
-                                        std::size_t threads) {
+SchemeEval Harness::evaluate(TeScheme& scheme, bool fit) {
   if (fit) scheme.fit(train_trace());
   const std::size_t window = std::max<std::size_t>(1, scheme.history_window());
   if (window > opt_.max_window)
@@ -161,15 +155,8 @@ SchemeEval Harness::evaluate_with_width(TeScheme& scheme, bool fit,
   const std::vector<TeConfig> configs =
       advise_all(scheme, window, &advise_seconds);
 
-  std::vector<double> raw = score_batch(&configs, nullptr, nullptr, threads);
+  std::vector<double> raw = score_batch(configs, nullptr);
   return finish(scheme.name(), std::move(raw), omniscient(), advise_seconds);
-}
-
-SchemeEval Harness::evaluate_config(const std::string& name,
-                                    const TeConfig& config) {
-  std::vector<double> raw =
-      score_batch(nullptr, &config, nullptr, opt_.threads);
-  return finish(name, std::move(raw), omniscient(), 0.0);
 }
 
 SchemeEval Harness::evaluate_under_failures(
@@ -186,24 +173,8 @@ SchemeEval Harness::evaluate_under_failures(
   const std::vector<TeConfig> configs =
       advise_all(scheme, window, &advise_seconds);
 
-  std::vector<double> raw =
-      score_batch(&configs, nullptr, &alive, opt_.threads);
+  std::vector<double> raw = score_batch(configs, &alive);
   return finish(scheme.name(), std::move(raw), oracle, advise_seconds);
-}
-
-std::vector<SchemeEval> Harness::evaluate_all(
-    std::span<TeScheme* const> schemes, bool fit) {
-  omniscient();  // materialize the shared normalizer before fanning out
-  std::vector<SchemeEval> out(schemes.size());
-  // Outer fan-out saturates the machine, so each scheme's own per-snapshot
-  // loops run serially (width 1) to avoid oversubscription.
-  util::parallel_for(
-      0, schemes.size(),
-      [&](std::size_t i) {
-        out[i] = evaluate_with_width(*schemes[i], fit, 1);
-      },
-      opt_.threads);
-  return out;
 }
 
 }  // namespace figret::te

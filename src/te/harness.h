@@ -9,7 +9,6 @@
 
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -83,9 +82,6 @@ class Harness {
   /// Fits (unless told not to) and evaluates a scheme over the test range.
   SchemeEval evaluate(TeScheme& scheme, bool fit = true);
 
-  /// Evaluates a fixed configuration (oblivious / COPE after their fit()).
-  SchemeEval evaluate_config(const std::string& name, const TeConfig& config);
-
   /// §5.3 protocol: the scheme computes configs unaware of failures, traffic
   /// is rerouted around dead paths (§4.5), and results are normalized by a
   /// failure-aware omniscient oracle.
@@ -93,29 +89,15 @@ class Harness {
                                      const std::vector<net::EdgeId>& failed,
                                      bool fit = true);
 
-  /// Fits and evaluates several schemes concurrently (one thread per scheme;
-  /// schemes must be distinct objects). The omniscient normalizer is
-  /// materialized first so every scheme shares the identical cached vector.
-  /// Results are returned in input order; raw_mlu/normalized/severe counts
-  /// are bit-identical to calling evaluate() on each scheme serially, but
-  /// mean_advise_seconds is wall-clock under core contention — use
-  /// evaluate() when producing Table 2-style timing columns.
-  std::vector<SchemeEval> evaluate_all(std::span<TeScheme* const> schemes,
-                                       bool fit = true);
-
  private:
   std::vector<double> omniscient_for_alive(const std::vector<bool>* alive);
-  /// MLU of configurations against the realized demand at every eval index,
+  /// MLU of `configs` (one per eval index) against the realized demand,
   /// fanned out over util::parallel_for in fixed-size chunks (each with its
-  /// own reroute/edge-load scratch): exactly one of `configs` (per eval
-  /// index) / `fixed`. With `alive`, traffic reroutes around dead paths
-  /// (§4.5) before scoring. Pure per snapshot, so bit-identical at any width.
-  std::vector<double> score_batch(const std::vector<TeConfig>* configs,
-                                  const TeConfig* fixed,
-                                  const std::vector<bool>* alive,
-                                  std::size_t threads);
-  SchemeEval evaluate_with_width(TeScheme& scheme, bool fit,
-                                 std::size_t threads);
+  /// own reroute/edge-load scratch). With `alive`, traffic reroutes around
+  /// dead paths (§4.5) before scoring. Pure per snapshot, so bit-identical at
+  /// any width.
+  std::vector<double> score_batch(const std::vector<TeConfig>& configs,
+                                  const std::vector<bool>* alive);
   /// Runs the (stateful, serial) timed advise loop over every eval index;
   /// accumulates wall-clock into *advise_seconds.
   std::vector<TeConfig> advise_all(TeScheme& scheme, std::size_t window,

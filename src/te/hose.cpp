@@ -1,12 +1,17 @@
 #include "te/hose.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace figret::te {
 
 HoseBounds hose_bounds(const PathSet& ps, double scale) {
+  if (!(std::isfinite(scale) && scale > 0.0))
+    throw std::invalid_argument(
+        "hose_bounds: scale must be finite and > 0, got " +
+        std::to_string(scale));
   HoseBounds h;
   h.out.assign(ps.num_nodes(), 0.0);
   h.in.assign(ps.num_nodes(), 0.0);

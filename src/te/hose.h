@@ -1,5 +1,5 @@
-// Hose demand polytope and its adversary oracle — shared by the oblivious
-// and COPE cutting-plane solvers.
+// Hose demand polytope and its adversary oracle — used by the hose-robust
+// cutting-plane solver (oblivious / COPE) and the regret adversary.
 //
 // The hose model bounds each node's total egress/ingress demand by the
 // capacity attached to it (times a scale factor), the standard demand
@@ -22,6 +22,7 @@ struct HoseBounds {
 };
 
 /// Bounds = scale x capacity attached to each node (as seen by the path set).
+/// Throws std::invalid_argument unless `scale` is finite and > 0.
 HoseBounds hose_bounds(const PathSet& ps, double scale);
 
 /// Adversary oracle: the hose-feasible demand maximizing the utilization of

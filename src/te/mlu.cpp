@@ -47,19 +47,6 @@ void edge_loads_into(const PathSet& ps, const traffic::DemandMatrix& demand,
   });
 }
 
-void edge_loads_reference_into(const PathSet& ps,
-                               const traffic::DemandMatrix& demand,
-                               const TeConfig& config,
-                               std::vector<double>& out) {
-  check_shapes(ps, demand, config);
-  out.assign(ps.num_edges(), 0.0);
-  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
-    const double flow = demand[ps.pair_of_path(pid)] * config[pid];
-    if (flow == 0.0) continue;
-    for (net::EdgeId e : ps.path_edges(pid)) out[e] += flow;
-  }
-}
-
 MluResult max_link_utilization(const PathSet& ps,
                                const traffic::DemandMatrix& demand,
                                const TeConfig& config) {

@@ -49,3 +49,23 @@ Matrix matmul_t_reference(const Matrix& a, const Matrix& b) {
 }
 
 }  // namespace figret::linalg
+
+namespace figret::te {
+
+void edge_loads_reference_into(const PathSet& ps,
+                               const traffic::DemandMatrix& demand,
+                               const TeConfig& config,
+                               std::vector<double>& out) {
+  if (config.size() != ps.num_paths())
+    throw std::invalid_argument("edge_loads: config size mismatch");
+  if (demand.size() != ps.num_pairs())
+    throw std::invalid_argument("edge_loads: demand size mismatch");
+  out.assign(ps.num_edges(), 0.0);
+  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
+    const double flow = demand[ps.pair_of_path(pid)] * config[pid];
+    if (flow == 0.0) continue;
+    for (net::EdgeId e : ps.path_edges(pid)) out[e] += flow;
+  }
+}
+
+}  // namespace figret::te

@@ -1,8 +1,10 @@
-#include "te/cope.h"
+#include "te/oblivious.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "net/topology.h"
 #include "net/yen.h"
@@ -21,16 +23,26 @@ PathSet triangle_pathset() {
   return PathSet::build(g, net::all_pairs_k_shortest(g, 2));
 }
 
+PathSet mesh_pathset(std::size_t n) {
+  const net::Graph g = net::full_mesh(n);
+  return PathSet::build(g, net::all_pairs_k_shortest(g, 3));
+}
+
 traffic::TrafficTrace stable_trace(std::size_t n, std::size_t len) {
   return traffic::gravity_trace(n, len, 31);
 }
 
+HoseRobustOptions cope_options(double penalty_ratio) {
+  HoseRobustOptions opt;
+  opt.penalty_ratio = penalty_ratio;
+  opt.max_rounds = 40;
+  return opt;
+}
+
 TEST(Cope, EnvelopeHolds) {
   const PathSet ps = triangle_pathset();
-  CopeOptions opt;
-  opt.penalty_ratio = 1.5;
-  opt.oblivious.max_rounds = 40;
-  const CopeResult r = solve_cope(ps, stable_trace(3, 40), opt);
+  const HoseRobustOptions opt = cope_options(1.5);
+  const HoseRobustResult r = solve_hose_robust(ps, opt, stable_trace(3, 40));
   ASSERT_TRUE(r.converged);
   EXPECT_TRUE(valid_config(ps, r.config));
   // Worst-case MLU within the penalty envelope of the oblivious optimum.
@@ -43,12 +55,10 @@ TEST(Cope, PredictedPerformanceBeatsOblivious) {
   // oblivious routing (which optimizes only the worst case).
   const PathSet ps = triangle_pathset();
   const auto train = stable_trace(3, 40);
-  CopeOptions opt;
-  opt.penalty_ratio = 2.0;
-  opt.oblivious.max_rounds = 40;
-  const CopeResult cope = solve_cope(ps, train, opt);
+  const HoseRobustOptions opt = cope_options(2.0);
+  const HoseRobustResult cope = solve_hose_robust(ps, opt, train);
   ASSERT_TRUE(cope.converged);
-  const ObliviousResult obl = solve_oblivious(ps, opt.oblivious);
+  const HoseRobustResult obl = solve_hose_robust(ps, cope_options(0.0));
 
   // Evaluate both on the recent training demands.
   double cope_mlu = 0.0, obl_mlu = 0.0;
@@ -64,10 +74,8 @@ TEST(Cope, PredictedMluNearOptimalWithLooseEnvelope) {
   // on its predicted set (the envelope never binds).
   const PathSet ps = triangle_pathset();
   const auto train = stable_trace(3, 30);
-  CopeOptions opt;
-  opt.penalty_ratio = 100.0;
-  opt.oblivious.max_rounds = 40;
-  const CopeResult r = solve_cope(ps, train, opt);
+  const HoseRobustResult r =
+      solve_hose_robust(ps, cope_options(100.0), train);
   ASSERT_TRUE(r.converged);
 
   // The best achievable max-MLU over the predicted set is at least the max
@@ -78,42 +86,44 @@ TEST(Cope, PredictedMluNearOptimalWithLooseEnvelope) {
     ASSERT_TRUE(per.optimal());
     lower = std::max(lower, per.mlu);
   }
-  EXPECT_GE(r.predicted_mlu + 1e-9, lower);
-  EXPECT_LE(r.predicted_mlu, lower * 1.5 + 1e-9);
+  EXPECT_GE(r.master_mlu + 1e-9, lower);
+  EXPECT_LE(r.master_mlu, lower * 1.5 + 1e-9);
 }
 
 TEST(Cope, TighterEnvelopeTradesPredictedPerformance) {
   const PathSet ps = triangle_pathset();
   const auto train = stable_trace(3, 30);
-  CopeOptions loose;
-  loose.penalty_ratio = 10.0;
-  loose.oblivious.max_rounds = 40;
-  CopeOptions tight;
-  tight.penalty_ratio = 1.02;
-  tight.oblivious.max_rounds = 40;
-  const CopeResult r_loose = solve_cope(ps, train, loose);
-  const CopeResult r_tight = solve_cope(ps, train, tight);
+  const HoseRobustResult r_loose =
+      solve_hose_robust(ps, cope_options(10.0), train);
+  const HoseRobustResult r_tight =
+      solve_hose_robust(ps, cope_options(1.02), train);
   // A tighter worst-case envelope cannot improve predicted-set performance.
-  EXPECT_GE(r_tight.predicted_mlu + 1e-6, r_loose.predicted_mlu);
+  EXPECT_GE(r_tight.master_mlu + 1e-6, r_loose.master_mlu);
   // But it must yield a better (or equal) worst case.
   EXPECT_LE(worst_case_mlu_hose(ps, r_tight.config),
             worst_case_mlu_hose(ps, r_loose.config) + 1e-3);
 }
 
-TEST(Cope, MasterIterationLimitIsAnError) {
-  // kIterationLimit from COPE's *own* master is an error, not a quiet
-  // fallback to the stale incumbent configuration. Only the COPE master
-  // solver is pivot-starved — the stage-1 oblivious solve keeps its default
-  // budget and succeeds, so the throw under test is cope's, not oblivious's.
-  const PathSet ps = triangle_pathset();
-  CopeOptions opt;
-  opt.solver.simplex.max_iterations = 1;
-  EXPECT_THROW(solve_cope(ps, stable_trace(3, 40), opt), std::runtime_error);
+TEST(Cope, StageOneIsTheObliviousSolve) {
+  // COPE's r_obl is the oblivious run with the same options, bit for bit.
+  for (const PathSet& ps : {triangle_pathset(), mesh_pathset(4)}) {
+    const auto train = stable_trace(ps.num_nodes(), 30);
+    const HoseRobustResult obl = solve_hose_robust(ps, cope_options(0.0));
+    ASSERT_TRUE(obl.converged);
+    for (const double beta : {1.0, 1.5, 3.0}) {
+      const HoseRobustResult cope =
+          solve_hose_robust(ps, cope_options(beta), train);
+      EXPECT_EQ(0, std::memcmp(&cope.oblivious_mlu, &obl.worst_mlu,
+                               sizeof(double)))
+          << "beta " << beta << ": " << cope.oblivious_mlu << " vs "
+          << obl.worst_mlu;
+    }
+  }
 }
 
-TEST(CopeTe, SchemeLifecycle) {
+TEST(Cope, SchemeLifecycle) {
   const PathSet ps = triangle_pathset();
-  CopeTe scheme(ps);
+  HoseRobustTe scheme(ps, cope_options(1.5));
   EXPECT_EQ(scheme.name(), "COPE");
   EXPECT_THROW(scheme.advise({}), std::logic_error);
   scheme.fit(stable_trace(3, 25));
@@ -125,7 +135,23 @@ TEST(Cope, EmptyTrainingThrows) {
   const PathSet ps = triangle_pathset();
   traffic::TrafficTrace empty;
   empty.num_nodes = 3;
-  EXPECT_THROW(solve_cope(ps, empty, {}), std::invalid_argument);
+  EXPECT_THROW(solve_hose_robust(ps, cope_options(1.5), empty),
+               std::invalid_argument);
+}
+
+TEST(Cope, ZeroPredictedSetSizeThrows) {
+  // Used to report "empty training trace" although the trace was not empty.
+  const PathSet ps = triangle_pathset();
+  HoseRobustOptions opt = cope_options(1.5);
+  opt.predicted_set_size = 0;
+  try {
+    solve_hose_robust(ps, opt, stable_trace(3, 25));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("predicted_set_size"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

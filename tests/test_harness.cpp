@@ -15,6 +15,7 @@
 #include "te/failover.h"
 #include "te/lp_schemes.h"
 #include "te/mlu.h"
+#include "te/oblivious.h"
 #include "traffic/generators.h"
 
 namespace figret::te {
@@ -94,12 +95,20 @@ TEST(Harness, SevereCongestionCounter) {
   EXPECT_EQ(ev.severe_congestion, expected);
 }
 
-TEST(Harness, EvaluateConfigFixed) {
+TEST(Harness, EvaluatesFixedConfigScheme) {
+  // A scheme whose advise() returns one fixed configuration (oblivious
+  // routing) is scored through the ordinary evaluate() path.
   const PathSet ps = mesh_pathset(4);
   Harness h = make_harness(ps);
-  const SchemeEval ev = h.evaluate_config("uniform", uniform_config(ps));
-  EXPECT_EQ(ev.name, "uniform");
-  for (double v : ev.normalized) EXPECT_GE(v, 1.0 - 1e-6);
+  HoseRobustTe obl(ps);
+  const SchemeEval ev = h.evaluate(obl);
+  EXPECT_EQ(ev.name, "Oblivious");
+  ASSERT_EQ(ev.raw_mlu.size(), h.eval_indices().size());
+  for (std::size_t i = 0; i < ev.raw_mlu.size(); ++i) {
+    EXPECT_EQ(ev.raw_mlu[i],
+              mlu(ps, h.trace()[h.eval_indices()[i]], obl.result().config));
+    EXPECT_GE(ev.normalized[i], 1.0 - 1e-6);
+  }
 }
 
 TEST(Harness, FailureEvaluationUsesFaultAwareOracle) {
@@ -226,34 +235,6 @@ TEST(Harness, OmniscientMatchesDirectChunkedReference) {
     ASSERT_EQ(got.size(), n);
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(got[i], ref[i]) << "threads=" << threads << " slot " << i;
-  }
-}
-
-TEST(Harness, EvaluateAllMatchesIndividualEvaluates) {
-  const PathSet ps = mesh_pathset(4);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 80, 23);
-  Harness::Options opt;
-  opt.max_window = 12;
-  Harness h(ps, trace, opt);
-
-  DesensitizationTe a = prediction_te(ps);
-  DesensitizationTe b = prediction_te(ps);
-  DesensitizationTe c(ps);
-  std::vector<TeScheme*> schemes{&a, &b, &c};
-  const std::vector<SchemeEval> all = h.evaluate_all(schemes);
-  ASSERT_EQ(all.size(), 3u);
-
-  DesensitizationTe ref_a = prediction_te(ps);
-  DesensitizationTe ref_c(ps);
-  const SchemeEval ea = h.evaluate(ref_a);
-  const SchemeEval ec = h.evaluate(ref_c);
-  EXPECT_EQ(all[0].name, ea.name);
-  EXPECT_EQ(all[2].name, ec.name);
-  ASSERT_EQ(all[0].normalized.size(), ea.normalized.size());
-  for (std::size_t i = 0; i < ea.normalized.size(); ++i) {
-    EXPECT_EQ(all[0].normalized[i], ea.normalized[i]);
-    EXPECT_EQ(all[1].normalized[i], ea.normalized[i]);  // same scheme kind
-    EXPECT_EQ(all[2].normalized[i], ec.normalized[i]);
   }
 }
 

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/hose.h"
 #include "te/mlu.h"
+#include "traffic/generators.h"
 #include "util/rng.h"
 
 namespace figret::te {
@@ -41,6 +44,17 @@ TEST(Hose, ScaleMultipliesBounds) {
   const HoseBounds h2 = hose_bounds(ps, 0.5);
   for (std::size_t v = 0; v < h1.out.size(); ++v)
     EXPECT_NEAR(h2.out[v], 0.5 * h1.out[v], 1e-12);
+}
+
+TEST(Hose, RejectsNonPositiveOrNonFiniteScale) {
+  const PathSet ps = triangle_pathset();
+  for (const double scale :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(hose_bounds(ps, scale), std::invalid_argument) << scale;
+  HoseRobustOptions opt;
+  opt.hose_scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(solve_hose_robust(ps, opt), std::invalid_argument);
 }
 
 TEST(Hose, AdversaryDemandIsHoseFeasible) {
@@ -96,19 +110,22 @@ TEST(Hose, AdversaryMaximizesTheTargetEdge) {
 
 TEST(Oblivious, ConvergesOnTriangle) {
   const PathSet ps = triangle_pathset();
-  ObliviousOptions opt;
+  HoseRobustOptions opt;
   opt.max_rounds = 50;
-  const ObliviousResult r = solve_oblivious(ps, opt);
+  const HoseRobustResult r = solve_hose_robust(ps, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(valid_config(ps, r.config));
   EXPECT_GT(r.worst_mlu, 0.0);
+  // In oblivious mode the run is its own reference.
+  EXPECT_EQ(r.oblivious_mlu, r.worst_mlu);
+  EXPECT_LE(r.worst_mlu, r.master_mlu * (1.0 + opt.tolerance) + 1e-9);
 }
 
 TEST(Oblivious, OptimalBeatsArbitraryConfigsInWorstCase) {
   const PathSet ps = triangle_pathset();
-  ObliviousOptions opt;
+  HoseRobustOptions opt;
   opt.max_rounds = 50;
-  const ObliviousResult r = solve_oblivious(ps, opt);
+  const HoseRobustResult r = solve_hose_robust(ps, opt);
   ASSERT_TRUE(r.converged);
   // The oblivious config's worst case must not exceed that of the uniform
   // or the all-direct configuration (it minimizes the worst case).
@@ -126,27 +143,50 @@ TEST(Oblivious, OptimalBeatsArbitraryConfigsInWorstCase) {
 
 TEST(Oblivious, WorstCaseConsistentWithExactOracle) {
   const PathSet ps = mesh_pathset(4);
-  ObliviousOptions opt;
+  HoseRobustOptions opt;
   opt.max_rounds = 30;
-  const ObliviousResult r = solve_oblivious(ps, opt);
+  const HoseRobustResult r = solve_hose_robust(ps, opt);
   const double exact = worst_case_mlu_hose(ps, r.config);
   EXPECT_NEAR(r.worst_mlu, exact, 1e-4);
 }
 
-TEST(Oblivious, MasterIterationLimitIsAnError) {
+TEST(HoseRobust, MasterIterationLimitIsAnErrorInEitherMode) {
   // A pivot-starved master LP must surface kIterationLimit instead of
-  // silently keeping the previous round's configuration.
+  // silently keeping the previous round's configuration. Oblivious and COPE
+  // share one cutting-plane loop, so both modes throw.
   const PathSet ps = triangle_pathset();
-  ObliviousOptions opt;
-  opt.solver.simplex.max_iterations = 1;
-  EXPECT_THROW(solve_oblivious(ps, opt), std::runtime_error);
+  const traffic::TrafficTrace train = traffic::gravity_trace(3, 40, 31);
+  for (const double penalty_ratio : {0.0, 1.5}) {
+    HoseRobustOptions opt;
+    opt.penalty_ratio = penalty_ratio;
+    opt.solver.simplex.max_iterations = 1;
+    EXPECT_THROW(solve_hose_robust(ps, opt, train), std::runtime_error)
+        << "penalty_ratio " << penalty_ratio;
+  }
+}
+
+TEST(HoseRobust, RejectsInvalidPenaltyRatio) {
+  // Neither oblivious (0) nor COPE (beta >= 1): used to return a silently
+  // non-converged configuration.
+  const PathSet ps = triangle_pathset();
+  const traffic::TrafficTrace train = traffic::gravity_trace(3, 40, 31);
+  for (const double penalty_ratio :
+       {-1.0, 0.5, 0.999, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    HoseRobustOptions opt;
+    opt.penalty_ratio = penalty_ratio;
+    EXPECT_THROW(solve_hose_robust(ps, opt, train), std::invalid_argument)
+        << "penalty_ratio " << penalty_ratio;
+    HoseRobustTe scheme(ps, opt);
+    EXPECT_THROW(scheme.fit(train), std::invalid_argument);
+  }
 }
 
 TEST(Oblivious, TimeBudgetShortCircuits) {
   const PathSet ps = mesh_pathset(4);
-  ObliviousOptions opt;
+  HoseRobustOptions opt;
   opt.time_budget_seconds = 0.0;  // immediately out of budget
-  const ObliviousResult r = solve_oblivious(ps, opt);
+  const HoseRobustResult r = solve_hose_robust(ps, opt);
   EXPECT_FALSE(r.converged);
   // The fallback config must still be usable.
   EXPECT_TRUE(valid_config(ps, r.config));
@@ -157,17 +197,18 @@ TEST(Oblivious, TruncatedScanNeverCertifiesConvergence) {
   // non-convergence rather than certify a false optimum from a partial scan
   // (regression test for the budget/convergence interaction).
   const PathSet ps = mesh_pathset(5);
-  ObliviousOptions opt;
+  HoseRobustOptions opt;
   opt.time_budget_seconds = 1e-4;  // expires almost immediately
   opt.max_rounds = 50;
-  const ObliviousResult r = solve_oblivious(ps, opt);
+  const HoseRobustResult r = solve_hose_robust(ps, opt);
   EXPECT_FALSE(r.converged);
 }
 
-TEST(ObliviousTe, SchemeAdapterLifecycle) {
+TEST(Oblivious, SchemeAdapterLifecycle) {
   const PathSet ps = triangle_pathset();
-  ObliviousTe scheme(ps);
+  HoseRobustTe scheme(ps);
   EXPECT_EQ(scheme.name(), "Oblivious");
+  EXPECT_THROW(scheme.advise({}), std::logic_error);
   traffic::TrafficTrace dummy;
   dummy.num_nodes = 3;
   dummy.snapshots.emplace_back(3, 1.0);
@@ -178,6 +219,19 @@ TEST(ObliviousTe, SchemeAdapterLifecycle) {
   std::vector<traffic::DemandMatrix> h(1, traffic::DemandMatrix(3, 9.0));
   const TeConfig cfg2 = scheme.advise(h);
   for (std::size_t p = 0; p < cfg.size(); ++p) EXPECT_DOUBLE_EQ(cfg[p], cfg2[p]);
+}
+
+TEST(Oblivious, IgnoresTrainingTrace) {
+  // Oblivious mode never reads `train`: an empty trace and a real one give
+  // the same configuration, bit for bit.
+  const PathSet ps = mesh_pathset(4);
+  const HoseRobustResult a = solve_hose_robust(ps, {});
+  const HoseRobustResult b =
+      solve_hose_robust(ps, {}, traffic::gravity_trace(4, 20, 7));
+  ASSERT_EQ(a.config.size(), b.config.size());
+  EXPECT_EQ(0, std::memcmp(a.config.data(), b.config.data(),
+                           a.config.size() * sizeof(double)));
+  EXPECT_EQ(a.rounds, b.rounds);
 }
 
 }  // namespace

@@ -90,9 +90,9 @@ TEST(ThreadPool, PropagatesExceptions) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // evaluate_all fans out across schemes on the global pool while each
-  // worker may issue inner loops; the caller-participates design must make
-  // progress even when every worker is busy.
+  // A pool task may itself issue a parallel_for (a loop body that calls
+  // into pooled code); the caller-participates design must make progress
+  // even when every worker is busy.
   std::atomic<int> total{0};
   parallel_for(0, 4, [&](std::size_t) {
     parallel_for(0, 8, [&](std::size_t) { total++; }, 0);

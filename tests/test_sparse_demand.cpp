@@ -11,6 +11,7 @@
 
 #include "net/topology.h"
 #include "net/yen.h"
+#include "support/reference_kernels.h"
 #include "te/lp_schemes.h"
 #include "te/mlu.h"
 #include "te/pathset.h"
