@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 // Runtime-dispatched ISA clones for the hot kernels: GCC emits a baseline
 // x86-64 variant plus an AVX2/FMA (x86-64-v3) variant of each annotated
@@ -123,6 +124,31 @@ FIGRET_FORCE_INLINE void rank1_update(double* out, std::size_t n, double a,
   for (std::size_t j = 0; j < n; ++j) out[j] += a * b[j];
 }
 
+// rank4_update / rank1_update onto the scattered entries out[idx[j]]: per
+// entry the same expression, so the same rounding (and the same FMA
+// contraction where the ISA has one) as the contiguous update.
+FIGRET_FORCE_INLINE void rank4_scatter(double* out, const std::size_t* idx,
+                                       std::size_t n, double a0,
+                                       const double* b0, double a1,
+                                       const double* b1, double a2,
+                                       const double* b2, double a3,
+                                       const double* b3) noexcept {
+  for (std::size_t j = 0; j < n; ++j)
+    out[idx[j]] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+}
+
+FIGRET_FORCE_INLINE void rank1_scatter(double* out, const std::size_t* idx,
+                                       std::size_t n, double a,
+                                       const double* b) noexcept {
+  for (std::size_t j = 0; j < n; ++j) out[idx[j]] += a * b[j];
+}
+
+void check_range(std::size_t begin, std::size_t end, std::size_t limit,
+                 const char* what) {
+  if (begin > end || end > limit)
+    throw std::invalid_argument(std::string(what) + ": range out of bounds");
+}
+
 }  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -145,6 +171,12 @@ Matrix Matrix::from_rows(std::size_t rows, std::size_t cols,
   return m;
 }
 
+void Matrix::reset(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0);
+}
+
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
@@ -152,108 +184,30 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-FIGRET_ISA_CLONES
 Matrix Matrix::matmul(const Matrix& other) const {
+  // Checked before `out` exists: with GCC 12, a throw out of a cloned kernel
+  // skips the destructor of a named return value in its caller (ASan reports
+  // the leak), so none of these wrappers may reach the kernel's own check.
   if (cols_ != other.rows_)
     throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
   Matrix out(rows_, other.cols_);
-  const std::size_t n = other.cols_;
-  // i-(k by 4)-j: four rows of B per sweep of the output row. No zero-skip
-  // branch — the dense path must not pay a compare per scalar.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* arow = data_.data() + i * cols_;
-    double* orow = out.data_.data() + i * n;
-    std::size_t k = 0;
-    for (; k + 4 <= cols_; k += 4) {
-      const double* b = other.data_.data() + k * n;
-      rank4_update(orow, n, arow[k], b, arow[k + 1], b + n, arow[k + 2],
-                   b + 2 * n, arow[k + 3], b + 3 * n);
-    }
-    for (; k < cols_; ++k)
-      rank1_update(orow, n, arow[k], other.data_.data() + k * n);
-  }
+  matmul_into(*this, other, 0, other.cols_, out);
   return out;
 }
 
-FIGRET_ISA_CLONES
 Matrix Matrix::t_matmul(const Matrix& other) const {
   if (rows_ != other.rows_)
     throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
   Matrix out(cols_, other.cols_);
-  const std::size_t n = other.cols_;
-  // (k by 4)-i-j: out(i,:) accumulates four k-terms per sweep; A is read
-  // column-wise but only four scalars per output row, B rows stay hot.
-  std::size_t k = 0;
-  for (; k + 4 <= rows_; k += 4) {
-    const double* a0 = data_.data() + k * cols_;
-    const double* b0 = other.data_.data() + k * n;
-    for (std::size_t i = 0; i < cols_; ++i) {
-      rank4_update(out.data_.data() + i * n, n, a0[i], b0, a0[cols_ + i],
-                   b0 + n, a0[2 * cols_ + i], b0 + 2 * n, a0[3 * cols_ + i],
-                   b0 + 3 * n);
-    }
-  }
-  for (; k < rows_; ++k) {
-    const double* arow = data_.data() + k * cols_;
-    const double* brow = other.data_.data() + k * n;
-    for (std::size_t i = 0; i < cols_; ++i)
-      rank1_update(out.data_.data() + i * n, n, arow[i], brow);
-  }
+  t_matmul_accum(*this, other, 0, cols_, out);
   return out;
 }
 
-FIGRET_ISA_CLONES
 Matrix Matrix::matmul_t(const Matrix& other) const {
   if (cols_ != other.cols_)
     throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
   Matrix out(rows_, other.rows_);
-  // Each output element is a row-by-row dot; dot_lanes gives four independent
-  // FMA chains (the naive single-accumulator loop is latency-bound because
-  // FP addition cannot be reassociated). Rows of A are processed in blocks
-  // with j swept innermost-but-one, so each B row streams from memory once
-  // per block and is reused across the whole block from cache — at fabric
-  // scale (weight matrices far larger than LLC) the unblocked loop re-streams
-  // B once per A row and goes memory-bound. The per-element reduction order
-  // is unchanged by the blocking, so results stay bit-identical.
-  constexpr std::size_t kRowBlock = 8;
-  const std::size_t oc = out.cols_;
-  const std::size_t jr = other.rows_;
-  // Long reduction dimensions additionally tile k so each sweep touches an
-  // L1/L2-resident slice of every stream; the lane accumulators are carried
-  // across tiles (k % kLanes is preserved because the tile width is a
-  // multiple of kLanes), so the chunked reduction stays bit-identical to a
-  // single pass. The carry buffer is bounded to ~0.5 MB — shapes with both
-  // dimensions huge fall back to the untiled sweep.
-  constexpr std::size_t kKTile = 2048;
-  static_assert(kKTile % kLanes == 0);
-  const bool tile_k = cols_ > kKTile && jr <= 512;
-  std::vector<double> acc;
-  for (std::size_t i0 = 0; i0 < rows_; i0 += kRowBlock) {
-    const std::size_t i1 = std::min(i0 + kRowBlock, rows_);
-    if (tile_k) {
-      acc.assign((i1 - i0) * jr * kLanes, 0.0);
-      for (std::size_t k0 = 0; k0 < cols_; k0 += kKTile) {
-        const std::size_t len = std::min(kKTile, cols_ - k0);
-        for (std::size_t j = 0; j < jr; ++j) {
-          const double* brow = other.data_.data() + j * other.cols_ + k0;
-          for (std::size_t i = i0; i < i1; ++i)
-            lanes_accum(acc.data() + ((i - i0) * jr + j) * kLanes,
-                        data_.data() + i * cols_ + k0, brow, len);
-        }
-      }
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = 0; j < jr; ++j)
-          out.data_[i * oc + j] =
-              lanes_tree(acc.data() + ((i - i0) * jr + j) * kLanes);
-    } else {
-      for (std::size_t j = 0; j < jr; ++j) {
-        const double* brow = other.data_.data() + j * other.cols_;
-        for (std::size_t i = i0; i < i1; ++i)
-          out.data_[i * oc + j] =
-              dot_lanes(data_.data() + i * cols_, brow, cols_);
-      }
-    }
-  }
+  matmul_t_into(*this, other, 0, other.rows_, out);
   return out;
 }
 
@@ -299,6 +253,213 @@ Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
 Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
 Matrix operator*(Matrix a, double s) { return a *= s; }
 
+FIGRET_ISA_CLONES
+void matmul_t_into(const Matrix& a, const Matrix& b, std::size_t j0,
+                   std::size_t j1, Matrix& out) {
+  if (a.cols() != b.cols())
+    throw std::invalid_argument("matmul_t_into: dimension mismatch");
+  if (out.rows() != a.rows() || out.cols() != b.rows())
+    throw std::invalid_argument("matmul_t_into: output shape mismatch");
+  check_range(j0, j1, b.rows(), "matmul_t_into");
+  // Each output element is a row-by-row dot; dot_lanes gives four independent
+  // FMA chains (the naive single-accumulator loop is latency-bound because
+  // FP addition cannot be reassociated). Rows of A are processed in blocks
+  // with j swept innermost-but-one, so each B row streams from memory once
+  // per block and is reused across the whole block from cache — at fabric
+  // scale (weight matrices far larger than LLC) the unblocked loop re-streams
+  // B once per A row and goes memory-bound. A block of kJBlock outputs per
+  // row is finished in a local buffer and stored as one run, so callers that
+  // split the columns among threads share a cache line only at the run ends.
+  // The per-element reduction order is unchanged by the blocking, so results
+  // stay bit-identical.
+  constexpr std::size_t kRowBlock = 8;
+  constexpr std::size_t kJBlock = 32;
+  // Long reduction dimensions additionally tile k so each sweep touches an
+  // L1/L2-resident slice of every stream; the lane accumulators are carried
+  // across tiles (k % kLanes is preserved because the tile width is a
+  // multiple of kLanes), so the chunked reduction stays bit-identical to a
+  // single pass.
+  constexpr std::size_t kKTile = 2048;
+  static_assert(kKTile % kLanes == 0);
+  const std::size_t k = a.cols();
+  double acc[kRowBlock * kJBlock * kLanes];
+  double res[kRowBlock * kJBlock];
+  for (std::size_t i0 = 0; i0 < a.rows(); i0 += kRowBlock) {
+    const std::size_t i1 = std::min(i0 + kRowBlock, a.rows());
+    for (std::size_t jb = j0; jb < j1; jb += kJBlock) {
+      const std::size_t je = std::min(jb + kJBlock, j1);
+      const std::size_t nj = je - jb;
+      if (k > kKTile) {
+        std::fill(acc, acc + (i1 - i0) * nj * kLanes, 0.0);
+        for (std::size_t k0 = 0; k0 < k; k0 += kKTile) {
+          const std::size_t len = std::min(kKTile, k - k0);
+          for (std::size_t j = jb; j < je; ++j) {
+            const double* brow = b.row(j).data() + k0;
+            for (std::size_t i = i0; i < i1; ++i)
+              lanes_accum(acc + ((i - i0) * nj + (j - jb)) * kLanes,
+                          a.row(i).data() + k0, brow, len);
+          }
+        }
+        for (std::size_t q = 0; q < (i1 - i0) * nj; ++q)
+          res[q] = lanes_tree(acc + q * kLanes);
+      } else {
+        for (std::size_t j = jb; j < je; ++j) {
+          const double* brow = b.row(j).data();
+          for (std::size_t i = i0; i < i1; ++i)
+            res[(i - i0) * nj + (j - jb)] =
+                dot_lanes(a.row(i).data(), brow, k);
+        }
+      }
+      for (std::size_t i = i0; i < i1; ++i)
+        std::copy(res + (i - i0) * nj, res + (i - i0 + 1) * nj,
+                  out.row(i).data() + jb);
+    }
+  }
+}
+
+FIGRET_ISA_CLONES
+void matmul_t_into(const Matrix& a, std::span<const std::size_t> cols,
+                   const Matrix& b, std::size_t j0, std::size_t j1,
+                   Matrix& out) {
+  if (a.cols() != cols.size())
+    throw std::invalid_argument("matmul_t_into: column list size mismatch");
+  check_indices(cols, b.cols(), "matmul_t_into");
+  if (out.rows() != a.rows() || out.cols() != b.rows())
+    throw std::invalid_argument("matmul_t_into: output shape mismatch");
+  check_range(j0, j1, b.rows(), "matmul_t_into");
+  // Term q joins the chain of lane cols[q] % kLanes, in ascending q: the
+  // order lanes_accum gives the full-width dot, minus its zero terms.
+  const std::size_t n = cols.size();
+  for (std::size_t j = j0; j < j1; ++j) {
+    const double* brow = b.row(j).data();
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double* arow = a.row(i).data();
+      double t[kLanes] = {0.0};
+      for (std::size_t q = 0; q < n; ++q)
+        t[cols[q] % kLanes] += arow[q] * brow[cols[q]];
+      out(i, j) = lanes_tree(t);
+    }
+  }
+}
+
+FIGRET_ISA_CLONES
+void t_matmul_accum(const Matrix& a, const Matrix& b, std::size_t i0,
+                    std::size_t i1, Matrix& out) {
+  if (a.rows() != b.rows())
+    throw std::invalid_argument("t_matmul_accum: dimension mismatch");
+  if (out.rows() != a.cols() || out.cols() != b.cols())
+    throw std::invalid_argument("t_matmul_accum: output shape mismatch");
+  check_range(i0, i1, out.rows(), "t_matmul_accum");
+  // out(i,:) takes four k-terms per sweep. Columns are tiled so the output
+  // tile stays in L1 across the k-sweeps; the order of each element's terms
+  // does not depend on the tiling.
+  constexpr std::size_t kColTile = 512;
+  const std::size_t rows = a.rows();
+  const std::size_t ac = a.cols();
+  const std::size_t n = b.cols();
+  const double* ad = a.flat().data();
+  const double* bd = b.flat().data();
+  for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t c0 = 0; c0 < n; c0 += kColTile) {
+      const std::size_t w = std::min(kColTile, n - c0);
+      double* orow = out.row(i).data() + c0;
+      std::size_t k = 0;
+      for (; k + 4 <= rows; k += 4) {
+        const double* ak = ad + k * ac + i;
+        const double* bk = bd + k * n + c0;
+        rank4_update(orow, w, ak[0], bk, ak[ac], bk + n, ak[2 * ac],
+                     bk + 2 * n, ak[3 * ac], bk + 3 * n);
+      }
+      for (; k < rows; ++k)
+        rank1_update(orow, w, ad[k * ac + i], bd + k * n + c0);
+    }
+  }
+}
+
+FIGRET_ISA_CLONES
+void t_matmul_accum(const Matrix& a, const Matrix& b,
+                    std::span<const std::size_t> cols, std::size_t i0,
+                    std::size_t i1, Matrix& out) {
+  if (a.rows() != b.rows())
+    throw std::invalid_argument("t_matmul_accum: dimension mismatch");
+  if (b.cols() != cols.size())
+    throw std::invalid_argument("t_matmul_accum: column list size mismatch");
+  if (out.rows() != a.cols())
+    throw std::invalid_argument("t_matmul_accum: output shape mismatch");
+  check_indices(cols, out.cols(), "t_matmul_accum");
+  check_range(i0, i1, out.rows(), "t_matmul_accum");
+  const std::size_t rows = a.rows();
+  const std::size_t ac = a.cols();
+  const std::size_t n = b.cols();
+  const double* ad = a.flat().data();
+  const double* bd = b.flat().data();
+  for (std::size_t i = i0; i < i1; ++i) {
+    double* orow = out.row(i).data();
+    std::size_t k = 0;
+    for (; k + 4 <= rows; k += 4) {
+      const double* ak = ad + k * ac + i;
+      const double* bk = bd + k * n;
+      rank4_scatter(orow, cols.data(), n, ak[0], bk, ak[ac], bk + n,
+                    ak[2 * ac], bk + 2 * n, ak[3 * ac], bk + 3 * n);
+    }
+    for (; k < rows; ++k)
+      rank1_scatter(orow, cols.data(), n, ad[k * ac + i], bd + k * n);
+  }
+}
+
+FIGRET_ISA_CLONES
+void matmul_into(const Matrix& a, const Matrix& b, std::size_t j0,
+                 std::size_t j1, Matrix& out) {
+  if (a.cols() != b.rows())
+    throw std::invalid_argument("matmul_into: inner dimension mismatch");
+  if (out.rows() != a.rows() || out.cols() != b.cols())
+    throw std::invalid_argument("matmul_into: output shape mismatch");
+  check_range(j0, j1, b.cols(), "matmul_into");
+  // Output tiles of kRowBlock x kColTile accumulate in a local buffer, four
+  // rows of B per sweep of each tile row, and are stored once: a B slice is
+  // read once per block of A rows, and callers that split the columns among
+  // threads never write a shared cache line in the sweep. Each element
+  // still starts at zero and takes its k-terms in ascending groups of four.
+  // No zero-skip branch — the dense path must not pay a compare per scalar.
+  constexpr std::size_t kRowBlock = 16;
+  constexpr std::size_t kColTile = 64;
+  double tile[kRowBlock * kColTile];
+  const std::size_t inner = a.cols();
+  const std::size_t n = b.cols();
+  for (std::size_t i0 = 0; i0 < a.rows(); i0 += kRowBlock) {
+    const std::size_t i1 = std::min(i0 + kRowBlock, a.rows());
+    for (std::size_t c0 = j0; c0 < j1; c0 += kColTile) {
+      const std::size_t w = std::min(kColTile, j1 - c0);
+      const double* bd = b.flat().data() + c0;
+      std::fill(tile, tile + (i1 - i0) * kColTile, 0.0);
+      std::size_t k = 0;
+      for (; k + 4 <= inner; k += 4) {
+        const double* bk = bd + k * n;
+        for (std::size_t i = i0; i < i1; ++i) {
+          const double* arow = a.row(i).data();
+          rank4_update(tile + (i - i0) * kColTile, w, arow[k], bk, arow[k + 1],
+                       bk + n, arow[k + 2], bk + 2 * n, arow[k + 3],
+                       bk + 3 * n);
+        }
+      }
+      for (; k < inner; ++k)
+        for (std::size_t i = i0; i < i1; ++i)
+          rank1_update(tile + (i - i0) * kColTile, w, a(i, k), bd + k * n);
+      for (std::size_t i = i0; i < i1; ++i)
+        std::copy(tile + (i - i0) * kColTile, tile + (i - i0) * kColTile + w,
+                  out.row(i).data() + c0);
+    }
+  }
+}
+
+void check_indices(std::span<const std::size_t> index, std::size_t limit,
+                   const char* what) {
+  for (std::size_t i = 0; i < index.size(); ++i)
+    if (index[i] >= limit || (i > 0 && index[i] <= index[i - 1]))
+      throw std::invalid_argument(
+          std::string(what) + ": index not strictly ascending or out of range");
+}
+
 std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
   if (a.cols() != x.size())
     throw std::invalid_argument("matvec: dimension mismatch");
@@ -324,10 +485,7 @@ void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
   const std::size_t nnz = index.size();
   if (value.size() != nnz)
     throw std::invalid_argument("matvec_sparse_into: index/value mismatch");
-  for (std::size_t a = 0; a < nnz; ++a)
-    if (index[a] >= at.rows() || (a > 0 && index[a] <= index[a - 1]))
-      throw std::invalid_argument(
-          "matvec_sparse_into: index not strictly ascending or out of range");
+  check_indices(index, at.rows(), "matvec_sparse_into");
   const std::size_t out = at.cols();
   y.resize(out);
   // acc[lane][o] is the lane chain of output o: active index k feeds lane

@@ -9,7 +9,10 @@
 // compiler can keep FMA pipelines full without -ffast-math reassociation.
 // Every reduction (dot, matvec, sparse-input matvec, matmul_t element) sums
 // in the *same* fixed order, so the batched NN forward and the sparse-input
-// serving forward are bit-identical to the per-sample path. The
+// serving forward are bit-identical to the per-sample path. The `_into` /
+// `_accum` kernels compute one range of a product's outputs into a caller's
+// matrix, so callers can spread a product over a thread pool: each output
+// element's reduction order never depends on the range. The
 // pre-optimization kernels are differential-test oracles and live with the
 // tests (tests/support/reference_kernels.h), not here.
 #pragma once
@@ -51,6 +54,10 @@ class Matrix {
   std::span<double> flat() noexcept { return data_; }
   std::span<const double> flat() const noexcept { return data_; }
 
+  /// Becomes a zero rows x cols matrix, reusing the storage: allocation-free
+  /// once the capacity suffices.
+  void reset(std::size_t rows, std::size_t cols);
+
   Matrix transposed() const;
 
   /// this * other. Requires cols() == other.rows().
@@ -88,6 +95,12 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
 
+/// Throws std::invalid_argument, naming `what`, unless `index` is strictly
+/// ascending and every entry is below `limit`: the index and column lists
+/// the sparse kernels take.
+void check_indices(std::span<const std::size_t> index, std::size_t limit,
+                   const char* what);
+
 /// y = A x for a sparse x, reading only the rows of `at` = transpose(A)
 /// ([A.cols() x A.rows()]) named by the active entries: x[index[i]] =
 /// value[i], every other entry zero. `index` must be strictly ascending and
@@ -99,6 +112,43 @@ void matvec_into(const Matrix& a, std::span<const double> x,
 /// capacity.
 void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
                         std::span<const double> value, std::vector<double>& y);
+
+/// Columns [j0, j1) of a * transpose(b): out(i, j) = dot(a.row(i),
+/// b.row(j)) for every row i of `a`, in matmul_t's lane order. `out` must be
+/// [a.rows() x b.rows()]; its other columns are left as they are.
+void matmul_t_into(const Matrix& a, const Matrix& b, std::size_t j0,
+                   std::size_t j1, Matrix& out);
+
+/// The same columns for a left operand whose only nonzero columns are `cols`
+/// (strictly ascending, below b.cols()): column i of `a` ([rows x
+/// cols.size()]) holds column cols[i] of the full-width operand. Reads only
+/// those columns of `b`, and each term keeps the lane cols[i] % 16 it has in
+/// the full-width product, so for finite `b` the result is bit-identical to
+/// matmul_t_into on the full-width operand (an omitted zero term leaves its
+/// lane unchanged, as in matvec_sparse_into).
+void matmul_t_into(const Matrix& a, std::span<const std::size_t> cols,
+                   const Matrix& b, std::size_t j0, std::size_t j1,
+                   Matrix& out);
+
+/// Rows [i0, i1) of out += transpose(a) * b. Each element adds its terms
+/// k = 0, 1, ... onto its current value four at a time (then one at a time
+/// for the last rows() % 4), the sequence t_matmul uses, so on a zero `out`
+/// the result is t_matmul's bit for bit. `out` must be [a.cols() x b.cols()].
+void t_matmul_accum(const Matrix& a, const Matrix& b, std::size_t i0,
+                    std::size_t i1, Matrix& out);
+
+/// The same for a right operand whose only nonzero columns are `cols`
+/// (strictly ascending, below out.cols()): column j of `b` ([rows x
+/// cols.size()]) holds column cols[j] of the full-width operand, and only
+/// the columns `cols` of out's rows are touched.
+void t_matmul_accum(const Matrix& a, const Matrix& b,
+                    std::span<const std::size_t> cols, std::size_t i0,
+                    std::size_t i1, Matrix& out);
+
+/// Columns [j0, j1) of a * b, in matmul's order. `out` must be [a.rows() x
+/// b.cols()]; its other columns are left as they are.
+void matmul_into(const Matrix& a, const Matrix& b, std::size_t j0,
+                 std::size_t j1, Matrix& out);
 
 /// Dot product over the common prefix of the two spans. Sixteen independent
 /// accumulator chains (lanes k%16), combined by a fixed pairwise tree — the

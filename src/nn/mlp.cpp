@@ -4,9 +4,35 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace figret::nn {
+namespace {
+
+// Pool tasks of the minibatch passes take a fixed number of output rows,
+// sized from the multiply-adds per row alone (about kChunkWork per task),
+// never from the pool width. Chunking only decides which elements a task
+// computes — each element's reduction order is the kernel's — so results are
+// the same at any width. `min_rows` keeps a task's slice of a strided
+// operand at least a few cache lines wide. Gradient fills take kChunkWork
+// elements per task.
+constexpr std::size_t kChunkWork = std::size_t{1} << 18;
+
+std::size_t rows_per_chunk(std::size_t work_per_row,
+                           std::size_t min_rows = 1) {
+  return std::max<std::size_t>(
+      min_rows, kChunkWork / std::max<std::size_t>(1, work_per_row));
+}
+
+void zero_fill(std::span<double> v) {
+  util::parallel_for_ranges(v.size(), kChunkWork,
+                            [&](std::size_t i0, std::size_t i1) {
+                              std::fill(v.begin() + i0, v.begin() + i1, 0.0);
+                            });
+}
+
+}  // namespace
 
 double sigmoid(double x) noexcept {
   if (x >= 0.0) {
@@ -18,7 +44,25 @@ double sigmoid(double x) noexcept {
 }
 
 void MlpGradients::zero() {
-  for (auto& w : weight) std::fill(w.flat().begin(), w.flat().end(), 0.0);
+  for (auto& w : weight) zero_fill(w.flat());
+  for (auto& b : bias) std::fill(b.begin(), b.end(), 0.0);
+}
+
+void MlpGradients::zero(std::span<const std::size_t> active_inputs) {
+  if (weight.empty()) return;
+  linalg::check_indices(active_inputs, weight[0].cols(),
+                        "MlpGradients::zero");
+  if (active_inputs.size() == weight[0].cols()) return zero();
+  linalg::Matrix& w0 = weight[0];
+  util::parallel_for_ranges(
+      w0.rows(), rows_per_chunk(active_inputs.size()),
+      [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const std::span<double> row = w0.row(r);
+          for (std::size_t c : active_inputs) row[c] = 0.0;
+        }
+      });
+  for (std::size_t l = 1; l < weight.size(); ++l) zero_fill(weight[l].flat());
   for (auto& b : bias) std::fill(b.begin(), b.end(), 0.0);
 }
 
@@ -99,36 +143,63 @@ const linalg::Matrix& Mlp::forward_batch(const linalg::Matrix& x,
                                          MlpBatchWorkspace& ws) const {
   if (x.cols() != input_size())
     throw std::invalid_argument("Mlp::forward_batch: input size mismatch");
+  return run_forward_batch(x, nullptr, ws);
+}
+
+const linalg::Matrix& Mlp::forward_batch(
+    const linalg::Matrix& x_active, std::span<const std::size_t> active_inputs,
+    MlpBatchWorkspace& ws) const {
+  linalg::check_indices(active_inputs, input_size(), "Mlp::forward_batch");
+  if (x_active.cols() != active_inputs.size())
+    throw std::invalid_argument("Mlp::forward_batch: input size mismatch");
+  // With every input active, x_active is the full-width input.
+  return run_forward_batch(
+      x_active, active_inputs.size() == input_size() ? nullptr : &active_inputs,
+      ws);
+}
+
+const linalg::Matrix& Mlp::run_forward_batch(
+    const linalg::Matrix& x, const std::span<const std::size_t>* active,
+    MlpBatchWorkspace& ws) const {
   const std::size_t layers = weight_.size();
+  const std::size_t batch = x.rows();
   ws.pre.resize(layers);
   ws.post.resize(layers);
 
   const linalg::Matrix* in = &x;
   for (std::size_t l = 0; l < layers; ++l) {
-    // [batch x out] = [batch x in] * W^T; each element reduces over the
-    // input dimension in ascending order, exactly like the per-sample dot.
-    ws.pre[l] = in->matmul_t(weight_[l]);
-    linalg::Matrix& pre = ws.pre[l];
+    const linalg::Matrix& w = weight_[l];
     const std::vector<double>& b = bias_[l];
-    for (std::size_t r = 0; r < pre.rows(); ++r) {
-      const std::span<double> row = pre.row(r);
-      for (std::size_t i = 0; i < row.size(); ++i) row[i] += b[i];
-    }
-
+    linalg::Matrix& pre = ws.pre[l];
     linalg::Matrix& post = ws.post[l];
-    if (post.rows() != pre.rows() || post.cols() != pre.cols())
-      post = linalg::Matrix(pre.rows(), pre.cols());
-    const std::span<const double> src = pre.flat();
-    const std::span<double> dst = post.flat();
+    pre.reset(batch, w.rows());
+    post.reset(batch, w.rows());
+    const bool sparse = l == 0 && active != nullptr;
     const bool last = l + 1 == layers;
-    if (!last) {
-      for (std::size_t i = 0; i < src.size(); ++i)
-        dst[i] = src[i] > 0.0 ? src[i] : 0.0;  // ReLU
-    } else if (cfg_.output == OutputActivation::kSigmoid) {
-      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = sigmoid(src[i]);
-    } else {
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
+    util::parallel_for_ranges(
+        w.rows(), rows_per_chunk(batch * in->cols()),
+        [&](std::size_t r0, std::size_t r1) {
+          // [batch x out] = [batch x in] * W^T; each element reduces over
+          // the input dimension in ascending order, exactly like the
+          // per-sample dot.
+          if (sparse)
+            linalg::matmul_t_into(*in, *active, w, r0, r1, pre);
+          else
+            linalg::matmul_t_into(*in, w, r0, r1, pre);
+          for (std::size_t s = 0; s < batch; ++s) {
+            const std::span<double> src = pre.row(s);
+            const std::span<double> dst = post.row(s);
+            for (std::size_t r = r0; r < r1; ++r) {
+              src[r] += b[r];
+              if (!last)
+                dst[r] = src[r] > 0.0 ? src[r] : 0.0;  // ReLU
+              else if (cfg_.output == OutputActivation::kSigmoid)
+                dst[r] = sigmoid(src[r]);
+              else
+                dst[r] = src[r];
+            }
+          }
+        });
     in = &post;
   }
   return ws.post.back();
@@ -181,44 +252,98 @@ void Mlp::backward(std::span<const double> x, const MlpWorkspace& ws,
   }
 }
 
-void Mlp::backward_batch(const linalg::Matrix& x, const MlpBatchWorkspace& ws,
+void Mlp::backward_batch(const linalg::Matrix& x, MlpBatchWorkspace& ws,
                          const linalg::Matrix& dl_doutput,
                          MlpGradients& grads) const {
+  if (x.cols() != input_size())
+    throw std::invalid_argument("Mlp::backward_batch: input size mismatch");
+  run_backward_batch(x, nullptr, ws, dl_doutput, grads);
+}
+
+void Mlp::backward_batch(const linalg::Matrix& x_active,
+                         std::span<const std::size_t> active_inputs,
+                         MlpBatchWorkspace& ws,
+                         const linalg::Matrix& dl_doutput,
+                         MlpGradients& grads) const {
+  linalg::check_indices(active_inputs, input_size(), "Mlp::backward_batch");
+  if (x_active.cols() != active_inputs.size())
+    throw std::invalid_argument("Mlp::backward_batch: input size mismatch");
+  run_backward_batch(
+      x_active, active_inputs.size() == input_size() ? nullptr : &active_inputs,
+      ws, dl_doutput, grads);
+}
+
+void Mlp::run_backward_batch(const linalg::Matrix& x,
+                             const std::span<const std::size_t>* active,
+                             MlpBatchWorkspace& ws,
+                             const linalg::Matrix& dl_doutput,
+                             MlpGradients& grads) const {
   const std::size_t layers = weight_.size();
-  if (ws.post.size() != layers || ws.post.back().rows() != x.rows())
-    throw std::invalid_argument("Mlp::backward_batch: stale workspace");
-  if (dl_doutput.rows() != x.rows() || dl_doutput.cols() != output_size())
+  const std::size_t batch = x.rows();
+  bool fresh = ws.pre.size() == layers && ws.post.size() == layers;
+  for (std::size_t l = 0; fresh && l < layers; ++l)
+    fresh = ws.pre[l].rows() == batch &&
+            ws.pre[l].cols() == weight_[l].rows() &&
+            ws.post[l].rows() == batch &&
+            ws.post[l].cols() == weight_[l].rows();
+  if (!fresh) throw std::invalid_argument("Mlp::backward_batch: stale workspace");
+  if (dl_doutput.rows() != batch || dl_doutput.cols() != output_size())
     throw std::invalid_argument(
         "Mlp::backward_batch: output grad shape mismatch");
+  bool shaped = grads.weight.size() == layers && grads.bias.size() == layers;
+  for (std::size_t l = 0; shaped && l < layers; ++l)
+    shaped = grads.weight[l].rows() == weight_[l].rows() &&
+             grads.weight[l].cols() == weight_[l].cols() &&
+             grads.bias[l].size() == bias_[l].size();
+  if (!shaped)
+    throw std::invalid_argument("Mlp::backward_batch: gradient shape mismatch");
 
   // delta = dL/d(pre-activation), [batch x width] of the current layer.
-  linalg::Matrix delta = dl_doutput;
+  ws.delta.reset(batch, output_size());
+  std::copy(dl_doutput.flat().begin(), dl_doutput.flat().end(),
+            ws.delta.flat().begin());
   if (cfg_.output == OutputActivation::kSigmoid) {
-    const linalg::Matrix& y = ws.post.back();
-    std::span<double> d = delta.flat();
-    const std::span<const double> yv = y.flat();
+    std::span<double> d = ws.delta.flat();
+    const std::span<const double> yv = ws.post.back().flat();
     for (std::size_t i = 0; i < d.size(); ++i) d[i] *= yv[i] * (1.0 - yv[i]);
   }
 
   for (std::size_t li = layers; li-- > 0;) {
+    const linalg::Matrix& delta = ws.delta;
     const linalg::Matrix& in = li == 0 ? x : ws.post[li - 1];
-    // Summed-over-batch gradients: delta^T * in is [out x in_width], with
-    // the batch reduction in ascending sample order.
-    grads.weight[li] += delta.t_matmul(in);
-    auto& gb = grads.bias[li];
-    for (std::size_t b = 0; b < delta.rows(); ++b) {
-      const std::span<const double> row = delta.row(b);
-      for (std::size_t r = 0; r < row.size(); ++r) gb[r] += row[r];
-    }
+    const bool sparse = li == 0 && active != nullptr;
+    linalg::Matrix& gw = grads.weight[li];
+    std::vector<double>& gb = grads.bias[li];
+    util::parallel_for_ranges(
+        gw.rows(), rows_per_chunk(batch * in.cols()),
+        [&](std::size_t r0, std::size_t r1) {
+          // Summed-over-batch gradients: rows [r0, r1) of delta^T * in, each
+          // element adding its samples' terms in ascending order.
+          if (sparse)
+            linalg::t_matmul_accum(delta, in, *active, r0, r1, gw);
+          else
+            linalg::t_matmul_accum(delta, in, r0, r1, gw);
+          for (std::size_t s = 0; s < batch; ++s) {
+            const std::span<const double> row = delta.row(s);
+            for (std::size_t r = r0; r < r1; ++r) gb[r] += row[r];
+          }
+        });
     if (li == 0) break;
 
     // Propagate: delta_prev = delta * W, masked by ReLU'(pre_{l-1}).
-    linalg::Matrix prev = delta.matmul(weight_[li]);
-    const std::span<const double> pre = ws.pre[li - 1].flat();
-    std::span<double> pv = prev.flat();
-    for (std::size_t i = 0; i < pv.size(); ++i)
-      if (pre[i] <= 0.0) pv[i] = 0.0;
-    delta = std::move(prev);
+    const linalg::Matrix& w = weight_[li];
+    const linalg::Matrix& pre = ws.pre[li - 1];
+    linalg::Matrix& prev = ws.delta_prev;
+    prev.reset(batch, w.cols());
+    util::parallel_for_ranges(
+        w.cols(), rows_per_chunk(batch * w.rows(), 16),
+        [&](std::size_t c0, std::size_t c1) {
+          linalg::matmul_into(delta, w, c0, c1, prev);
+          for (std::size_t s = 0; s < batch; ++s)
+            for (std::size_t c = c0; c < c1; ++c)
+              if (pre(s, c) <= 0.0) prev(s, c) = 0.0;
+        });
+    std::swap(ws.delta, ws.delta_prev);
   }
 }
 

@@ -31,6 +31,11 @@ struct MlpGradients {
   std::vector<std::vector<double>> bias;
 
   void zero();
+  /// Zeroes every gradient except the first layer's columns outside
+  /// `active_inputs` (strictly ascending), which the active-input
+  /// backward_batch never writes: on gradients that were zero there, the
+  /// same state as zero() at a fraction of the cost.
+  void zero(std::span<const std::size_t> active_inputs);
 };
 
 /// Scratch buffers for one forward/backward pass (reusable across samples).
@@ -39,10 +44,14 @@ struct MlpWorkspace {
   std::vector<std::vector<double>> post;  // post-activation per layer
 };
 
-/// Scratch for a minibatch pass: one [batch x width] matrix per layer.
+/// Scratch for a minibatch pass: one [batch x width] matrix per layer, and
+/// the backward pass's two delta buffers. Every buffer keeps its storage
+/// across passes, so a training loop allocates nothing once it has seen its
+/// largest batch.
 struct MlpBatchWorkspace {
   std::vector<linalg::Matrix> pre;
   std::vector<linalg::Matrix> post;
+  linalg::Matrix delta, delta_prev;
 };
 
 class Mlp {
@@ -79,15 +88,40 @@ class Mlp {
   /// Minibatch forward: `x` is [batch x input_size], row b is sample b. The
   /// returned matrix aliases ws.post.back() ([batch x output_size]) and row b
   /// is bit-identical to forward() on row b alone — the matmul kernel reduces
-  /// each dot product in the same index order as the per-sample path.
+  /// each dot product in the same index order as the per-sample path. Each
+  /// layer's output rows are computed in fixed chunks on the global pool
+  /// (util::parallel_for_ranges); an element's value does not depend on the
+  /// chunk, so the result is the same at any pool width.
   const linalg::Matrix& forward_batch(const linalg::Matrix& x,
+                                      MlpBatchWorkspace& ws) const;
+
+  /// forward_batch for inputs that are zero outside the columns
+  /// `active_inputs` (strictly ascending, below input_size()): column i of
+  /// `x_active` ([batch x active_inputs.size()]) holds input
+  /// active_inputs[i]. The first layer reads only those weight columns
+  /// (linalg::matmul_t_into's column-list form), and the result is
+  /// bit-identical to forward_batch on the full-width input.
+  const linalg::Matrix& forward_batch(const linalg::Matrix& x_active,
+                                      std::span<const std::size_t> active_inputs,
                                       MlpBatchWorkspace& ws) const;
 
   /// Minibatch backward: `dl_doutput` is [batch x output_size]. Accumulates
   /// the summed-over-batch parameter gradients into `grads`, matching a
-  /// sample-by-sample backward() over the rows of `x`.
-  void backward_batch(const linalg::Matrix& x, const MlpBatchWorkspace& ws,
+  /// sample-by-sample backward() over the rows of `x`: each gradient element
+  /// adds its samples' terms in ascending order, four at a time — on zeroed
+  /// gradients exactly transpose(delta) * x. Runs in fixed chunks of output
+  /// rows on the global pool, with the same result at any pool width.
+  void backward_batch(const linalg::Matrix& x, MlpBatchWorkspace& ws,
                       const linalg::Matrix& dl_doutput,
+                      MlpGradients& grads) const;
+
+  /// backward_batch after the active-input forward_batch: the first layer's
+  /// gradient is accumulated into the columns `active_inputs` only. Every
+  /// other column of the full-width input is zero, so its gradient term is
+  /// an exact zero and the result equals the full-width backward_batch's.
+  void backward_batch(const linalg::Matrix& x_active,
+                      std::span<const std::size_t> active_inputs,
+                      MlpBatchWorkspace& ws, const linalg::Matrix& dl_doutput,
                       MlpGradients& grads) const;
 
   MlpGradients make_gradients() const;
@@ -106,6 +140,15 @@ class Mlp {
   /// Completes a pass whose ws.pre[0] holds W0 x (bias not yet added):
   /// layer 0 bias and activation, then every later layer.
   std::span<const double> finish_forward(MlpWorkspace& ws) const;
+  /// The minibatch passes; `active` is null for a full-width input.
+  const linalg::Matrix& run_forward_batch(
+      const linalg::Matrix& x, const std::span<const std::size_t>* active,
+      MlpBatchWorkspace& ws) const;
+  void run_backward_batch(const linalg::Matrix& x,
+                          const std::span<const std::size_t>* active,
+                          MlpBatchWorkspace& ws,
+                          const linalg::Matrix& dl_doutput,
+                          MlpGradients& grads) const;
 
   MlpConfig cfg_;
   std::vector<linalg::Matrix> weight_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/serialize.h"
 #include "traffic/stats.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace figret::te {
@@ -31,7 +33,7 @@ const nn::Mlp& FigretScheme::model() const {
 }
 
 void FigretScheme::gather_input(
-    std::span<const traffic::DemandMatrix> history,
+    std::span<const traffic::DemandMatrix> history, double scale,
     std::vector<std::size_t>& index, std::vector<double>& value) const {
   const std::size_t pairs = ps_->num_pairs();
   if (history.size() < opt_.history)
@@ -48,29 +50,43 @@ void FigretScheme::gather_input(
     dm.for_each_active([&](std::size_t p, double v) {
       if (v == 0.0) return;
       index.push_back(h * pairs + p);
-      value.push_back(v / input_scale_);
+      value.push_back(v / scale);
     });
   }
 }
 
-void FigretScheme::install_model(nn::Mlp model) {
-  model_ = std::make_unique<nn::Mlp>(std::move(model));
-  w0_t_ = model_->weights().front().transposed();
-  active_index_.reserve(model_->input_size());
-  active_value_.reserve(model_->input_size());
+void FigretScheme::install_model(nn::Mlp model, double input_scale,
+                                 std::vector<double> pair_weights) {
+  // Everything that can throw runs before the first member changes.
+  auto fresh = std::make_unique<nn::Mlp>(std::move(model));
+  linalg::Matrix w0_t = fresh->weights().front().transposed();
+  active_index_.reserve(fresh->input_size());
+  active_value_.reserve(fresh->input_size());
+  model_ = std::move(fresh);
+  w0_t_ = std::move(w0_t);
+  input_scale_ = input_scale;
+  pair_weights_ = std::move(pair_weights);
 }
 
 void FigretScheme::fit(const traffic::TrafficTrace& train) {
   const std::size_t pairs = ps_->num_pairs();
   if (train.num_nodes != ps_->num_nodes())
     throw std::invalid_argument("FigretScheme: trace/topology mismatch");
+  // Every snapshot is checked before any work: a wrong-sized one would
+  // otherwise surface partway through, or (a smaller one) be read out of
+  // bounds by pair_variances.
+  for (const auto& dm : train.snapshots)
+    if (dm.num_nodes() != ps_->num_nodes())
+      throw std::invalid_argument(
+          "FigretScheme: snapshot size does not match topology");
   if (train.size() <= opt_.history)
     throw std::invalid_argument("FigretScheme: training trace too short");
 
+  // The new state is built in locals and committed by install_model only
+  // once training has succeeded: a failed fit leaves the old model serving.
   // Input scale: a single global constant so the DNN sees O(1) inputs.
-  input_scale_ = 1e-12;
-  for (const auto& dm : train.snapshots)
-    input_scale_ = std::max(input_scale_, dm.max_value());
+  double scale = 1e-12;
+  for (const auto& dm : train.snapshots) scale = std::max(scale, dm.max_value());
 
   // Robustness weights: per-pair demand variance over the training period
   // (Eq. 8's sigma^2_{D_sd,[1-T]}), divided by the squared demand scale so
@@ -78,8 +94,8 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   // paper's fine-grained property: on stable traces every weight is tiny and
   // FIGRET's loss degenerates to DOTE's; on bursty traces only the genuinely
   // bursty pairs receive a meaningful sensitivity penalty.
-  pair_weights_ = traffic::pair_variances(train);
-  for (double& w : pair_weights_) w /= input_scale_ * input_scale_;
+  std::vector<double> weights = traffic::pair_variances(train);
+  for (double& w : weights) w /= scale * scale;
 
   nn::MlpConfig mcfg;
   mcfg.layer_sizes.push_back(opt_.history * pairs);
@@ -102,15 +118,41 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   std::vector<std::size_t> samples;
   for (std::size_t t = opt_.history; t < train.size(); ++t)
     samples.push_back(t);
+  const auto window = [&](std::size_t t) {
+    return std::span<const traffic::DemandMatrix>(
+        train.snapshots.data() + (t - opt_.history), opt_.history);
+  };
 
-  // Minibatches run through the batched matrix-matrix forward/backward: one
-  // matmul per layer instead of a matvec per sample. Per-sample math (loss,
-  // gradient averaging, update schedule) is unchanged from the matvec path.
+  // The first layer trains only on the inputs that are nonzero in some
+  // sample. Every other input column has an exactly zero gradient at every
+  // step, so forward, backward and Adam skip it (the active-input forms of
+  // nn::Mlp and nn::Adam), bit-identical to the full-width passes. slot[i]
+  // is input i's column in the minibatch matrix.
   const std::size_t in_dim = opt_.history * pairs;
-  std::vector<double> grad_sig;
+  constexpr std::size_t kInactive = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> index;
   std::vector<double> value;
+  std::vector<std::size_t> slot(in_dim, kInactive);
+  for (std::size_t t : samples) {
+    gather_input(window(t), scale, index, value);
+    for (std::size_t i : index) slot[i] = 0;
+  }
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < in_dim; ++i)
+    if (slot[i] != kInactive) {
+      slot[i] = active.size();
+      active.push_back(i);
+    }
+
+  // Minibatches run through the batched forward/backward, on buffers reused
+  // across steps.
+  linalg::Matrix x;
+  linalg::Matrix dl;
+  std::vector<std::vector<double>> grad_sig(opt_.batch_size);
+  std::vector<double> sample_loss(opt_.batch_size, 0.0);
   nn::MlpBatchWorkspace bws;
+  const double inv = 1.0 / static_cast<double>(opt_.batch_size);
+  double final_loss = final_epoch_loss_;
   for (std::size_t epoch = 0; epoch < opt_.epochs; ++epoch) {
     // Shuffle sample order each epoch (stochastic minibatch SGD).
     const auto perm = rng.permutation(samples.size());
@@ -120,37 +162,38 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
           std::min(samples.size(), k0 + opt_.batch_size);
       const std::size_t batch = k1 - k0;
 
-      linalg::Matrix x(batch, in_dim);
+      x.reset(batch, active.size());
       for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t t = samples[perm[k0 + b]];
-        gather_input({train.snapshots.data() + (t - opt_.history),
-                      opt_.history},
-                     index, value);
+        gather_input(window(samples[perm[k0 + b]]), scale, index, value);
         const std::span<double> row = x.row(b);
         for (std::size_t i = 0; i < index.size(); ++i)
-          row[index[i]] = value[i];
+          row[slot[index[i]]] = value[i];
       }
 
-      const linalg::Matrix& sig = model.forward_batch(x, bws);
-      linalg::Matrix dl(batch, ps_->num_paths());
-      const double inv = 1.0 / static_cast<double>(opt_.batch_size);
-      for (std::size_t b = 0; b < batch; ++b) {
+      const linalg::Matrix& sig = model.forward_batch(x, active, bws);
+      dl.reset(batch, ps_->num_paths());
+      // The samples' losses are independent: one pool task each, summed
+      // below in sample order.
+      util::parallel_for(0, batch, [&](std::size_t b) {
         const std::size_t t = samples[perm[k0 + b]];
-        const LossValue lv = figret_loss(*ps_, train[t], sig.row(b),
-                                         pair_weights_, lcfg, &grad_sig);
-        epoch_loss += lv.total;
+        sample_loss[b] = figret_loss(*ps_, train[t], sig.row(b), weights,
+                                     lcfg, &grad_sig[b])
+                             .total;
         // Average gradients across the minibatch.
-        for (std::size_t j = 0; j < grad_sig.size(); ++j)
-          dl(b, j) = grad_sig[j] * inv;
-      }
+        const std::span<double> row = dl.row(b);
+        for (std::size_t j = 0; j < row.size(); ++j)
+          row[j] = grad_sig[b][j] * inv;
+      });
+      for (std::size_t b = 0; b < batch; ++b) epoch_loss += sample_loss[b];
 
-      grads.zero();
-      model.backward_batch(x, bws, dl, grads);
-      adam.step(model, grads);
+      grads.zero(active);
+      model.backward_batch(x, active, bws, dl, grads);
+      adam.step(model, grads, active);
     }
-    final_epoch_loss_ = epoch_loss / static_cast<double>(samples.size());
+    final_loss = epoch_loss / static_cast<double>(samples.size());
   }
-  install_model(std::move(model));
+  install_model(std::move(model), scale, std::move(weights));
+  final_epoch_loss_ = final_loss;
 }
 
 TeConfig FigretScheme::advise(
@@ -163,7 +206,7 @@ TeConfig FigretScheme::advise(
 void FigretScheme::advise_into(std::span<const traffic::DemandMatrix> history,
                                TeConfig& out) {
   if (!model_) throw std::logic_error("FigretScheme: advise() before fit()");
-  gather_input(history, active_index_, active_value_);
+  gather_input(history, input_scale_, active_index_, active_value_);
   const auto sig =
       model_->forward_sparse(active_index_, active_value_, w0_t_, ws_);
   ratios_from_sigmoid_into(*ps_, sig, out);
@@ -237,10 +280,8 @@ void FigretScheme::load(std::istream& is) {
     throw std::runtime_error(
         "FigretScheme::load: model dimensions do not match topology");
 
+  install_model(std::move(loaded), scale, std::move(weights));
   opt_.history = history;
-  input_scale_ = scale;
-  pair_weights_ = std::move(weights);
-  install_model(std::move(loaded));
 }
 
 void FigretScheme::load_file(const std::string& path) {

@@ -86,12 +86,15 @@ class FigretScheme final : public TeScheme {
   /// The model input for the last history_window() snapshots as its
   /// nonzero entries, (index, value) with index ascending: O(nnz) per
   /// snapshot, stored zeros skipped.
+  /// Inputs are divided by `scale`.
   void gather_input(std::span<const traffic::DemandMatrix> history,
-                    std::vector<std::size_t>& index,
+                    double scale, std::vector<std::size_t>& index,
                     std::vector<double>& value) const;
-  /// The one place model_ is assigned: also rebuilds the transposed first
-  /// layer advise_into() reads, so the two can never disagree.
-  void install_model(nn::Mlp model);
+  /// The one place the trained state (model, input scale, pair weights) is
+  /// assigned: also rebuilds the transposed first layer advise_into() reads,
+  /// so the two can never disagree, and changes nothing if it throws.
+  void install_model(nn::Mlp model, double input_scale,
+                     std::vector<double> pair_weights);
 
   const PathSet* ps_;
   FigretOptions opt_;

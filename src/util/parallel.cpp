@@ -1,6 +1,8 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -42,6 +44,20 @@ struct LoopState {
   }
 };
 
+/// How long an idle worker polls for the next loop before it sleeps. A
+/// caller that issues loops back to back (a training step issues dozens,
+/// each a millisecond or less) then finds the workers awake: waking a
+/// sleeping one costs more than such a loop's whole share of work.
+constexpr std::chrono::microseconds kSpin{2000};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -49,13 +65,20 @@ struct ThreadPool::Impl {
   std::condition_variable wake;    // workers wait for a loop (or shutdown)
   std::condition_variable done;    // parallel_for waits for workers to drain
   LoopState* loop = nullptr;       // non-null while a loop is being executed
-  std::uint64_t generation = 0;    // bumps when a new loop is published
-  bool shutdown = false;
+  // Bumped (under the mutex) when a loop is published; also polled without
+  // it by idle workers, as is `shutdown`.
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<bool> shutdown{false};
   std::vector<std::thread> workers;
 
   void worker_main() {
     std::uint64_t seen = 0;
     for (;;) {
+      const auto until = std::chrono::steady_clock::now() + kSpin;
+      while (generation.load(std::memory_order_acquire) == seen &&
+             !shutdown.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < until)
+        cpu_relax();
       LoopState* current = nullptr;
       {
         std::unique_lock<std::mutex> lock(mutex);
@@ -168,6 +191,19 @@ void parallel_for(std::size_t begin, std::size_t end,
     return;
   }
   pool_of_width(threads).parallel_for(begin, end, fn);
+}
+
+void parallel_for_ranges(
+    std::size_t n, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t per = chunk == 0 ? 1 : chunk;
+  if (n <= per) {  // one range: no pool round trip
+    if (n > 0) fn(0, n);
+    return;
+  }
+  parallel_for(0, (n + per - 1) / per, [&](std::size_t c) {
+    fn(c * per, std::min(n, (c + 1) * per));
+  });
 }
 
 }  // namespace figret::util

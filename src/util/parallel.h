@@ -1,4 +1,4 @@
-// Shared-memory parallelism for the evaluation hot paths: a small
+// Shared-memory parallelism for the evaluation and training hot paths: a
 // fixed-size thread pool plus a deterministic parallel_for.
 //
 // Determinism contract: parallel_for(begin, end, fn) calls fn(i) exactly once
@@ -56,5 +56,13 @@ ThreadPool& global_pool();
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);
+
+/// Cuts [0, n) into ranges of `chunk` items (the last one shorter; chunk 0
+/// counts as 1) and runs fn(begin, end) once per range on the global pool.
+/// The cut depends only on n and chunk, never on the pool width, so a caller
+/// whose ranges write disjoint outputs gets the same result at any width.
+void parallel_for_ranges(
+    std::size_t n, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace figret::util

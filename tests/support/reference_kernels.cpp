@@ -1,6 +1,12 @@
 #include "support/reference_kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+
+#include "te/loss.h"
+#include "traffic/stats.h"
+#include "util/rng.h"
 
 namespace figret::linalg {
 
@@ -66,6 +72,189 @@ void edge_loads_reference_into(const PathSet& ps,
     if (flow == 0.0) continue;
     for (net::EdgeId e : ps.path_edges(pid)) out[e] += flow;
   }
+}
+
+}  // namespace figret::te
+
+namespace figret::te {
+namespace {
+
+const linalg::Matrix& forward_batch_reference(const nn::Mlp& net,
+                                              const linalg::Matrix& x,
+                                              nn::MlpBatchWorkspace& ws) {
+  const std::size_t layers = net.num_layers();
+  ws.pre.resize(layers);
+  ws.post.resize(layers);
+  const linalg::Matrix* in = &x;
+  for (std::size_t l = 0; l < layers; ++l) {
+    ws.pre[l] = in->matmul_t(net.weights()[l]);
+    linalg::Matrix& pre = ws.pre[l];
+    const std::vector<double>& b = net.biases()[l];
+    for (std::size_t r = 0; r < pre.rows(); ++r) {
+      const std::span<double> row = pre.row(r);
+      for (std::size_t i = 0; i < row.size(); ++i) row[i] += b[i];
+    }
+    linalg::Matrix& post = ws.post[l];
+    post = linalg::Matrix(pre.rows(), pre.cols());
+    const std::span<const double> src = pre.flat();
+    const std::span<double> dst = post.flat();
+    if (l + 1 < layers) {
+      for (std::size_t i = 0; i < src.size(); ++i)
+        dst[i] = src[i] > 0.0 ? src[i] : 0.0;  // ReLU
+    } else if (net.output_activation() == nn::OutputActivation::kSigmoid) {
+      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = nn::sigmoid(src[i]);
+    } else {
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    in = &post;
+  }
+  return ws.post.back();
+}
+
+void backward_batch_reference(const nn::Mlp& net, const linalg::Matrix& x,
+                              const nn::MlpBatchWorkspace& ws,
+                              const linalg::Matrix& dl,
+                              nn::MlpGradients& grads) {
+  const std::size_t layers = net.num_layers();
+  linalg::Matrix delta = dl;
+  if (net.output_activation() == nn::OutputActivation::kSigmoid) {
+    std::span<double> d = delta.flat();
+    const std::span<const double> y = ws.post.back().flat();
+    for (std::size_t i = 0; i < d.size(); ++i) d[i] *= y[i] * (1.0 - y[i]);
+  }
+  for (std::size_t li = layers; li-- > 0;) {
+    const linalg::Matrix& in = li == 0 ? x : ws.post[li - 1];
+    grads.weight[li] += delta.t_matmul(in);
+    std::vector<double>& gb = grads.bias[li];
+    for (std::size_t b = 0; b < delta.rows(); ++b) {
+      const std::span<const double> row = delta.row(b);
+      for (std::size_t r = 0; r < row.size(); ++r) gb[r] += row[r];
+    }
+    if (li == 0) break;
+    linalg::Matrix prev = delta.matmul(net.weights()[li]);
+    const std::span<const double> pre = ws.pre[li - 1].flat();
+    std::span<double> pv = prev.flat();
+    for (std::size_t i = 0; i < pv.size(); ++i)
+      if (pre[i] <= 0.0) pv[i] = 0.0;
+    delta = std::move(prev);
+  }
+}
+
+/// Adam over every parameter, serially, clip norm included.
+class AdamReference {
+ public:
+  AdamReference(const nn::Mlp& net, const nn::AdamConfig& cfg)
+      : cfg_(cfg), m_(net.make_gradients()), v_(net.make_gradients()) {}
+
+  void step(nn::Mlp& net, const nn::MlpGradients& grads) {
+    ++t_;
+    const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
+    double scale = 1.0;
+    if (cfg_.clip_norm > 0.0) {
+      double norm_sq = 0.0;
+      for (const auto& gw : grads.weight)
+        for (double g : gw.flat()) norm_sq += g * g;
+      for (const auto& gb : grads.bias)
+        for (double g : gb) norm_sq += g * g;
+      const double norm = std::sqrt(norm_sq);
+      if (norm > cfg_.clip_norm) scale = cfg_.clip_norm / norm;
+    }
+    auto update = [&](double& param, double grad, double& m, double& v) {
+      grad *= scale;
+      m = cfg_.beta1 * m + (1.0 - cfg_.beta1) * grad;
+      v = cfg_.beta2 * v + (1.0 - cfg_.beta2) * grad * grad;
+      const double mhat = m / bc1;
+      const double vhat = v / bc2;
+      param -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
+    };
+    for (std::size_t l = 0; l < grads.weight.size(); ++l) {
+      const std::span<double> w = net.weights()[l].flat();
+      const std::span<const double> g = grads.weight[l].flat();
+      const std::span<double> m = m_.weight[l].flat();
+      const std::span<double> v = v_.weight[l].flat();
+      for (std::size_t i = 0; i < w.size(); ++i) update(w[i], g[i], m[i], v[i]);
+      std::vector<double>& b = net.biases()[l];
+      for (std::size_t i = 0; i < b.size(); ++i)
+        update(b[i], grads.bias[l][i], m_.bias[l][i], v_.bias[l][i]);
+    }
+  }
+
+ private:
+  nn::AdamConfig cfg_;
+  nn::MlpGradients m_, v_;
+  std::size_t t_ = 0;
+};
+
+}  // namespace
+
+ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
+                                  const traffic::TrafficTrace& train) {
+  const std::size_t pairs = ps.num_pairs();
+  double scale = 1e-12;
+  for (const auto& dm : train.snapshots) scale = std::max(scale, dm.max_value());
+  std::vector<double> weights = traffic::pair_variances(train);
+  for (double& w : weights) w /= scale * scale;
+
+  nn::MlpConfig mcfg;
+  mcfg.layer_sizes.push_back(opt.history * pairs);
+  for (std::size_t h : opt.hidden) mcfg.layer_sizes.push_back(h);
+  mcfg.layer_sizes.push_back(ps.num_paths());
+  mcfg.output = nn::OutputActivation::kSigmoid;
+  mcfg.seed = opt.seed;
+  nn::Mlp model(mcfg);
+
+  nn::AdamConfig acfg;
+  acfg.learning_rate = opt.learning_rate;
+  acfg.clip_norm = opt.clip_norm;
+  AdamReference adam(model, acfg);
+  nn::MlpGradients grads = model.make_gradients();
+  const LossConfig lcfg{opt.robust_weight};
+  util::Rng rng(opt.seed ^ 0xF16A2Eu);
+
+  std::vector<std::size_t> samples;
+  for (std::size_t t = opt.history; t < train.size(); ++t) samples.push_back(t);
+
+  const std::size_t in_dim = opt.history * pairs;
+  std::vector<double> grad_sig;
+  nn::MlpBatchWorkspace bws;
+  double final_loss = 0.0;
+  for (std::size_t epoch = 0; epoch < opt.epochs; ++epoch) {
+    const auto perm = rng.permutation(samples.size());
+    double epoch_loss = 0.0;
+    for (std::size_t k0 = 0; k0 < samples.size(); k0 += opt.batch_size) {
+      const std::size_t batch =
+          std::min(samples.size(), k0 + opt.batch_size) - k0;
+      linalg::Matrix x(batch, in_dim);
+      for (std::size_t b = 0; b < batch; ++b) {
+        const std::size_t t = samples[perm[k0 + b]];
+        const std::span<double> row = x.row(b);
+        for (std::size_t h = 0; h < opt.history; ++h)
+          train[t - opt.history + h].for_each_active([&](std::size_t p,
+                                                         double v) {
+            if (v != 0.0) row[h * pairs + p] = v / scale;
+          });
+      }
+      const linalg::Matrix& sig = forward_batch_reference(model, x, bws);
+      linalg::Matrix dl(batch, ps.num_paths());
+      const double inv = 1.0 / static_cast<double>(opt.batch_size);
+      for (std::size_t b = 0; b < batch; ++b) {
+        const std::size_t t = samples[perm[k0 + b]];
+        epoch_loss += figret_loss(ps, train[t], sig.row(b), weights, lcfg,
+                                  &grad_sig)
+                          .total;
+        for (std::size_t j = 0; j < grad_sig.size(); ++j)
+          dl(b, j) = grad_sig[j] * inv;
+      }
+      for (auto& gw : grads.weight)
+        std::fill(gw.flat().begin(), gw.flat().end(), 0.0);
+      for (auto& gb : grads.bias) std::fill(gb.begin(), gb.end(), 0.0);
+      backward_batch_reference(model, x, bws, dl, grads);
+      adam.step(model, grads);
+    }
+    final_loss = epoch_loss / static_cast<double>(samples.size());
+  }
+  return ReferenceFit{scale, std::move(weights), std::move(model), final_loss};
 }
 
 }  // namespace figret::te

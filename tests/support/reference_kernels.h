@@ -1,14 +1,17 @@
 // Pre-optimization kernels: the plain triple loops the tiled/SIMD matrix
-// kernels of linalg/matrix.h replaced, and the path-major edge-load loop the
-// pair-major te::edge_loads_into replaced. They are the differential oracles
-// of tests/test_kernels.cpp and tests/test_sparse_demand.cpp and the
-// baseline columns of bench_fabric_scale, and are deliberately compiled
-// without ISA clones.
+// kernels of linalg/matrix.h replaced, the path-major edge-load loop the
+// pair-major te::edge_loads_into replaced, and the dense serial training loop
+// FigretScheme::fit replaced. They are the differential oracles of
+// tests/test_kernels.cpp, tests/test_sparse_demand.cpp and
+// tests/test_fit_oracle.cpp and the baseline columns of bench_fabric_scale,
+// and are deliberately compiled without ISA clones.
 #pragma once
 
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "nn/mlp.h"
+#include "te/figret.h"
 #include "te/pathset.h"
 #include "traffic/demand.h"
 
@@ -31,5 +34,27 @@ void edge_loads_reference_into(const PathSet& ps,
                                const traffic::DemandMatrix& demand,
                                const TeConfig& config,
                                std::vector<double>& out);
+
+}  // namespace figret::te
+
+namespace figret::te {
+
+/// The state a FIGRET/DOTE fit trains.
+struct ReferenceFit {
+  double input_scale;
+  std::vector<double> pair_weights;
+  nn::Mlp model;
+  double final_epoch_loss;
+};
+
+/// FigretScheme::fit as a dense serial oracle: the same scale, pair weights,
+/// initialisation, minibatch order and loss, but every sample's full-width
+/// input row, one whole-matrix product per layer (Matrix::matmul_t, t_matmul
+/// and matmul, the last two into fresh matrices), and an Adam step over every
+/// parameter, all on the calling thread — the training loop as it was before
+/// the first layer was restricted to active inputs and the minibatch kernels
+/// and Adam moved onto the pool.
+ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
+                                  const traffic::TrafficTrace& train);
 
 }  // namespace figret::te

@@ -329,6 +329,61 @@ TEST(Figret, AdviseIntoMatchesDenseForwardAfterFitLoadAndRefit) {
             0)
       << "refit on another trace should change the model";
   expect_advise_matches_dense(scheme, ps, trace, "after refit");
+
+  // Training skips the first-layer columns of inputs that are never active;
+  // they keep their initial weights, and serving a window where such a pair
+  // is active must still match the dense forward.
+  const std::size_t silent = traffic::pair_index(4, 2, 1);
+  traffic::TrafficTrace holey = trace;
+  for (auto& dm : holey.snapshots) dm[silent] = 0.0;
+  scheme.fit(holey);
+  ASSERT_GT(trace[trace.size() - 1][silent], 0.0);
+  expect_advise_matches_dense(scheme, ps, trace, "pair never active in training");
+  nn::MlpConfig init;
+  init.layer_sizes = {4 * ps.num_pairs(), 64, 64, ps.num_paths()};
+  init.seed = fast_options().seed;
+  const nn::Mlp untrained(init);
+  const linalg::Matrix& w0 = untrained.weights()[0];
+  const linalg::Matrix& trained = scheme.model().weights()[0];
+  for (std::size_t h = 0; h < 4; ++h)
+    for (std::size_t r = 0; r < w0.rows(); ++r) {
+      const std::size_t c = h * ps.num_pairs() + silent;
+      EXPECT_EQ(std::memcmp(&trained.row(r)[c], &w0.row(r)[c], sizeof(double)),
+                0)
+          << "input " << c << " row " << r;
+    }
+}
+
+TEST(Figret, FailedRefitLeavesTheServedModelUnchanged) {
+  // Every snapshot's size is checked before training starts, and the new
+  // state is committed only after training: a refit that throws must leave
+  // the old model, input scale and pair weights serving, bit for bit.
+  const PathSet ps = mesh_pathset(4);
+  const auto trace = traffic::dc_tor_trace(4, 60, 41);
+  FigretScheme scheme(ps, fast_options());
+  scheme.fit(trace);
+  const std::span<const traffic::DemandMatrix> last{
+      trace.snapshots.data() + trace.size() - 4, 4};
+  const TeConfig before = scheme.advise(last);
+  const double scale = scheme.input_scale();
+  const std::vector<double> weights = scheme.pair_weights();
+
+  for (const std::size_t nodes : {5u, 3u}) {
+    traffic::TrafficTrace bad = traffic::dc_tor_trace(4, 60, 43);
+    // A huge demand in the wrong-sized snapshot: had the scale been taken
+    // before the check, it would have moved.
+    bad.snapshots[30] = traffic::DemandMatrix(nodes, 1e6);
+    EXPECT_THROW(scheme.fit(bad), std::invalid_argument) << nodes << " nodes";
+    const TeConfig after = scheme.advise(last);
+    ASSERT_EQ(after.size(), before.size());
+    EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                          before.size() * sizeof(double)),
+              0)
+        << nodes << " nodes";
+    const double scale_after = scheme.input_scale();
+    EXPECT_EQ(std::memcmp(&scale, &scale_after, sizeof scale), 0);
+    EXPECT_EQ(scheme.pair_weights(), weights);
+  }
 }
 
 TEST(Figret, LoadRejectsInvalidInputScale) {

@@ -4,6 +4,7 @@
 // sparse-input matvec against the dense matvec, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -142,6 +143,139 @@ TEST(TiledKernels, RandomizedShapesSweep) {
     const auto at = a.transposed();
     expect_near(at.t_matmul(b), linalg::t_matmul_reference(at, b));
   }
+}
+
+// --- range and column-list kernels --------------------------------------------
+
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+TEST(RangeKernels, AnyCutGivesTheWholeProductBitForBit) {
+  // Pool callers split a product's outputs into ranges; each element's
+  // reduction order must not depend on the cut (k = 2049 takes the k-tiled
+  // matmul_t path).
+  util::Rng rng(112);
+  for (const Shape& s : {Shape{9, 13, 70}, Shape{16, 2049, 37}}) {
+    const auto a = random_matrix(s.m, s.k, rng);
+    const auto bt = random_matrix(s.n, s.k, rng);
+    const auto b = random_matrix(s.k, s.n, rng);
+    const auto at = random_matrix(s.k, s.m, rng);
+    const auto bm = random_matrix(s.k, s.n, rng);
+    for (std::size_t cut : {1u, 5u, 32u, 33u, 1000u}) {
+      linalg::Matrix mt(s.m, s.n), mm(s.m, s.n), tm(s.m, s.n);
+      for (std::size_t j0 = 0; j0 < s.n; j0 += cut) {
+        const std::size_t j1 = std::min(s.n, j0 + cut);
+        linalg::matmul_t_into(a, bt, j0, j1, mt);
+        linalg::matmul_into(a, b, j0, j1, mm);
+      }
+      for (std::size_t i0 = 0; i0 < s.m; i0 += cut)
+        linalg::t_matmul_accum(at, bm, i0, std::min(s.m, i0 + cut), tm);
+      const std::string what = "k=" + std::to_string(s.k) +
+                               " cut=" + std::to_string(cut);
+      EXPECT_TRUE(same_bits(mt, a.matmul_t(bt))) << what;
+      EXPECT_TRUE(same_bits(mm, a.matmul(b))) << what;
+      EXPECT_TRUE(same_bits(tm, at.t_matmul(bm))) << what;
+    }
+    // A range writes its own outputs only.
+    linalg::Matrix part(s.m, s.n, 7.0);
+    linalg::matmul_t_into(a, bt, 1, 3, part);
+    linalg::matmul_into(a, b, 1, 3, part);
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t j = 0; j < s.n; ++j)
+        if (j < 1 || j >= 3) {
+          EXPECT_EQ(part(i, j), 7.0);
+        }
+  }
+}
+
+TEST(RangeKernels, TMatmulAccumAddsOntoExistingValues) {
+  util::Rng rng(113);
+  const auto a = random_matrix(7, 5, rng);
+  const auto b = random_matrix(7, 6, rng);
+  linalg::Matrix out(5, 6, 0.5);
+  linalg::t_matmul_accum(a, b, 0, 5, out);
+  const auto want = a.t_matmul(b);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t j = 0; j < 6; ++j)
+      EXPECT_NEAR(out(i, j), 0.5 + want(i, j), 1e-12);
+}
+
+TEST(ColumnListKernels, BitIdenticalToTheZeroPaddedFullWidthProduct) {
+  // The active-input training passes: the left (matmul_t) or right
+  // (t_matmul) operand is zero outside `cols`, the other operand is finite
+  // everywhere. Lanes must follow the full-width column index.
+  util::Rng rng(114);
+  for (const std::size_t width : {40u, 2100u}) {
+    for (const double density : {0.0, 0.05, 0.3, 0.9}) {
+      std::vector<std::size_t> cols;
+      for (std::size_t c = 0; c < width; ++c)
+        if (rng.bernoulli(density)) cols.push_back(c);
+      const std::size_t rows = 9, n = 11;
+      linalg::Matrix compact(rows, cols.size());
+      linalg::Matrix full(rows, width);
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+          const double v = rng.bernoulli(0.1) ? 0.0 : rng.uniform(-1.0, 1.0);
+          compact(r, i) = v;
+          full(r, cols[i]) = v;
+        }
+      const auto w = random_matrix(n, width, rng);
+      const std::string what = "width=" + std::to_string(width) +
+                               " active=" + std::to_string(cols.size());
+
+      linalg::Matrix got(rows, n);
+      linalg::matmul_t_into(compact, cols, w, 0, 4, got);
+      linalg::matmul_t_into(compact, cols, w, 4, n, got);
+      EXPECT_TRUE(same_bits(got, full.matmul_t(w))) << what;
+
+      const auto delta = random_matrix(rows, n, rng);
+      linalg::Matrix grad(n, width, 7.0);  // sentinel outside `cols`
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c : cols) grad(r, c) = 0.0;
+      linalg::t_matmul_accum(delta, compact, cols, 0, 3, grad);
+      linalg::t_matmul_accum(delta, compact, cols, 3, n, grad);
+      const auto want = delta.t_matmul(full);
+      for (std::size_t r = 0; r < n; ++r) {
+        std::size_t next = 0;
+        for (std::size_t c = 0; c < width; ++c) {
+          const bool on = next < cols.size() && cols[next] == c;
+          if (on) ++next;
+          const double expect = on ? want(r, c) : 7.0;
+          ASSERT_EQ(std::memcmp(&expect, &grad.row(r)[c], sizeof expect), 0)
+              << what << " at (" << r << ", " << c << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnListKernels, RejectMalformedListsAndRanges) {
+  const linalg::Matrix a(2, 2), w(3, 6), delta(2, 3);
+  linalg::Matrix out(2, 3), grad(3, 6);
+  const std::vector<std::size_t> descending{4, 2}, repeated{1, 1},
+      out_of_range{2, 6}, ok{1, 5};
+  for (const auto* bad : {&descending, &repeated, &out_of_range}) {
+    EXPECT_THROW(linalg::matmul_t_into(a, *bad, w, 0, 3, out),
+                 std::invalid_argument);
+    EXPECT_THROW(linalg::t_matmul_accum(delta, a, *bad, 0, 3, grad),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(linalg::matmul_t_into(a, ok, w, 2, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::matmul_t_into(a, ok, w, 2, 1, out),
+               std::invalid_argument);
+  EXPECT_THROW(linalg::t_matmul_accum(delta, a, ok, 0, 4, grad),
+               std::invalid_argument);
+  linalg::Matrix small(2, 2);
+  EXPECT_THROW(linalg::matmul_t_into(a, ok, w, 0, 2, small),
+               std::invalid_argument);
+  linalg::Matrix prod(2, 4);
+  EXPECT_THROW(linalg::matmul_into(a, linalg::Matrix(2, 4), 0, 5, prod),
+               std::invalid_argument);
+  EXPECT_NO_THROW(linalg::matmul_t_into(a, ok, w, 0, 3, out));
 }
 
 // --- sparse-input matvec -----------------------------------------------------

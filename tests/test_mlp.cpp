@@ -272,6 +272,101 @@ TEST(Mlp, BackwardBatchMatchesSummedPerSampleBackward) {
   }
 }
 
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Mlp, ActiveInputPassesMatchFullWidthBitForBit) {
+  // Inputs zero outside a column list: the active-input forward and backward
+  // must give the full-width passes' bytes, and leave every other first-layer
+  // gradient column untouched.
+  MlpConfig cfg;
+  cfg.layer_sizes = {40, 24, 24, 7};
+  cfg.seed = 13;
+  const Mlp m(cfg);
+  util::Rng rng(37);
+  std::vector<std::size_t> all(40);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<std::vector<std::size_t>> lists = {
+      {}, {0}, {39}, {3, 4, 5, 17, 19, 20, 21, 35}, {1, 16, 17, 32, 33}, all};
+  for (const std::size_t batch : {1u, 6u, 9u}) {
+    for (const std::vector<std::size_t>& active : lists) {
+      linalg::Matrix compact(batch, active.size());
+      linalg::Matrix full(batch, m.input_size());
+      for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t i = 0; i < active.size(); ++i) {
+          // Some explicit zeros inside the list too.
+          const double v = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-2.0, 2.0);
+          compact(b, i) = v;
+          full(b, active[i]) = v;
+        }
+      linalg::Matrix dl(batch, m.output_size());
+      for (double& v : dl.flat()) v = rng.uniform(-1.0, 1.0);
+
+      MlpBatchWorkspace ws_full, ws_active;
+      const linalg::Matrix& y_full = m.forward_batch(full, ws_full);
+      const linalg::Matrix& y_active =
+          m.forward_batch(compact, active, ws_active);
+      EXPECT_TRUE(same_bits(y_full.flat(), y_active.flat()))
+          << active.size() << " active, batch " << batch;
+
+      MlpGradients g_full = m.make_gradients();
+      MlpGradients g_active = m.make_gradients();
+      // A sentinel outside the list: the active-input backward never
+      // writes there.
+      for (double& v : g_active.weight[0].flat()) v = 7.0;
+      g_active.zero(active);
+      m.backward_batch(full, ws_full, dl, g_full);
+      m.backward_batch(compact, active, ws_active, dl, g_active);
+      for (std::size_t r = 0; r < g_full.weight[0].rows(); ++r) {
+        std::size_t next = 0;
+        for (std::size_t c = 0; c < m.input_size(); ++c) {
+          const bool on = next < active.size() && active[next] == c;
+          if (on) ++next;
+          const double want = on ? g_full.weight[0](r, c) : 7.0;
+          EXPECT_EQ(std::memcmp(&want, &g_active.weight[0].row(r)[c],
+                                sizeof want),
+                    0)
+              << "row " << r << " col " << c;
+        }
+      }
+      for (std::size_t l = 1; l < m.num_layers(); ++l)
+        EXPECT_TRUE(same_bits(g_full.weight[l].flat(),
+                              g_active.weight[l].flat()))
+            << "layer " << l;
+      for (std::size_t l = 0; l < m.num_layers(); ++l)
+        EXPECT_TRUE(same_bits(g_full.bias[l], g_active.bias[l]))
+            << "bias " << l;
+    }
+  }
+}
+
+TEST(Mlp, ActiveInputPassesRejectBadColumnLists) {
+  MlpConfig cfg;
+  cfg.layer_sizes = {6, 4, 2};
+  const Mlp m(cfg);
+  MlpBatchWorkspace ws;
+  const linalg::Matrix x(2, 2);
+  for (const std::vector<std::size_t>& bad :
+       {std::vector<std::size_t>{3, 1}, std::vector<std::size_t>{2, 2},
+        std::vector<std::size_t>{0, 6}})
+    EXPECT_THROW(m.forward_batch(x, bad, ws), std::invalid_argument);
+  const std::vector<std::size_t> three{0, 1, 2};
+  EXPECT_THROW(m.forward_batch(x, three, ws), std::invalid_argument)
+      << "x_active must have one column per listed input";
+  const std::vector<std::size_t> two{1, 4};
+  (void)m.forward_batch(x, two, ws);
+  MlpGradients g = m.make_gradients();
+  const linalg::Matrix dl(2, 2);
+  EXPECT_THROW(m.backward_batch(x, three, ws, dl, g), std::invalid_argument);
+  MlpConfig other;
+  other.layer_sizes = {6, 5, 2};
+  MlpGradients wrong = Mlp(other).make_gradients();
+  EXPECT_THROW(m.backward_batch(x, two, ws, dl, wrong), std::invalid_argument);
+  EXPECT_NO_THROW(m.backward_batch(x, two, ws, dl, g));
+}
+
 TEST(Mlp, BackwardBatchRejectsStaleBatchDimension) {
   MlpConfig cfg;
   cfg.layer_sizes = {3, 4, 2};

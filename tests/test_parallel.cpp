@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace figret::util {
@@ -98,6 +101,29 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     parallel_for(0, 8, [&](std::size_t) { total++; }, 0);
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ParallelForRanges, CoversEveryIndexOnceInFixedRanges) {
+  for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u})
+    for (const std::size_t chunk : {0u, 1u, 3u, 64u, 5000u}) {
+      std::vector<int> seen(n, 0);
+      std::mutex mu;
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      parallel_for_ranges(n, chunk, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) ++seen[i];
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(b, e);
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], 1) << i;
+      // The cut depends on n and chunk only: [0, c), [c, 2c), ...
+      const std::size_t per = chunk == 0 ? 1 : chunk;
+      std::sort(ranges.begin(), ranges.end());
+      ASSERT_EQ(ranges.size(), (n + per - 1) / per) << n << "/" << chunk;
+      for (std::size_t r = 0; r < ranges.size(); ++r) {
+        EXPECT_EQ(ranges[r].first, r * per);
+        EXPECT_EQ(ranges[r].second, std::min(n, (r + 1) * per));
+      }
+    }
 }
 
 TEST(DefaultThreads, AtLeastOne) { EXPECT_GE(default_threads(), 1u); }
