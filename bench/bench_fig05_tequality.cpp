@@ -15,7 +15,6 @@
 #include "te/harness.h"
 #include "te/lp_schemes.h"
 #include "te/oblivious.h"
-#include "te/teal_like.h"
 #include "util/table.h"
 
 namespace {
@@ -54,10 +53,7 @@ void run_scenario(const std::string& name) {
   te::DesensitizationTe pred = te::prediction_te(sc.ps);
   t.add_row(bench::eval_row(harness.evaluate(pred)));
 
-  te::TealOptions topt;
-  topt.hidden = prof.hidden;
-  topt.epochs = prof.epochs;
-  te::TealLikeTe teal(sc.ps, topt);
+  te::FigretScheme teal(sc.ps, te::teal_options(fopt), "TEAL");
   t.add_row(bench::eval_row(harness.evaluate(teal)));
 
   // Oblivious & COPE: small topologies only (paper Table 2: infeasible at

@@ -8,7 +8,10 @@
 //  * Des TE (LP + sensitivity caps) is slower than the plain LP;
 //  * Oblivious/COPE fail to complete at ToR scale within budget
 //    ("Infeasible"), while GEANT-scale is feasible;
-//  * FIGRET's training time is far below the RL-based TEAL-style trainer's.
+//  * Training is a one-off precomputation. The paper's TEAL trains with RL
+//    and takes longer than FIGRET; the TEAL-like column here runs FIGRET's
+//    own trainer on a one-snapshot window (te::teal_options), so it measures
+//    a smaller first layer, not the RL-versus-supervised gap.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,7 +30,6 @@
 #include "te/figret.h"
 #include "te/lp_schemes.h"
 #include "te/oblivious.h"
-#include "te/teal_like.h"
 #include "util/json.h"
 #include "util/parallel.h"
 #include "util/table.h"
@@ -109,11 +111,9 @@ int main(int argc, char** argv) {
     ts.figret->fit(ts.sc.trace.slice(0, ts.sc.trace.size() * 3 / 4));
     ts.figret_train_seconds = seconds_since(t0);
 
-    // TEAL-style trainer (per-demand net), for the precomputation column.
-    te::TealOptions topt;
-    topt.hidden = prof.hidden;
-    topt.epochs = prof.epochs;
-    te::TealLikeTe teal(ts.sc.ps, topt);
+    // TEAL-like (FIGRET's trainer on one snapshot, target = input), for the
+    // precomputation column.
+    te::FigretScheme teal(ts.sc.ps, te::teal_options(fopt), "TEAL");
     const auto t1 = Clock::now();
     teal.fit(ts.sc.trace.slice(0, ts.sc.trace.size() * 3 / 4));
     ts.teal_train_seconds = seconds_since(t1);

@@ -22,12 +22,12 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "net/fabric.h"
 #include "net/racke_paths.h"
 #include "net/topology.h"
 #include "net/yen.h"
-#include "nn/serialize.h"
 #include "te/chaos.h"
 #include "te/figret.h"
 #include "te/harness.h"
@@ -35,7 +35,6 @@
 #include "te/oblivious.h"
 #include "te/retrain_monitor.h"
 #include "te/serving_loop.h"
-#include "te/teal_like.h"
 #include "traffic/adversary.h"
 #include "traffic/feed.h"
 #include "traffic/generators.h"
@@ -61,12 +60,14 @@ void print_usage(std::ostream& os) {
       "  --scheme    figret | dote | teal | des | pred | heuristic |\n"
       "              twostage | oblivious | cope   (default figret)\n"
       "  --epochs    N    --history H    --robust-weight W\n"
+      "              (figret/dote; teal takes --epochs and always reads one\n"
+      "              snapshot, ignoring --history and --robust-weight)\n"
       "  --racke     use Racke-style (SMORE) path selection\n"
       "  --stride    evaluate every k-th test snapshot (default 2)\n"
       "  --seed      trace seed (default 42)\n"
       "  --threads   evaluation threads (0 = all cores, 1 = serial; default 0)\n"
       "  --budget    LP time budget in seconds (oblivious/cope; default 60)\n"
-      "  --save      path to write the trained FIGRET/DOTE model\n"
+      "  --save      path to write the trained figret/dote/teal checkpoint\n"
       "  --list      print available scenarios and exit\n"
       "\n"
       "serve — stream the test split through the serving loop:\n"
@@ -226,12 +227,29 @@ traffic::TrafficTrace make_traffic(const util::Args& args,
   throw UsageError("unknown --traffic " + kind);
 }
 
-/// One untrained advisor, for batch evaluation or a serving worker.
-/// FIGRET/DOTE (train once, clone the checkpoint per worker) and the static
-/// Oblivious/COPE configurations are handled by the callers.
+/// The learned schemes, FIGRET and its DOTE and TEAL-like configurations, as
+/// (options, name) from the --scheme, --epochs, --history and
+/// --robust-weight flags; nullopt for every other --scheme.
+std::optional<std::pair<te::FigretOptions, std::string>> learned_scheme(
+    const util::Args& args) {
+  const std::string name = args.get_or("scheme", "figret");
+  if (name != "figret" && name != "dote" && name != "teal")
+    return std::nullopt;
+  te::FigretOptions fopt;
+  fopt.history = flag_size(args, "history", 8);
+  fopt.epochs = flag_size(args, "epochs", 15);
+  fopt.hidden = {128, 128, 128};
+  fopt.robust_weight = flag_double(args, "robust-weight", 4.0);
+  if (name == "dote") return std::pair{te::dote_options(fopt), "DOTE"};
+  if (name == "teal") return std::pair{te::teal_options(fopt), "TEAL"};
+  return std::pair{fopt, "FIGRET"};
+}
+
+/// One untrained advisor, for batch evaluation or a serving worker. The
+/// learned schemes (train once, clone the checkpoint per worker) and the
+/// static Oblivious/COPE configurations are handled by the callers.
 std::unique_ptr<te::TeScheme> make_scheme(const std::string& name,
                                           const te::PathSet& paths) {
-  if (name == "teal") return std::make_unique<te::TealLikeTe>(paths);
   if (name == "des") return std::make_unique<te::DesensitizationTe>(paths);
   if (name == "pred")
     return std::make_unique<te::DesensitizationTe>(te::prediction_te(paths));
@@ -282,15 +300,9 @@ int run_serve(const util::Args& args) {
 
   const std::string scheme_name = args.get_or("scheme", "figret");
   std::vector<std::unique_ptr<te::TeScheme>> schemes;
-  if (scheme_name == "figret" || scheme_name == "dote") {
-    te::FigretOptions fopt;
-    fopt.history = flag_size(args, "history", 8);
-    fopt.epochs = flag_size(args, "epochs", 15);
-    fopt.hidden = {128, 128, 128};
-    fopt.robust_weight = flag_double(args, "robust-weight", 4.0);
-    const bool dote = scheme_name == "dote";
-    auto trained = std::make_unique<te::FigretScheme>(
-        paths, dote ? te::dote_options(fopt) : fopt, dote ? "DOTE" : "FIGRET");
+  if (const auto learned = learned_scheme(args)) {
+    const auto& [fopt, name] = *learned;
+    auto trained = std::make_unique<te::FigretScheme>(paths, fopt, name);
     trained->fit(train);
     // Train once, ship the checkpoint to every worker (§6: controllers load
     // models far more often than they train them).
@@ -298,9 +310,7 @@ int run_serve(const util::Args& args) {
     trained->save(checkpoint);
     schemes.push_back(std::move(trained));
     for (std::size_t i = 1; i < workers; ++i) {
-      auto clone = std::make_unique<te::FigretScheme>(
-          paths, dote ? te::dote_options(fopt) : fopt,
-          dote ? "DOTE" : "FIGRET");
+      auto clone = std::make_unique<te::FigretScheme>(paths, fopt, name);
       std::stringstream is(checkpoint.str());
       clone->load(is);
       schemes.push_back(std::move(clone));
@@ -525,23 +535,16 @@ int main(int argc, char** argv) {
     hopt.threads = flag_size(args, "threads", 0);
     te::Harness harness(paths, trace, hopt);
 
-    te::FigretOptions fopt;
-    fopt.history = flag_size(args, "history", 8);
-    fopt.epochs = flag_size(args, "epochs", 15);
-    fopt.hidden = {128, 128, 128};
-    fopt.robust_weight = flag_double(args, "robust-weight", 4.0);
-
     const std::string scheme_name = args.get_or("scheme", "figret");
     te::SchemeEval result;
-    if (scheme_name == "figret" || scheme_name == "dote") {
-      auto fig = std::make_unique<te::FigretScheme>(
-          paths, scheme_name == "dote" ? te::dote_options(fopt) : fopt,
-          scheme_name == "dote" ? "DOTE" : "FIGRET");
-      result = harness.evaluate(*fig);
+    if (const auto learned = learned_scheme(args)) {
+      const auto& [fopt, name] = *learned;
+      te::FigretScheme fig(paths, fopt, name);
+      result = harness.evaluate(fig);
       if (const auto path = args.get("save")) {
-        nn::save_mlp_file(fig->model(), *path);
-        std::cout << "model saved to " << *path << " ("
-                  << fig->model().num_parameters() << " parameters)\n";
+        fig.save_file(*path);
+        std::cout << "checkpoint saved to " << *path << " ("
+                  << fig.model().num_parameters() << " parameters)\n";
       }
     } else if (scheme_name == "oblivious" || scheme_name == "cope") {
       te::HoseRobustOptions ropt;

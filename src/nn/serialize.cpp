@@ -1,10 +1,10 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace figret::nn {
 namespace {
@@ -59,12 +59,6 @@ void save_mlp(const Mlp& model, std::ostream& os) {
   if (!os) throw std::runtime_error("save_mlp: write failure");
 }
 
-void save_mlp_file(const Mlp& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_mlp_file: cannot open " + path);
-  save_mlp(model, out);
-}
-
 Mlp load_mlp(std::istream& is) {
   char magic[4] = {};
   is.read(magic, sizeof magic);
@@ -94,12 +88,6 @@ Mlp load_mlp(std::istream& is) {
     read_doubles(is, model.biases()[l]);
   }
   return model;
-}
-
-Mlp load_mlp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_mlp_file: cannot open " + path);
-  return load_mlp(in);
 }
 
 }  // namespace figret::nn

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "nn/mlp.h"
 
@@ -18,11 +17,9 @@ namespace figret::nn {
 /// Writes the model's architecture and parameters. Throws std::runtime_error
 /// on I/O failure.
 void save_mlp(const Mlp& model, std::ostream& os);
-void save_mlp_file(const Mlp& model, const std::string& path);
 
 /// Reads a model previously written by save_mlp. Throws std::runtime_error
 /// on malformed input (bad magic, version, or truncation).
 Mlp load_mlp(std::istream& is);
-Mlp load_mlp_file(const std::string& path);
 
 }  // namespace figret::nn

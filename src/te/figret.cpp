@@ -18,6 +18,13 @@ FigretOptions dote_options(FigretOptions base) {
   return base;
 }
 
+FigretOptions teal_options(FigretOptions base) {
+  base.history = 1;
+  base.robust_weight = 0.0;
+  base.target_lag = 0;
+  return base;
+}
+
 FigretScheme::FigretScheme(const PathSet& ps, const FigretOptions& opt,
                            std::string name)
     : ps_(&ps), opt_(opt), name_(std::move(name)) {
@@ -79,7 +86,7 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
     if (dm.num_nodes() != ps_->num_nodes())
       throw std::invalid_argument(
           "FigretScheme: snapshot size does not match topology");
-  if (train.size() <= opt_.history)
+  if (train.size() <= opt_.history + opt_.target_lag - 1)
     throw std::invalid_argument("FigretScheme: training trace too short");
 
   // The new state is built in locals and committed by install_model only
@@ -114,13 +121,13 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   const LossConfig lcfg{opt_.robust_weight};
   util::Rng rng(opt_.seed ^ 0xF16A2Eu);
 
-  // Sample t predicts D_t from {D_{t-H}, ..., D_{t-1}}.
+  // Sample t trains on {D_{t-lag-H+1}, ..., D_{t-lag}} against D_t.
+  const std::size_t first = opt_.history + opt_.target_lag - 1;
   std::vector<std::size_t> samples;
-  for (std::size_t t = opt_.history; t < train.size(); ++t)
-    samples.push_back(t);
+  for (std::size_t t = first; t < train.size(); ++t) samples.push_back(t);
   const auto window = [&](std::size_t t) {
     return std::span<const traffic::DemandMatrix>(
-        train.snapshots.data() + (t - opt_.history), opt_.history);
+        train.snapshots.data() + (t - first), opt_.history);
   };
 
   // The first layer trains only on the inputs that are nonzero in some
@@ -289,11 +296,6 @@ void FigretScheme::load_file(const std::string& path) {
   if (!in)
     throw std::runtime_error("FigretScheme::load_file: cannot open " + path);
   load(in);
-}
-
-std::unique_ptr<FigretScheme> make_dote(const PathSet& ps,
-                                        FigretOptions base) {
-  return std::make_unique<FigretScheme>(ps, dote_options(base), "DOTE");
 }
 
 }  // namespace figret::te

@@ -5,8 +5,9 @@
 //   L = M(R_t, D_t) + robust_weight * sum_sd var_sd * S^max_sd   (Eq. 7 + 8)
 //
 // With robust_weight = 0 the very same pipeline is DOTE [36], the paper's
-// strongest baseline — use dote_options() / make_dote() for that
-// configuration (the relationship the paper itself exploits).
+// strongest baseline, and with a one-snapshot window trained against that
+// same snapshot it is the TEAL-like baseline: dote_options() and
+// teal_options() give those configurations.
 //
 // Architecture (Appendix D.4): fully connected, five hidden layers of 128
 // ReLU units, sigmoid output head, per-pair normalization to recover valid
@@ -39,10 +40,32 @@ struct FigretOptions {
   /// Global-norm gradient clip (0 disables).
   double clip_norm = 5.0;
   std::uint64_t seed = 42;
+  /// How far the training target lies past the input window: sample t
+  /// trains on {D_{t-lag-H+1}, ..., D_{t-lag}} against D_t. 1 predicts the
+  /// next snapshot; 0 trains against the window's last snapshot.
+  std::size_t target_lag = 1;
 };
 
 /// DOTE is FIGRET without the robustness term (§5.1 baseline 6).
 FigretOptions dote_options(FigretOptions base = {});
+
+/// The TEAL-like baseline (§5.1 baseline 7): history 1, no robustness term,
+/// target lag 0; every other field comes from `base`.
+///
+/// TEAL [52] learns a fast mapping from *a given traffic demand* to a network
+/// configuration tailored for that demand (GNN + RL in the original). The
+/// paper's experiments note that, lacking knowledge of future traffic, "we
+/// apply the TE solution computed from the traffic demand of the preceding
+/// time snapshot to the next time snapshot" — which is precisely why TEAL
+/// degrades under unexpected bursts (Fig 5).
+///
+/// Substitution: the fully connected network is trained with the pure-MLU
+/// loss where input and target are the *same* snapshot (demand ->
+/// configuration for that demand), replacing the GNN+RL machinery with direct
+/// gradient descent. The behaviourally relevant property (a configuration
+/// tailored to the observed demand, reused on the next snapshot) is
+/// identical: advise() reads only the last snapshot.
+FigretOptions teal_options(FigretOptions base = {});
 
 class FigretScheme final : public TeScheme {
  public:
@@ -110,9 +133,5 @@ class FigretScheme final : public TeScheme {
   std::vector<std::size_t> active_index_;
   std::vector<double> active_value_;
 };
-
-/// Convenience factory for the DOTE baseline.
-std::unique_ptr<FigretScheme> make_dote(const PathSet& ps,
-                                        FigretOptions base = {});
 
 }  // namespace figret::te

@@ -212,8 +212,10 @@ ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
   const LossConfig lcfg{opt.robust_weight};
   util::Rng rng(opt.seed ^ 0xF16A2Eu);
 
+  // Sample t trains on {D_{t-lag-H+1}, ..., D_{t-lag}} against D_t.
+  const std::size_t first = opt.history + opt.target_lag - 1;
   std::vector<std::size_t> samples;
-  for (std::size_t t = opt.history; t < train.size(); ++t) samples.push_back(t);
+  for (std::size_t t = first; t < train.size(); ++t) samples.push_back(t);
 
   const std::size_t in_dim = opt.history * pairs;
   std::vector<double> grad_sig;
@@ -230,8 +232,7 @@ ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
         const std::size_t t = samples[perm[k0 + b]];
         const std::span<double> row = x.row(b);
         for (std::size_t h = 0; h < opt.history; ++h)
-          train[t - opt.history + h].for_each_active([&](std::size_t p,
-                                                         double v) {
+          train[t - first + h].for_each_active([&](std::size_t p, double v) {
             if (v != 0.0) row[h * pairs + p] = v / scale;
           });
       }

@@ -39,7 +39,7 @@ void edge_loads_reference_into(const PathSet& ps,
 
 namespace figret::te {
 
-/// The state a FIGRET/DOTE fit trains.
+/// The state a FIGRET, DOTE or TEAL-like fit trains.
 struct ReferenceFit {
   double input_scale;
   std::vector<double> pair_weights;

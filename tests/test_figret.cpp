@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -86,6 +87,23 @@ TEST(Figret, DoteOptionsDisableRobustness) {
   const FigretOptions dote = dote_options(base);
   EXPECT_DOUBLE_EQ(dote.robust_weight, 0.0);
   EXPECT_EQ(dote.history, base.history);
+  EXPECT_EQ(dote.target_lag, 1u);
+
+  // TEAL-like: one snapshot, trained against itself, no robustness term;
+  // everything else from the base.
+  base.hidden = {32};
+  base.epochs = 5;
+  base.seed = 9;
+  const FigretOptions teal = teal_options(base);
+  EXPECT_EQ(teal.history, 1u);
+  EXPECT_DOUBLE_EQ(teal.robust_weight, 0.0);
+  EXPECT_EQ(teal.target_lag, 0u);
+  EXPECT_EQ(teal.hidden, base.hidden);
+  EXPECT_EQ(teal.epochs, base.epochs);
+  EXPECT_EQ(teal.batch_size, base.batch_size);
+  EXPECT_DOUBLE_EQ(teal.learning_rate, base.learning_rate);
+  EXPECT_DOUBLE_EQ(teal.clip_norm, base.clip_norm);
+  EXPECT_EQ(teal.seed, base.seed);
 }
 
 TEST(Figret, LifecycleGuards) {
@@ -111,6 +129,17 @@ TEST(Figret, FitRejectsShortOrMismatchedTraces) {
 
   traffic::TrafficTrace wrong = traffic::gravity_trace(5, 30, 1);
   EXPECT_THROW(scheme.fit(wrong), std::invalid_argument);
+
+  // With target lag 0 a window of H snapshots is already a sample: TEAL-like
+  // rejects only an empty trace, and fits on a single snapshot.
+  FigretScheme teal(ps, teal_options(fast_options()), "TEAL");
+  traffic::TrafficTrace empty;
+  empty.num_nodes = 4;
+  EXPECT_THROW(teal.fit(empty), std::invalid_argument);
+  traffic::TrafficTrace one = traffic::gravity_trace(4, 1, 1);
+  ASSERT_EQ(one.size(), 1u);
+  teal.fit(one);
+  EXPECT_TRUE(valid_config(ps, teal.advise(one.snapshots)));
 }
 
 TEST(Figret, AdviseProducesValidConfigs) {
@@ -247,33 +276,38 @@ TEST(Figret, DeterministicGivenSeed) {
   for (std::size_t p = 0; p < ca.size(); ++p) EXPECT_DOUBLE_EQ(ca[p], cb[p]);
 }
 
-TEST(Figret, MakeDoteFactory) {
-  const PathSet ps = mesh_pathset(4);
-  const auto dote = make_dote(ps, fast_options());
-  EXPECT_EQ(dote->name(), "DOTE");
-}
-
 TEST(Figret, SaveLoadRoundTripPreservesAdvise) {
   const PathSet ps = mesh_pathset(4);
   const auto trace = traffic::dc_tor_trace(4, 80, 19);
   FigretScheme trained(ps, fast_options());
   trained.fit(trace);
 
+  // Through a stream, and through a file (the checkpoint figret_cli --save
+  // writes).
   std::stringstream buffer;
   trained.save(buffer);
+  FigretScheme from_stream(ps, fast_options());
+  from_stream.load(buffer);
 
-  FigretScheme fresh(ps, fast_options());
-  fresh.load(buffer);
+  const std::string path = ::testing::TempDir() + "figret_checkpoint.bin";
+  trained.save_file(path);
+  FigretScheme from_file(ps, fast_options());
+  from_file.load_file(path);
+  std::remove(path.c_str());
+  EXPECT_THROW(from_file.load_file(path), std::runtime_error);
 
   const std::span<const traffic::DemandMatrix> history{
       trace.snapshots.data() + trace.size() - 4, 4};
   const TeConfig a = trained.advise(history);
-  const TeConfig b = fresh.advise(history);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) EXPECT_DOUBLE_EQ(a[p], b[p]);
-  // Pair weights restored too (needed if training is later resumed).
-  for (std::size_t p = 0; p < ps.num_pairs(); ++p)
-    EXPECT_DOUBLE_EQ(fresh.pair_weights()[p], trained.pair_weights()[p]);
+  for (FigretScheme* fresh : {&from_stream, &from_file}) {
+    const TeConfig b = fresh->advise(history);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t p = 0; p < a.size(); ++p) EXPECT_DOUBLE_EQ(a[p], b[p]);
+    EXPECT_DOUBLE_EQ(fresh->input_scale(), trained.input_scale());
+    // Pair weights restored too (needed if training is later resumed).
+    for (std::size_t p = 0; p < ps.num_pairs(); ++p)
+      EXPECT_DOUBLE_EQ(fresh->pair_weights()[p], trained.pair_weights()[p]);
+  }
 }
 
 TEST(Figret, SaveRequiresFit) {

@@ -47,21 +47,22 @@ FigretOptions small_options() {
 }
 
 /// How many input columns are nonzero in every training sample, in some but
-/// not all, and in none.
+/// not all, and in none. Sample t reads {D_{t-lag-H+1}, ..., D_{t-lag}}.
 struct Activity {
   std::size_t always = 0, sometimes = 0, never = 0;
 };
 
 Activity input_activity(const PathSet& ps, const traffic::TrafficTrace& trace,
-                        std::size_t history) {
+                        const FigretOptions& opt) {
   const std::size_t pairs = ps.num_pairs();
-  std::vector<std::size_t> hits(history * pairs, 0);
-  for (std::size_t t = history; t < trace.size(); ++t)
-    for (std::size_t h = 0; h < history; ++h)
-      trace[t - history + h].for_each_active([&](std::size_t p, double v) {
+  const std::size_t first = opt.history + opt.target_lag - 1;
+  std::vector<std::size_t> hits(opt.history * pairs, 0);
+  for (std::size_t t = first; t < trace.size(); ++t)
+    for (std::size_t h = 0; h < opt.history; ++h)
+      trace[t - first + h].for_each_active([&](std::size_t p, double v) {
         if (v != 0.0) ++hits[h * pairs + p];
       });
-  const std::size_t samples = trace.size() - history;
+  const std::size_t samples = trace.size() - first;
   Activity a;
   for (std::size_t n : hits) {
     if (n == 0)
@@ -111,12 +112,15 @@ TEST(FitOracle, SparseFatTreeMatchesDenseSerialOracle) {
   const FigretOptions opt = small_options();
   // The trace must exercise both skips: inputs that are never active, and
   // inputs that are active in only part of the training window.
-  const Activity a = input_activity(ps, trace, opt.history);
-  ASSERT_GT(a.never, 0u);
-  ASSERT_GT(a.sometimes, 0u);
+  for (const FigretOptions& o : {opt, teal_options(opt)}) {
+    const Activity a = input_activity(ps, trace, o);
+    ASSERT_GT(a.never, 0u);
+    ASSERT_GT(a.sometimes, 0u);
+  }
 
   expect_matches_oracle(ps, opt, trace, "FIGRET, sparse fat-tree");
   expect_matches_oracle(ps, dote_options(opt), trace, "DOTE, sparse fat-tree");
+  expect_matches_oracle(ps, teal_options(opt), trace, "TEAL, sparse fat-tree");
 }
 
 TEST(FitOracle, DenseTorMatchesDenseSerialOracle) {
@@ -125,11 +129,12 @@ TEST(FitOracle, DenseTorMatchesDenseSerialOracle) {
   const auto trace = traffic::dc_tor_trace(8, 50, 7);
   const FigretOptions opt = small_options();
   // Every input is active: the first layer takes the full-width path.
-  const Activity a = input_activity(ps, trace, opt.history);
-  ASSERT_EQ(a.never, 0u);
+  for (const FigretOptions& o : {opt, teal_options(opt)})
+    ASSERT_EQ(input_activity(ps, trace, o).never, 0u);
 
   expect_matches_oracle(ps, opt, trace, "FIGRET, dense ToR");
   expect_matches_oracle(ps, dote_options(opt), trace, "DOTE, dense ToR");
+  expect_matches_oracle(ps, teal_options(opt), trace, "TEAL, dense ToR");
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/rng.h"
@@ -49,15 +48,6 @@ TEST(Serialize, RoundTripIdentityActivation) {
   EXPECT_EQ(loaded.output_activation(), OutputActivation::kIdentity);
 }
 
-TEST(Serialize, FileRoundTrip) {
-  const Mlp original = make_model();
-  const std::string path = "/tmp/figret_test_model.bin";
-  save_mlp_file(original, path);
-  const Mlp loaded = load_mlp_file(path);
-  EXPECT_EQ(loaded.num_parameters(), original.num_parameters());
-  std::remove(path.c_str());
-}
-
 TEST(Serialize, BadMagicRejected) {
   std::stringstream buffer;
   buffer << "NOPE garbage";
@@ -76,10 +66,6 @@ TEST(Serialize, TruncatedInputRejected) {
 TEST(Serialize, EmptyInputRejected) {
   std::stringstream buffer;
   EXPECT_THROW(load_mlp(buffer), std::runtime_error);
-}
-
-TEST(Serialize, MissingFileRejected) {
-  EXPECT_THROW(load_mlp_file("/nonexistent/figret.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-#include "te/teal_like.h"
-
+// The TEAL-like baseline: FigretScheme under teal_options().
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
 #include "net/yen.h"
+#include "te/figret.h"
 #include "te/lp_schemes.h"
 #include "te/mlu.h"
 #include "traffic/generators.h"
@@ -16,16 +16,16 @@ PathSet mesh_pathset(std::size_t n) {
   return PathSet::build(g, net::all_pairs_k_shortest(g, 3));
 }
 
-TealOptions fast_options() {
-  TealOptions opt;
+FigretOptions fast_options() {
+  FigretOptions opt;
   opt.hidden = {64, 64};
   opt.epochs = 10;
-  return opt;
+  return teal_options(opt);
 }
 
 TEST(TealLike, LifecycleGuards) {
   const PathSet ps = mesh_pathset(4);
-  TealLikeTe scheme(ps, fast_options());
+  FigretScheme scheme(ps, fast_options(), "TEAL");
   EXPECT_EQ(scheme.name(), "TEAL");
   std::vector<traffic::DemandMatrix> h(1, traffic::DemandMatrix(4, 1.0));
   EXPECT_THROW(scheme.advise(h), std::logic_error);
@@ -37,7 +37,7 @@ TEST(TealLike, LifecycleGuards) {
 
 TEST(TealLike, AdviseProducesValidConfig) {
   const PathSet ps = mesh_pathset(4);
-  TealLikeTe scheme(ps, fast_options());
+  FigretScheme scheme(ps, fast_options(), "TEAL");
   const auto trace = traffic::dc_tor_trace(4, 80, 3);
   scheme.fit(trace);
   std::vector<traffic::DemandMatrix> h{trace[trace.size() - 1]};
@@ -49,9 +49,9 @@ TEST(TealLike, TailoredToSeenDemandOnStableTraffic) {
   // TEAL optimizes for the demand it is shown: on the demand itself the MLU
   // should be near optimal after training on stable traffic.
   const PathSet ps = mesh_pathset(4);
-  TealOptions opt = fast_options();
+  FigretOptions opt = fast_options();
   opt.epochs = 30;
-  TealLikeTe scheme(ps, opt);
+  FigretScheme scheme(ps, opt, "TEAL");
   const auto trace = traffic::gravity_trace(4, 120, 5);
   scheme.fit(trace);
 
@@ -72,9 +72,9 @@ TEST(TealLike, DegradesUnderUnexpectedBurst) {
   // The paper's Fig 5 observation: a config tailored to the previous
   // snapshot underperforms when the next snapshot bursts.
   const PathSet ps = mesh_pathset(4);
-  TealOptions opt = fast_options();
+  FigretOptions opt = fast_options();
   opt.epochs = 25;
-  TealLikeTe scheme(ps, opt);
+  FigretScheme scheme(ps, opt, "TEAL");
   const auto trace = traffic::gravity_trace(4, 120, 7);
   scheme.fit(trace);
 
@@ -92,8 +92,8 @@ TEST(TealLike, DegradesUnderUnexpectedBurst) {
 TEST(TealLike, DeterministicGivenSeed) {
   const PathSet ps = mesh_pathset(4);
   const auto trace = traffic::dc_tor_trace(4, 60, 11);
-  TealLikeTe a(ps, fast_options());
-  TealLikeTe b(ps, fast_options());
+  FigretScheme a(ps, fast_options(), "TEAL");
+  FigretScheme b(ps, fast_options(), "TEAL");
   a.fit(trace);
   b.fit(trace);
   std::vector<traffic::DemandMatrix> h{trace[trace.size() - 1]};
