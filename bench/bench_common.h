@@ -1,11 +1,11 @@
 // Shared infrastructure for the per-figure/per-table bench binaries.
 //
-// Every bench reproduces one table or figure of the paper (DESIGN.md §3).
-// Scenarios mirror the paper's eight topology/trace combinations; the two
-// ToR-level fabrics and the two Topology-Zoo WANs are scaled down (single
-// CPU core, one LP solve per snapshot and baseline) with the substitution
-// documented in the emitted header and in DESIGN.md §2. Set
-// FIGRET_BENCH_FULL=1 in the environment for larger instances.
+// Every bench reproduces one table or figure of the paper. Scenarios mirror
+// the paper's eight topology/trace combinations; the two ToR-level fabrics
+// and the two Topology-Zoo WANs are scaled down (single CPU core, one LP
+// solve per snapshot and baseline) with the substitution documented in the
+// emitted header and in README "Substitutions". Set FIGRET_BENCH_FULL=1 in
+// the environment for larger instances.
 #pragma once
 
 #include <iosfwd>

@@ -303,7 +303,8 @@ MlpResult measure_mlp(const Topo& t, double min_seconds) {
     }
   r.row_active = index.size();
   const linalg::Matrix w0_t = mlp.weights().front().transposed();
-  nn::MlpWorkspace dense_ws, sparse_ws;
+  nn::MlpWorkspace dense_ws;
+  nn::MlpBatchWorkspace sparse_ws;
   const auto dense_y = mlp.forward(row, dense_ws);
   const auto sparse_y = mlp.forward_sparse(index, value, w0_t, sparse_ws);
   r.row_identical = std::memcmp(dense_y.data(), sparse_y.data(),

@@ -183,7 +183,7 @@ int main() {
       std::cout, "Figure 1 — MLU with vs without the Hedging mechanism",
       "No-hedging has higher peaks and lower troughs than Hedging; "
       "volatility grows WAN -> PoD -> ToR",
-      "Meta traces replaced by synthetic equivalents (DESIGN.md §2)");
+      "Meta traces replaced by synthetic equivalents (README, \"Substitutions\")");
   for (const char* name : {"GEANT", "PoD-DB", "ToR-DB"}) run_scenario(name);
   run_scenario_classes();
   bench::write_json("fig01_hedging");

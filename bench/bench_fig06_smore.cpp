@@ -68,7 +68,7 @@ int main() {
       "path selection alone cannot fix robustness; FIGRET still best, "
       "SMORE/Pred TE worst tail",
       "Racke trees approximated by congestion-penalized path selection "
-      "(DESIGN.md §2)");
+      "(README, \"Substitutions\")");
   for (const char* name : {"GEANT", "pFabric"}) run_scenario(name);
   bench::write_json("fig06_smore");
   return 0;

@@ -70,7 +70,7 @@ int main() {
       std::cout, "Figures 14/15 — link failures on pFabric and ToR-level DB",
       "FIGRET resilient to failures on DC fabrics; Des TE unsatisfactory "
       "under highly dynamic ToR traffic even when failure-aware",
-      "ToR fabric scaled down (DESIGN.md §2)");
+      "ToR fabric scaled down (README, \"Substitutions\")");
   run("pFabric");
   run("ToR-DB");
   bench::write_json("fig14_15_failures_dc");

@@ -123,6 +123,11 @@ void validate(const util::Args& args) {
   } catch (const std::invalid_argument& e) {
     throw UsageError(e.what());
   }
+  const std::string scheme = args.get_or("scheme", "figret");
+  if (!is_serve(args) && args.get("save") && scheme != "figret" &&
+      scheme != "dote" && scheme != "teal")
+    throw UsageError("--save writes a figret, dote or teal checkpoint; "
+                     "scheme '" + scheme + "' has none");
   if (args.positional().size() > (is_serve(args) ? 1u : 0u))
     throw UsageError("unknown subcommand '" +
                      args.positional()[is_serve(args) ? 1 : 0] +

@@ -57,6 +57,9 @@ class Matrix {
   /// Becomes a zero rows x cols matrix, reusing the storage: allocation-free
   /// once the capacity suffices.
   void reset(std::size_t rows, std::size_t cols);
+  /// Becomes rows x cols, reusing the storage, with unspecified entries:
+  /// for outputs that are overwritten whole.
+  void resize(std::size_t rows, std::size_t cols);
 
   Matrix transposed() const;
 
@@ -95,21 +98,41 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
 
+/// matvec_into for every row of `x` at once: y ([x.rows() x a.rows()])
+/// holds y(b, i) = dot(a.row(i), x.row(b)). Each row of `a` is used for the
+/// whole batch while it is in L1, and row b of y is bit-identical to
+/// matvec_into on x.row(b) alone. Allocation-free once y has capacity.
+void matvec_into(const Matrix& a, const Matrix& x, Matrix& y);
+
 /// Throws std::invalid_argument, naming `what`, unless `index` is strictly
 /// ascending and every entry is below `limit`: the index and column lists
 /// the sparse kernels take.
 void check_indices(std::span<const std::size_t> index, std::size_t limit,
                    const char* what);
 
-/// y = A x for a sparse x, reading only the rows of `at` = transpose(A)
-/// ([A.cols() x A.rows()]) named by the active entries: x[index[i]] =
-/// value[i], every other entry zero. `index` must be strictly ascending and
-/// below at.rows(), with value.size() == index.size() (std::invalid_argument
-/// otherwise). Each y[i] reduces in the same lane order as matvec_into on the
-/// dense x, so for finite `at` the result is bit-identical to it: an omitted
-/// zero term leaves its lane unchanged (lanes start at +0 and never become
-/// -0). Explicit zeros in `value` are allowed. Allocation-free once y has
-/// capacity.
+/// One sparse input row: x[index[i]] = value[i], every other entry zero.
+/// `index` must be strictly ascending, with value.size() == index.size().
+struct SparseRow {
+  std::span<const std::size_t> index;
+  std::span<const double> value;
+};
+
+/// Row b of `y` = A x_b for the sparse rows x_b, reading only the rows of
+/// `at` = transpose(A) ([A.cols() x A.rows()]) that some row's active
+/// entries name; `y` becomes [rows.size() x at.cols()]. Every row's indices
+/// must be strictly ascending and below at.rows(), with as many values as
+/// indices (std::invalid_argument otherwise). The union of active indices is
+/// walked in aligned windows of 64, and each window's rows of `at` are loaded
+/// once for the whole batch: one weight sweep per call, whatever the batch.
+/// Each y(b, i) reduces in the same lane order as matvec_into on the dense
+/// x_b, so for finite `at` row b is bit-identical to it, and to a batch of
+/// that row alone: an omitted zero term leaves its lane unchanged (lanes
+/// start at +0 and never become -0). Explicit zeros in a row's values are
+/// allowed. Allocation-free once `y` has capacity.
+void matvec_sparse_into(const Matrix& at, std::span<const SparseRow> rows,
+                        Matrix& y);
+
+/// The single-row form: y (resized to at.cols()) = A x, a batch of one.
 void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
                         std::span<const double> value, std::vector<double>& y);
 

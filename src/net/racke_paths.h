@@ -10,7 +10,7 @@
 // the cost of loaded edges, so successive rounds discover edge-disjoint-ish
 // alternatives through lightly used parts of the network.
 //
-// Substitution note (DESIGN.md §2): Fig 6's conclusion is that path selection
+// Substitution note (README "Substitutions"): Fig 6's conclusion is that path selection
 // alone cannot provide burst robustness; any congestion-aware diverse path
 // set exercises that claim.
 #pragma once

@@ -91,52 +91,78 @@ std::size_t Mlp::num_parameters() const noexcept {
   return n;
 }
 
+void Mlp::activate(std::size_t l, std::span<double> pre,
+                   std::span<double> post, std::size_t r0,
+                   std::size_t r1) const {
+  const std::vector<double>& b = bias_[l];
+  for (std::size_t r = r0; r < r1; ++r) pre[r] += b[r];
+  if (l + 1 < weight_.size()) {
+    for (std::size_t r = r0; r < r1; ++r)
+      post[r] = pre[r] > 0.0 ? pre[r] : 0.0;  // ReLU
+  } else if (cfg_.output == OutputActivation::kSigmoid) {
+    for (std::size_t r = r0; r < r1; ++r) post[r] = sigmoid(pre[r]);
+  } else {
+    std::copy(pre.begin() + r0, pre.begin() + r1, post.begin() + r0);
+  }
+}
+
 std::span<const double> Mlp::forward(std::span<const double> x,
                                      MlpWorkspace& ws) const {
   if (x.size() != input_size())
     throw std::invalid_argument("Mlp::forward: input size mismatch");
-  ws.pre.resize(weight_.size());
-  ws.post.resize(weight_.size());
-  // Same reduction order as the batched matmul_t kernel, so forward_batch
-  // rows stay bit-identical to this path.
-  linalg::matvec_into(weight_[0], x, ws.pre[0]);
-  return finish_forward(ws);
+  const std::size_t layers = weight_.size();
+  ws.pre.resize(layers);
+  ws.post.resize(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    // Same reduction order as the batched matmul_t kernel, so forward_batch
+    // and forward_sparse rows stay bit-identical to this path.
+    const std::span<const double> in =
+        l == 0 ? x : std::span<const double>(ws.post[l - 1]);
+    linalg::matvec_into(weight_[l], in, ws.pre[l]);
+    ws.post[l].resize(ws.pre[l].size());
+    activate(l, ws.pre[l], ws.post[l], 0, ws.pre[l].size());
+  }
+  return ws.post.back();
+}
+
+const linalg::Matrix& Mlp::forward_sparse(
+    std::span<const linalg::SparseRow> rows, const linalg::Matrix& w0_t,
+    MlpBatchWorkspace& ws) const {
+  if (w0_t.rows() != input_size() || w0_t.cols() != weight_[0].rows())
+    throw std::invalid_argument("Mlp::forward_sparse: w0_t shape mismatch");
+  const std::size_t layers = weight_.size();
+  const std::size_t batch = rows.size();
+  ws.pre.resize(layers);
+  ws.post.resize(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    const linalg::Matrix& w = weight_[l];
+    linalg::Matrix& pre = ws.pre[l];
+    linalg::Matrix& post = ws.post[l];
+    if (l == 0)
+      linalg::matvec_sparse_into(w0_t, rows, pre);
+    else
+      linalg::matvec_into(w, ws.post[l - 1], pre);
+    post.resize(batch, w.rows());
+    for (std::size_t s = 0; s < batch; ++s)
+      activate(l, pre.row(s), post.row(s), 0, w.rows());
+  }
+  return ws.post.back();
 }
 
 std::span<const double> Mlp::forward_sparse(
     std::span<const std::size_t> index, std::span<const double> value,
-    const linalg::Matrix& w0_t, MlpWorkspace& ws) const {
-  if (w0_t.rows() != input_size() || w0_t.cols() != weight_[0].rows())
-    throw std::invalid_argument("Mlp::forward_sparse: w0_t shape mismatch");
-  ws.pre.resize(weight_.size());
-  ws.post.resize(weight_.size());
-  // Same lane order as matvec_into, so the first layer is bit-identical to
-  // forward() on the dense row.
-  linalg::matvec_sparse_into(w0_t, index, value, ws.pre[0]);
-  return finish_forward(ws);
+    const linalg::Matrix& w0_t, MlpBatchWorkspace& ws) const {
+  const linalg::SparseRow row{index, value};
+  return forward_sparse(std::span(&row, 1), w0_t, ws).row(0);
 }
 
-std::span<const double> Mlp::finish_forward(MlpWorkspace& ws) const {
-  const std::size_t layers = weight_.size();
-  for (std::size_t l = 0; l < layers; ++l) {
-    auto& pre = ws.pre[l];
-    if (l > 0) linalg::matvec_into(weight_[l], ws.post[l - 1], pre);
-    const std::vector<double>& b = bias_[l];
-    for (std::size_t r = 0; r < pre.size(); ++r) pre[r] += b[r];
-
-    auto& post = ws.post[l];
-    post.resize(pre.size());
-    const bool last = l + 1 == layers;
-    if (!last) {
-      for (std::size_t i = 0; i < pre.size(); ++i)
-        post[i] = pre[i] > 0.0 ? pre[i] : 0.0;  // ReLU
-    } else if (cfg_.output == OutputActivation::kSigmoid) {
-      for (std::size_t i = 0; i < pre.size(); ++i) post[i] = sigmoid(pre[i]);
-    } else {
-      post = pre;
-    }
+void Mlp::reserve(MlpBatchWorkspace& ws, std::size_t rows) const {
+  ws.pre.resize(weight_.size());
+  ws.post.resize(weight_.size());
+  for (std::size_t l = 0; l < weight_.size(); ++l) {
+    ws.pre[l].reset(rows, weight_[l].rows());
+    ws.post[l].reset(rows, weight_[l].rows());
   }
-  return ws.post.back();
 }
 
 const linalg::Matrix& Mlp::forward_batch(const linalg::Matrix& x,
@@ -169,13 +195,11 @@ const linalg::Matrix& Mlp::run_forward_batch(
   const linalg::Matrix* in = &x;
   for (std::size_t l = 0; l < layers; ++l) {
     const linalg::Matrix& w = weight_[l];
-    const std::vector<double>& b = bias_[l];
     linalg::Matrix& pre = ws.pre[l];
     linalg::Matrix& post = ws.post[l];
     pre.reset(batch, w.rows());
     post.reset(batch, w.rows());
     const bool sparse = l == 0 && active != nullptr;
-    const bool last = l + 1 == layers;
     util::parallel_for_ranges(
         w.rows(), rows_per_chunk(batch * in->cols()),
         [&](std::size_t r0, std::size_t r1) {
@@ -186,19 +210,8 @@ const linalg::Matrix& Mlp::run_forward_batch(
             linalg::matmul_t_into(*in, *active, w, r0, r1, pre);
           else
             linalg::matmul_t_into(*in, w, r0, r1, pre);
-          for (std::size_t s = 0; s < batch; ++s) {
-            const std::span<double> src = pre.row(s);
-            const std::span<double> dst = post.row(s);
-            for (std::size_t r = r0; r < r1; ++r) {
-              src[r] += b[r];
-              if (!last)
-                dst[r] = src[r] > 0.0 ? src[r] : 0.0;  // ReLU
-              else if (cfg_.output == OutputActivation::kSigmoid)
-                dst[r] = sigmoid(src[r]);
-              else
-                dst[r] = src[r];
-            }
-          }
+          for (std::size_t s = 0; s < batch; ++s)
+            activate(l, pre.row(s), post.row(s), r0, r1);
         });
     in = &post;
   }

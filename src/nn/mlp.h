@@ -69,16 +69,28 @@ class Mlp {
   std::span<const double> forward(std::span<const double> x,
                                   MlpWorkspace& ws) const;
 
-  /// Forward pass for a sparse input row: x[index[i]] = value[i], zero
-  /// elsewhere (index strictly ascending). `w0_t` must be
-  /// weights()[0].transposed(), kept by the caller so the first layer reads
-  /// only the weight rows of active inputs. Output is bit-identical to
-  /// forward() on the dense row (linalg::matvec_sparse_into); the returned
-  /// span aliases ws.post.back() like forward()'s.
+  /// Forward pass for a batch of sparse input rows (linalg::SparseRow: row
+  /// b is x_b[index[i]] = value[i], zero elsewhere, index strictly
+  /// ascending). `w0_t` must be weights()[0].transposed(), kept by the
+  /// caller so the first layer reads only the weight rows of inputs active
+  /// in some row, once per call (linalg::matvec_sparse_into); each later
+  /// layer keeps a weight row in cache across the batch's dot products
+  /// (linalg::matvec_into's batch form). Runs on the calling thread. Row b
+  /// of the result is bit-identical to forward() on the dense x_b, whatever
+  /// the other rows hold. The returned matrix ([rows.size() x output_size()])
+  /// aliases ws.post.back() and stays valid until the next pass with `ws`.
+  const linalg::Matrix& forward_sparse(std::span<const linalg::SparseRow> rows,
+                                       const linalg::Matrix& w0_t,
+                                       MlpBatchWorkspace& ws) const;
+  /// forward_sparse for one row (a batch of one); the returned span aliases
+  /// row 0 of ws.post.back().
   std::span<const double> forward_sparse(std::span<const std::size_t> index,
                                          std::span<const double> value,
                                          const linalg::Matrix& w0_t,
-                                         MlpWorkspace& ws) const;
+                                         MlpBatchWorkspace& ws) const;
+  /// Sizes `ws` for forward_sparse passes of up to `rows` rows, so that
+  /// those passes allocate nothing.
+  void reserve(MlpBatchWorkspace& ws, std::size_t rows) const;
 
   /// Backpropagates dL/d(output) through the pass recorded in `ws`,
   /// *accumulating* into `grads` (callers zero() between minibatches).
@@ -137,9 +149,10 @@ class Mlp {
   }
 
  private:
-  /// Completes a pass whose ws.pre[0] holds W0 x (bias not yet added):
-  /// layer 0 bias and activation, then every later layer.
-  std::span<const double> finish_forward(MlpWorkspace& ws) const;
+  /// Adds layer l's bias to pre[r0, r1) and writes its activation to
+  /// post[r0, r1).
+  void activate(std::size_t l, std::span<double> pre, std::span<double> post,
+                std::size_t r0, std::size_t r1) const;
   /// The minibatch passes; `active` is null for a full-width input.
   const linalg::Matrix& run_forward_batch(
       const linalg::Matrix& x, const std::span<const std::size_t>* active,

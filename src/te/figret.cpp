@@ -67,10 +67,15 @@ void FigretScheme::install_model(nn::Mlp model, double input_scale,
   // Everything that can throw runs before the first member changes.
   auto fresh = std::make_unique<nn::Mlp>(std::move(model));
   linalg::Matrix w0_t = fresh->weights().front().transposed();
-  active_index_.reserve(fresh->input_size());
-  active_value_.reserve(fresh->input_size());
+  nn::MlpBatchWorkspace ws;
+  fresh->reserve(ws, kMaxBatch);
+  for (ActiveInput& row : active_) {
+    row.index.reserve(fresh->input_size());
+    row.value.reserve(fresh->input_size());
+  }
   model_ = std::move(fresh);
   w0_t_ = std::move(w0_t);
+  ws_ = std::move(ws);
   input_scale_ = input_scale;
   pair_weights_ = std::move(pair_weights);
 }
@@ -156,6 +161,7 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   linalg::Matrix x;
   linalg::Matrix dl;
   std::vector<std::vector<double>> grad_sig(opt_.batch_size);
+  std::vector<LossScratch> loss_scratch(opt_.batch_size);
   std::vector<double> sample_loss(opt_.batch_size, 0.0);
   nn::MlpBatchWorkspace bws;
   const double inv = 1.0 / static_cast<double>(opt_.batch_size);
@@ -179,12 +185,12 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
 
       const linalg::Matrix& sig = model.forward_batch(x, active, bws);
       dl.reset(batch, ps_->num_paths());
-      // The samples' losses are independent: one pool task each, summed
-      // below in sample order.
+      // The samples' losses are independent: one pool task each, on its own
+      // reused scratch, summed below in sample order.
       util::parallel_for(0, batch, [&](std::size_t b) {
         const std::size_t t = samples[perm[k0 + b]];
         sample_loss[b] = figret_loss(*ps_, train[t], sig.row(b), weights,
-                                     lcfg, &grad_sig[b])
+                                     lcfg, &grad_sig[b], loss_scratch[b])
                              .total;
         // Average gradients across the minibatch.
         const std::span<double> row = dl.row(b);
@@ -212,11 +218,28 @@ TeConfig FigretScheme::advise(
 
 void FigretScheme::advise_into(std::span<const traffic::DemandMatrix> history,
                                TeConfig& out) {
+  advise_batch_into(std::span(&history, 1), std::span(&out, 1));
+}
+
+void FigretScheme::advise_batch_into(
+    std::span<const std::span<const traffic::DemandMatrix>> histories,
+    std::span<TeConfig> outs) {
   if (!model_) throw std::logic_error("FigretScheme: advise() before fit()");
-  gather_input(history, input_scale_, active_index_, active_value_);
-  const auto sig =
-      model_->forward_sparse(active_index_, active_value_, w0_t_, ws_);
-  ratios_from_sigmoid_into(*ps_, sig, out);
+  if (histories.size() != outs.size())
+    throw std::invalid_argument(
+        "FigretScheme: histories and outputs differ in length");
+  for (std::size_t b0 = 0; b0 < histories.size(); b0 += kMaxBatch) {
+    const std::size_t n = std::min(kMaxBatch, histories.size() - b0);
+    for (std::size_t b = 0; b < n; ++b) {
+      ActiveInput& in = active_[b];
+      gather_input(histories[b0 + b], input_scale_, in.index, in.value);
+      rows_[b] = {in.index, in.value};
+    }
+    const linalg::Matrix& sig =
+        model_->forward_sparse(std::span(rows_.data(), n), w0_t_, ws_);
+    for (std::size_t b = 0; b < n; ++b)
+      ratios_from_sigmoid_into(*ps_, sig.row(b), outs[b0 + b]);
+  }
 }
 
 namespace {

@@ -14,6 +14,7 @@
 // split ratios, Adam optimizer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -75,13 +76,18 @@ class FigretScheme final : public TeScheme {
   std::string name() const override { return name_; }
   void fit(const traffic::TrafficTrace& train) override;
   TeConfig advise(std::span<const traffic::DemandMatrix> history) override;
-  /// Serving-loop hot path: one forward pass with every buffer (active
-  /// input list, MLP workspace, output ratios) reused across calls — zero
-  /// allocations once the output reaches capacity. The first layer reads
-  /// only the weight rows of nonzero inputs (nn::Mlp::forward_sparse), and
-  /// the result is bit-identical to model().forward() on the dense input.
+  /// Serving-loop hot path: advise_batch_into for one history.
   void advise_into(std::span<const traffic::DemandMatrix> history,
                    TeConfig& out) override;
+  /// One forward pass per kMaxBatch histories, with every buffer (active
+  /// input rows, MLP workspace, output ratios) reused across calls — zero
+  /// allocations once the outputs reach capacity. The first layer reads
+  /// only the weight rows of inputs nonzero in some history, once per pass
+  /// (nn::Mlp::forward_sparse), and each result is bit-identical to
+  /// model().forward() on its own dense input.
+  void advise_batch_into(
+      std::span<const std::span<const traffic::DemandMatrix>> histories,
+      std::span<TeConfig> outs) override;
   std::size_t history_window() const override { return opt_.history; }
 
   /// Per-pair robustness weights (training variance / squared demand scale)
@@ -128,10 +134,15 @@ class FigretScheme final : public TeScheme {
   std::unique_ptr<nn::Mlp> model_;
   /// model_->weights()[0] transposed ([input x hidden]).
   linalg::Matrix w0_t_;
-  mutable nn::MlpWorkspace ws_;
-  /// advise_into() scratch (active input list), reserved to the input width.
-  std::vector<std::size_t> active_index_;
-  std::vector<double> active_value_;
+  /// advise_batch_into() scratch: the MLP workspace and one active-input
+  /// row per batch slot, all sized in install_model for kMaxBatch rows.
+  struct ActiveInput {
+    std::vector<std::size_t> index;
+    std::vector<double> value;
+  };
+  nn::MlpBatchWorkspace ws_;
+  std::array<ActiveInput, kMaxBatch> active_;
+  std::array<linalg::SparseRow, kMaxBatch> rows_;
 };
 
 }  // namespace figret::te

@@ -40,17 +40,27 @@ LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
                       std::span<const double> sig,
                       std::span<const double> pair_weight,
                       const LossConfig& cfg, std::vector<double>* grad_sig) {
+  LossScratch scratch;
+  return figret_loss(ps, dm, sig, pair_weight, cfg, grad_sig, scratch);
+}
+
+LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
+                      std::span<const double> sig,
+                      std::span<const double> pair_weight,
+                      const LossConfig& cfg, std::vector<double>* grad_sig,
+                      LossScratch& scratch) {
   if (sig.size() != ps.num_paths())
     throw std::invalid_argument("figret_loss: sig size mismatch");
   if (pair_weight.size() != ps.num_pairs())
     throw std::invalid_argument("figret_loss: pair_weight size mismatch");
 
   // Forward: ratios via per-pair normalization of the sigmoid outputs.
-  const TeConfig r = ratios_from_sigmoid(ps, sig);
+  const TeConfig& r = scratch.ratios;
+  ratios_from_sigmoid_into(ps, sig, scratch.ratios);
 
   // L1: MLU and its bottleneck edge.
-  std::vector<double> load;
-  edge_loads_into(ps, dm, r, load);
+  const std::vector<double>& load = scratch.load;
+  edge_loads_into(ps, dm, r, scratch.load);
   double mlu = 0.0;
   net::EdgeId argmax_edge = 0;
   for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
@@ -63,7 +73,8 @@ LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
 
   // L2: per-pair max sensitivity, weighted by the pair's traffic variance.
   double robust = 0.0;
-  std::vector<std::size_t> argmax_path(ps.num_pairs(), 0);
+  std::vector<std::size_t>& argmax_path = scratch.argmax_path;
+  argmax_path.resize(ps.num_pairs());
   if (cfg.robust_weight > 0.0) {
     for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
       double best = -1.0;
@@ -88,7 +99,8 @@ LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
   if (grad_sig == nullptr) return value;
 
   // Backward. First dL/dr (sub-gradient through both argmaxes).
-  std::vector<double> grad_r(ps.num_paths(), 0.0);
+  std::vector<double>& grad_r = scratch.grad_r;
+  grad_r.assign(ps.num_paths(), 0.0);
   if (mlu > 0.0) {
     const double inv_cap = 1.0 / ps.edge_capacity(argmax_edge);
     for (std::uint32_t pid : ps.paths_on_edge(argmax_edge))

@@ -44,11 +44,29 @@ TeConfig ratios_from_sigmoid(const PathSet& ps, std::span<const double> sig);
 void ratios_from_sigmoid_into(const PathSet& ps, std::span<const double> sig,
                               TeConfig& out);
 
+/// figret_loss's working buffers. A caller that passes the same scratch to
+/// successive calls (one per concurrent caller) makes them allocation-free
+/// once the buffers reach capacity; the results do not depend on what a
+/// previous call left in it.
+struct LossScratch {
+  TeConfig ratios;
+  std::vector<double> load;
+  std::vector<std::size_t> argmax_path;
+  std::vector<double> grad_r;
+};
+
 /// Evaluates the loss at sigmoid outputs `sig` against realized demand `dm`,
 /// with per-pair robustness weights `pair_weight` (the paper uses the
 /// training-window demand variance, normalized). If `grad_sig` is non-null it
 /// receives dL/d(sig) — the gradient with respect to the *sigmoid outputs*,
 /// ready to feed nn::Mlp::backward (which applies the sigmoid derivative).
+LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
+                      std::span<const double> sig,
+                      std::span<const double> pair_weight,
+                      const LossConfig& cfg, std::vector<double>* grad_sig,
+                      LossScratch& scratch);
+
+/// figret_loss on a scratch of its own.
 LossValue figret_loss(const PathSet& ps, const traffic::DemandMatrix& dm,
                       std::span<const double> sig,
                       std::span<const double> pair_weight,

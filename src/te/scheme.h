@@ -5,6 +5,7 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <string>
 
 #include "te/pathset.h"
@@ -35,6 +36,28 @@ class TeScheme {
   virtual void advise_into(std::span<const traffic::DemandMatrix> history,
                            TeConfig& out) {
     out = advise(history);
+  }
+
+  /// The most histories the serving loop passes to one advise_batch_into
+  /// call. Schemes with per-row scratch size it for this many rows. Picked
+  /// by measurement: on the dc-burst bench workload, batches of 8 gave no
+  /// more capacity than batches of 4 and served slower.
+  static constexpr std::size_t kMaxBatch = 4;
+
+  /// Batched advise_into: writes the configuration for histories[i] into
+  /// outs[i] (equal lengths, std::invalid_argument otherwise). Each result
+  /// must be bit-identical to advise_into on that history alone. The
+  /// default loops over advise_into; a scheme that can share work across
+  /// the batch (FIGRET: one sweep of its weights) overrides it. If it
+  /// throws, the outputs are unspecified.
+  virtual void advise_batch_into(
+      std::span<const std::span<const traffic::DemandMatrix>> histories,
+      std::span<TeConfig> outs) {
+    if (histories.size() != outs.size())
+      throw std::invalid_argument(
+          "advise_batch_into: histories and outputs differ in length");
+    for (std::size_t i = 0; i < histories.size(); ++i)
+      advise_into(histories[i], outs[i]);
   }
 
   /// How many historical snapshots advise() wants to see.

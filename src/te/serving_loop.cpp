@@ -64,6 +64,7 @@ void ServingLoop::start(std::span<TeScheme* const> advisors) {
     auto w = std::make_unique<Worker>();
     w->advisor = advisors[i];
     w->window = std::max<std::size_t>(1, advisors[i]->history_window());
+    for (TeConfig& cfg : w->cfgs) cfg.reserve(ps_->num_paths());
     window_ = std::max(window_, w->window);
     stream_workers_.push_back(std::move(w));
   }
@@ -168,27 +169,86 @@ void ServingLoop::refresh_failures(Worker& w) {
   w.failure_epoch_seen = failure_epoch_.load(std::memory_order_relaxed);
 }
 
+const EpochPlan* ServingLoop::chaos_plan(std::uint32_t index) const {
+  const ChaosEngine* chaos = opt_.chaos;
+  if (chaos == nullptr || index < chaos->begin() || index >= chaos->end())
+    return nullptr;
+  return &chaos->plan(index);
+}
+
 void ServingLoop::worker_loop(Worker& w) {
-  Job job;
   for (;;) {
-    if (jobs_.try_pop(job)) {
-      try {
-        process_snapshot(w, job);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu_);
-        if (!stream_error_) stream_error_ = std::current_exception();
-      }
-      completed_.fetch_add(1, std::memory_order_release);
-    } else if (stop_.load(std::memory_order_acquire)) {
-      return;
-    } else {
+    if (!jobs_.try_pop(w.jobs[0])) {
+      if (stop_.load(std::memory_order_acquire)) return;
       std::this_thread::yield();
+      continue;
+    }
+    // Take this worker's share of what is queued already, never waiting for
+    // more: a backlog of q jobs gives each worker up to q / workers more,
+    // kMaxBatch jobs in all. A job another worker could start at once is
+    // thus not held behind a batch, and a short queue is served one job at
+    // a time. A job with a chaos plan is served in a batch of its own, so
+    // one popped behind others is served alone after them.
+    const std::size_t limit =
+        std::min(kMaxBatch, 1 + jobs_.size_approx() / workers_);
+    std::size_t n = 1;
+    bool alone_next = false;
+    if (chaos_plan(w.jobs[0].index) == nullptr)
+      while (n < limit && jobs_.try_pop(w.jobs[n])) {
+        if (chaos_plan(w.jobs[n].index) != nullptr) {
+          alone_next = true;
+          break;
+        }
+        ++n;
+      }
+    serve_batch(w, n);
+    if (alone_next) {
+      w.jobs[0] = w.jobs[n];
+      serve_batch(w, 1);
     }
   }
 }
 
-void ServingLoop::process_snapshot(Worker& w, const Job& job) {
+void ServingLoop::serve_batch(Worker& w, std::size_t n) {
   const auto dequeued = Clock::now();
+  // Several jobs share one advise_batch_into call. If it throws, each job is
+  // re-advised alone in process_snapshot, so a throw still degrades only the
+  // snapshot that caused it.
+  bool batched = false;
+  double batch_infer = 0.0;
+  if (n > 1) {
+    for (std::size_t b = 0; b < n; ++b)
+      w.histories[b] = history_of(w, w.jobs[b].index);
+    try {
+      w.advisor->advise_batch_into(std::span(w.histories.data(), n),
+                                   std::span(w.cfgs.data(), n));
+      batched = true;
+      stats_.add(Counter::kBatchedSnapshots, n);
+    } catch (...) {
+    }
+    batch_infer = seconds_since(dequeued, Clock::now());
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    try {
+      process_snapshot(w, b, dequeued, batched ? &batch_infer : nullptr);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mu_);
+      if (!stream_error_) stream_error_ = std::current_exception();
+    }
+    completed_.fetch_add(1, std::memory_order_release);
+  }
+}
+
+std::span<const traffic::DemandMatrix> ServingLoop::history_of(
+    const Worker& w, std::uint32_t index) const {
+  return {trace_->snapshots.data() + (index - w.window), w.window};
+}
+
+void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
+                                   Clock::time_point dequeued,
+                                   const double* batch_infer) {
+  const Job& job = w.jobs[slot];
+  TeConfig& cfg = w.cfgs[slot];
   SnapshotResult r;
   r.seq = job.seq;
   r.trace_index = job.index;
@@ -198,10 +258,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
 
   const std::size_t t = job.index;
   const ChaosEngine* chaos = opt_.chaos;
-  const EpochPlan* plan = nullptr;
-  if (chaos != nullptr && job.index >= chaos->begin() &&
-      job.index < chaos->end())
-    plan = &chaos->plan(job.index);
+  const EpochPlan* plan = chaos_plan(job.index);
 
   if (plan != nullptr && plan->stall) {
     std::this_thread::sleep_for(
@@ -210,35 +267,38 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   }
 
   FallbackRung rung = FallbackRung::kFresh;
-  const auto infer_start = Clock::now();
-  const std::span<const traffic::DemandMatrix> history{
-      trace_->snapshots.data() + (t - w.window), w.window};
   bool advise_ok = true;
-  try {
-    if (plan != nullptr && plan->corrupt_demand) {
-      // The advisor sees a corrupted copy of its newest input snapshot.
-      w.history_scratch.assign(history.begin(), history.end());
-      chaos->corrupt_demand_into(job.index, history[w.window - 1],
-                                 w.history_scratch[w.window - 1]);
-      w.advisor->advise_into(
-          std::span<const traffic::DemandMatrix>(w.history_scratch.data(),
-                                                 w.window),
-          w.cfg);
-    } else {
-      w.advisor->advise_into(history, w.cfg);
+  if (batch_infer != nullptr) {
+    r.infer_seconds = *batch_infer;
+  } else {
+    const auto infer_start = Clock::now();
+    const std::span<const traffic::DemandMatrix> history = history_of(w, t);
+    try {
+      if (plan != nullptr && plan->corrupt_demand) {
+        // The advisor sees a corrupted copy of its newest input snapshot.
+        w.history_scratch.assign(history.begin(), history.end());
+        chaos->corrupt_demand_into(job.index, history[w.window - 1],
+                                   w.history_scratch[w.window - 1]);
+        w.advisor->advise_into(
+            std::span<const traffic::DemandMatrix>(w.history_scratch.data(),
+                                                   w.window),
+            cfg);
+      } else {
+        w.advisor->advise_into(history, cfg);
+      }
+    } catch (...) {
+      // A scheme may legitimately blow up on corrupted inputs; with the
+      // ladder on, that is just another invalid output. Without validation
+      // the historical contract holds: the exception surfaces on finish().
+      if (!opt_.validate_outputs) throw;
+      advise_ok = false;
     }
-  } catch (...) {
-    // A scheme may legitimately blow up on corrupted inputs; with the
-    // ladder on, that is just another invalid output. Without validation
-    // the historical contract holds: the exception surfaces on finish().
-    if (!opt_.validate_outputs) throw;
-    advise_ok = false;
+    if (advise_ok && plan != nullptr) chaos->corrupt_config(job.index, cfg);
+    r.infer_seconds = seconds_since(infer_start, Clock::now());
   }
-  if (advise_ok && plan != nullptr) chaos->corrupt_config(job.index, w.cfg);
-  r.infer_seconds = seconds_since(infer_start, Clock::now());
-  const TeConfig* served = &w.cfg;
+  const TeConfig* served = &cfg;
 
-  if (opt_.validate_outputs && (!advise_ok || !config_servable(w.cfg))) {
+  if (opt_.validate_outputs && (!advise_ok || !config_servable(cfg))) {
     stats_.add(Counter::kInvalidOutputs);
     served = fallback_config(w, job.index, rung);
   } else if (opt_.validate_outputs && opt_.fallback_last_good &&
@@ -246,7 +306,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
     // Bank this epoch as a rung-1 donor. Under chaos only clean() epochs
     // qualify — and the donor a degraded epoch resolves to is pinned by
     // last_clean_before, so the cache is keyed by the donor index.
-    w.last_good_cfg = w.cfg;
+    w.last_good_cfg = cfg;
     w.last_good_index = job.index;
     w.has_last_good = true;
   }
@@ -367,8 +427,8 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
 const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
                                              FallbackRung& rung) {
   if (opt_.fallback_last_good) {
-    const ChaosEngine* chaos = opt_.chaos;
-    if (chaos != nullptr && index >= chaos->begin() && index < chaos->end()) {
+    if (chaos_plan(index) != nullptr) {
+      const ChaosEngine* chaos = opt_.chaos;
       // The donor epoch is a pure function of (schedule, index): every
       // worker that lands on this degraded epoch recomputes the identical
       // donor config, which is what keeps chaos runs bit-reproducible
@@ -376,8 +436,8 @@ const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
       const std::uint32_t lg = chaos->last_clean_before(index);
       if (lg != ChaosEngine::kNoEpoch && lg >= w.window) {
         if (!w.has_last_good || w.last_good_index != lg) {
-          const std::span<const traffic::DemandMatrix> donor{
-              trace_->snapshots.data() + (lg - w.window), w.window};
+          const std::span<const traffic::DemandMatrix> donor =
+              history_of(w, lg);
           bool ok = true;
           try {
             w.advisor->advise_into(donor, w.last_good_cfg);

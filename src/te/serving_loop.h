@@ -2,10 +2,22 @@
 // paper's pipeline. A single producer submits trace indices onto a bounded
 // lock-free ring; worker threads pick snapshots up run-to-completion:
 //
-//   NN inference (advise_into)  ->  WCMP install (quantize)  ->
+//   NN inference (advise)       ->  WCMP install (quantize)  ->
 //   failure reroute (§4.5)      ->  MLU scoring              ->
 //   optional omniscient warm-LP resolve                      ->
 //   lock-free publish (sequence-numbered results ring)
+//
+// Micro-batching: a worker pops one snapshot, then takes its share of what
+// is already queued (up to queued / workers more, TeScheme::kMaxBatch in
+// all), without ever waiting for more. A batch of two or more is advised in one advise_batch_into call
+// (FIGRET reads its weights once for the batch; Counter::kBatchedSnapshots
+// counts its jobs), then every job runs install -> reroute -> score ->
+// oracle -> publish in submission order, as a lone job does. Each job's
+// infer_seconds is the whole batched call, and its serve time includes the
+// jobs ahead of it in the batch. A job with a chaos plan is served alone,
+// and if a batched call throws, each of its jobs is re-advised alone, so a
+// throw degrades only the snapshot that caused it. Batching changes no
+// served bit: advise_batch_into is bit-identical per row to advise_into.
 //
 // Each worker owns its whole working set — TeScheme instance, lp::WarmStart
 // chain, every scratch buffer — so the hot path takes no locks and performs
@@ -25,6 +37,7 @@
 // load per snapshot and only touch a mutex on the epoch that changes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -45,6 +58,7 @@
 namespace figret::te {
 
 class ChaosEngine;  // te/chaos.h
+struct EpochPlan;
 
 /// One served snapshot, published on the results ring. Plain data: ring
 /// slots are pre-allocated and publishing is a copy + sequence release.
@@ -63,8 +77,10 @@ struct SnapshotResult {
   double normalized = 0.0;
   /// Largest per-path ratio change introduced by WCMP quantization.
   double quant_error = 0.0;
-  double queue_seconds = 0.0;    // submit -> worker dequeue
-  double infer_seconds = 0.0;    // advise_into
+  double queue_seconds = 0.0;    // submit -> worker dequeue (of its batch)
+  /// The advise call that produced this snapshot's config; for a batched
+  /// job, the whole batch's advise_batch_into, shared by its jobs.
+  double infer_seconds = 0.0;
   double lp_seconds = 0.0;       // omniscient resolve
   double install_seconds = 0.0;  // WCMP quantize + ratio reconstruction
   double serve_seconds = 0.0;    // submit -> config installed (SLO quantity)
@@ -182,12 +198,18 @@ class ServingLoop {
     Clock::time_point enqueued{};
   };
 
+  static constexpr std::size_t kMaxBatch = TeScheme::kMaxBatch;
+
   /// Per-worker run-to-completion state: everything a snapshot touches.
   struct Worker {
     TeScheme* advisor = nullptr;
     std::size_t window = 1;
     lp::WarmStart warm;
-    TeConfig cfg;
+    /// The batch in service: jobs[b]'s history and advised config sit in
+    /// slot b of the other two.
+    std::array<Job, kMaxBatch> jobs;
+    std::array<std::span<const traffic::DemandMatrix>, kMaxBatch> histories;
+    std::array<TeConfig, kMaxBatch> cfgs;
     TeConfig installed;
     TeConfig rerouted;
     WcmpWeights weights;
@@ -210,7 +232,17 @@ class ServingLoop {
   };
 
   void worker_loop(Worker& w);
-  void process_snapshot(Worker& w, const Job& job);
+  /// Advises w.jobs[0, n) (in one batched call when n > 1) and serves each.
+  void serve_batch(Worker& w, std::size_t n);
+  /// Serves w.jobs[slot]; `batch_infer` is the batched advise's time when
+  /// w.cfgs[slot] already holds its config, null to advise it here.
+  void process_snapshot(Worker& w, std::size_t slot,
+                        Clock::time_point dequeued, const double* batch_infer);
+  /// The `w.window` snapshots before trace index `index`.
+  std::span<const traffic::DemandMatrix> history_of(const Worker& w,
+                                                    std::uint32_t index) const;
+  /// The chaos plan of `index`, or null when no engine covers it.
+  const EpochPlan* chaos_plan(std::uint32_t index) const;
   /// Steps the ladder down after a rejected advise: returns the config to
   /// serve and sets `rung` (kLastGood when a donor exists, else kUniform).
   const TeConfig* fallback_config(Worker& w, std::uint32_t index,

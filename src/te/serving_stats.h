@@ -46,8 +46,9 @@ enum class Counter : std::uint8_t {
   kOracleRetries,         // oracle attempts beyond the first
   kOracleRetrySuccesses,  // snapshots whose oracle recovered on a retry
   kChaosStalls,           // chaos-injected worker stalls (te/chaos.h)
+  kBatchedSnapshots,      // snapshots advised in a batch of two or more
 };
-inline constexpr std::size_t kCounterCount = 13;
+inline constexpr std::size_t kCounterCount = 14;
 const char* to_string(Counter counter) noexcept;
 
 /// Timed stages of a served snapshot; a stage records only when it ran.

@@ -1,5 +1,5 @@
 // Traffic-trace generators reproducing the statistical character of the
-// paper's datasets (§5.1 "Traffic data", DESIGN.md §2 substitutions):
+// paper's datasets (§5.1 "Traffic data"; README "Substitutions"):
 //
 //  * gravity_trace      — stable synthetic WAN traffic (UsCarrier/Cogentco;
 //                         paper uses the gravity model of [9, 39])

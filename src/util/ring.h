@@ -74,7 +74,8 @@ class SpscRing {
     return true;
   }
 
-  /// Approximate (racy) occupancy — monitoring only.
+  /// Approximate (racy) occupancy: for monitoring and scheduling hints,
+  /// never for correctness.
   std::size_t size_approx() const noexcept {
     return tail_.load(std::memory_order_relaxed) -
            head_.load(std::memory_order_relaxed);
@@ -153,7 +154,8 @@ class MpmcRing {
     return true;
   }
 
-  /// Approximate (racy) occupancy — monitoring only.
+  /// Approximate (racy) occupancy: for monitoring and scheduling hints,
+  /// never for correctness.
   std::size_t size_approx() const noexcept {
     const std::size_t tail = enqueue_pos_.load(std::memory_order_relaxed);
     const std::size_t head = dequeue_pos_.load(std::memory_order_relaxed);

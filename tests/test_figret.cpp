@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,8 +44,8 @@ TeConfig dense_advise(const FigretScheme& scheme, const PathSet& ps,
   return out;
 }
 
-// advise_into must serve exactly the dense forward's ratios, on dense,
-// sparse and all-zero windows alike.
+// advise_into and advise_batch_into must serve exactly the dense forward's
+// ratios, on dense, sparse and all-zero windows alike.
 void expect_advise_matches_dense(FigretScheme& scheme, const PathSet& ps,
                                  const traffic::TrafficTrace& trace,
                                  const std::string& when) {
@@ -60,6 +61,13 @@ void expect_advise_matches_dense(FigretScheme& scheme, const PathSet& ps,
   windows.push_back(std::move(mixed));
   windows.emplace_back(window, traffic::DemandMatrix(ps.num_nodes(), 0.0));
 
+  // All windows in one advise_batch_into too: more than kMaxBatch, so the
+  // batch is served in several passes.
+  std::vector<std::span<const traffic::DemandMatrix>> histories(
+      windows.begin(), windows.end());
+  std::vector<TeConfig> batched(windows.size());
+  scheme.advise_batch_into(histories, batched);
+
   TeConfig served;
   for (std::size_t i = 0; i < windows.size(); ++i) {
     scheme.advise_into(windows[i], served);
@@ -69,6 +77,11 @@ void expect_advise_matches_dense(FigretScheme& scheme, const PathSet& ps,
                           want.size() * sizeof(double)),
               0)
         << when << ", window " << i;
+    ASSERT_EQ(batched[i].size(), want.size()) << when;
+    EXPECT_EQ(std::memcmp(batched[i].data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << when << ", window " << i << " in a batch";
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -382,6 +383,138 @@ TEST(SparseMatvec, RejectsMalformedActiveLists) {
                std::invalid_argument);
   EXPECT_THROW(linalg::matvec_sparse_into(at, one, two, y),
                std::invalid_argument);
+}
+
+// --- batched rows ---------------------------------------------------------------
+
+// Row b of a batched call must carry the bytes of the single-row call on x_b
+// (and so of the dense matvec), for every batch size up to xs.size().
+void expect_batches_match_rows(const linalg::Matrix& a,
+                               const std::vector<SparseInput>& xs,
+                               const std::string& what) {
+  const linalg::Matrix at = a.transposed();
+  for (std::size_t batch = 1; batch <= xs.size(); ++batch) {
+    std::vector<linalg::SparseRow> rows;
+    for (std::size_t b = 0; b < batch; ++b)
+      rows.push_back({xs[b].index, xs[b].value});
+    linalg::Matrix y;
+    linalg::matvec_sparse_into(at, rows, y);
+    ASSERT_EQ(y.rows(), batch) << what;
+    ASSERT_EQ(y.cols(), a.rows()) << what;
+    for (std::size_t b = 0; b < batch; ++b) {
+      std::vector<double> single, dense;
+      linalg::matvec_sparse_into(at, xs[b].index, xs[b].value, single);
+      linalg::matvec_into(a, xs[b].dense, dense);
+      const std::size_t bytes = a.rows() * sizeof(double);
+      EXPECT_EQ(std::memcmp(y.row(b).data(), single.data(), bytes), 0)
+          << what << ": row " << b << " of " << batch;
+      EXPECT_EQ(std::memcmp(single.data(), dense.data(), bytes), 0)
+          << what << ": row " << b;
+    }
+  }
+}
+
+/// Rows whose active sets are the residues k % count == b: disjoint.
+std::vector<SparseInput> disjoint_rows(std::size_t in, std::size_t count,
+                                       util::Rng& rng) {
+  std::vector<SparseInput> xs(count);
+  for (std::size_t b = 0; b < count; ++b) {
+    xs[b].dense.assign(in, 0.0);
+    for (std::size_t k = b; k < in; k += count) {
+      const double v = rng.uniform(-1.0, 1.0);
+      xs[b].index.push_back(k);
+      xs[b].value.push_back(v);
+      xs[b].dense[k] = v;
+    }
+  }
+  return xs;
+}
+
+TEST(SparseMatvecBatch, EveryBatchSizeMatchesItsRowsAlone) {
+  util::Rng rng(112);
+  // 130 outputs cross the 128-wide output block; 1000 inputs span many
+  // 64-index windows.
+  for (const auto [in, out] : {std::pair<std::size_t, std::size_t>{200, 9},
+                               {1000, 130}}) {
+    const auto a = random_matrix(out, in, rng);
+    const std::string shape =
+        "in=" + std::to_string(in) + " out=" + std::to_string(out);
+
+    std::vector<SparseInput> dense_rows;
+    for (int b = 0; b < 8; ++b)
+      dense_rows.push_back(random_sparse(in, 1.0, 0.0, rng));
+    expect_batches_match_rows(a, dense_rows, shape + " dense");
+
+    expect_batches_match_rows(a, disjoint_rows(in, 8, rng),
+                              shape + " disjoint");
+
+    // Different active sets, explicit zeros among them, an all-zero row in
+    // the middle and another at the end.
+    std::vector<SparseInput> mixed;
+    for (const double density : {0.01, 0.3, 0.0, 0.9, 1.0, 0.05, 0.5, 0.0})
+      mixed.push_back(random_sparse(in, density, 0.1, rng));
+    expect_batches_match_rows(a, mixed, shape + " mixed");
+  }
+}
+
+TEST(SparseMatvecBatch, BatchesLargerThanARowGroup) {
+  // Rows are folded in groups of eight; 11 rows cross a group boundary.
+  util::Rng rng(113);
+  const auto a = random_matrix(20, 300, rng);
+  std::vector<SparseInput> xs;
+  for (int b = 0; b < 11; ++b)
+    xs.push_back(random_sparse(300, 0.1 * (b % 5), 0.1, rng));
+  expect_batches_match_rows(a, xs, "11 rows");
+}
+
+TEST(SparseMatvecBatch, RejectsAMalformedRowAtAnyPosition) {
+  const linalg::Matrix at(10, 3, 1.0);
+  const std::vector<double> two = {1.0, 2.0};
+  const std::vector<std::size_t> good = {1, 7};
+  const std::vector<std::size_t> descending = {4, 2};
+  const std::vector<std::size_t> repeated = {4, 4};
+  const std::vector<std::size_t> out_of_range = {2, 10};
+  const std::vector<double> one = {1.0};
+  const linalg::SparseRow ok{good, two};
+  const linalg::SparseRow bad[] = {
+      {descending, two}, {repeated, two}, {out_of_range, two}, {good, one}};
+  for (const linalg::SparseRow& b : bad)
+    for (std::size_t pos = 0; pos < 3; ++pos) {
+      std::vector<linalg::SparseRow> rows(3, ok);
+      rows[pos] = b;
+      linalg::Matrix y;
+      EXPECT_THROW(linalg::matvec_sparse_into(at, rows, y),
+                   std::invalid_argument)
+          << "bad row at " << pos;
+    }
+}
+
+TEST(MatvecBatch, EveryBatchSizeMatchesItsRowsAlone) {
+  util::Rng rng(114);
+  for (const std::size_t k : {7u, 128u, 300u}) {
+    const auto a = random_matrix(37, k, rng);
+    const auto x = random_matrix(8, k, rng);
+    for (std::size_t batch = 1; batch <= 8; ++batch) {
+      linalg::Matrix xb(batch, k);
+      std::copy(x.flat().begin(), x.flat().begin() + batch * k,
+                xb.flat().begin());
+      linalg::Matrix y;
+      linalg::matvec_into(a, xb, y);
+      ASSERT_EQ(y.rows(), batch);
+      ASSERT_EQ(y.cols(), a.rows());
+      for (std::size_t b = 0; b < batch; ++b) {
+        std::vector<double> single;
+        linalg::matvec_into(a, x.row(b), single);
+        EXPECT_EQ(std::memcmp(y.row(b).data(), single.data(),
+                              single.size() * sizeof(double)),
+                  0)
+            << "k=" << k << " row " << b << " of " << batch;
+      }
+    }
+    linalg::Matrix y;
+    EXPECT_THROW(linalg::matvec_into(a, linalg::Matrix(2, k + 1), y),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "net/topology.h"
 #include "net/yen.h"
@@ -152,6 +153,38 @@ TEST(FigretLoss, GradientPushesTrafficOffBottleneck) {
   std::vector<double> grad;
   (void)figret_loss(ps, dm, sig, w, LossConfig{0.0}, &grad);
   EXPECT_GT(grad[b], 0.0);
+}
+
+TEST(FigretLoss, ReusedScratchIsBitIdenticalToAFreshOne) {
+  // One scratch carried through instances of different sizes and loss
+  // weights (a training task's sequence of samples) must give every call
+  // the bytes a fresh scratch gives it, for the value and the gradient.
+  LossScratch reused;
+  util::Rng rng(71);
+  for (const std::size_t nodes : {5u, 3u, 4u, 5u}) {
+    const PathSet ps = mesh_pathset(nodes);
+    for (const double robust : {0.0, 0.7}) {
+      std::vector<double> sig(ps.num_paths());
+      for (auto& s : sig) s = rng.uniform(0.05, 0.95);
+      traffic::DemandMatrix dm(nodes);
+      for (std::size_t p = 0; p < dm.size(); ++p) dm[p] = rng.uniform(0.0, 2.0);
+      std::vector<double> w(ps.num_pairs());
+      for (auto& v : w) v = rng.uniform(0.0, 1.0);
+      const LossConfig cfg{robust};
+
+      std::vector<double> grad_fresh, grad_reused;
+      const LossValue fresh = figret_loss(ps, dm, sig, w, cfg, &grad_fresh);
+      const LossValue again =
+          figret_loss(ps, dm, sig, w, cfg, &grad_reused, reused);
+      EXPECT_EQ(std::memcmp(&fresh, &again, sizeof fresh), 0)
+          << nodes << " nodes, robust " << robust;
+      ASSERT_EQ(grad_reused.size(), grad_fresh.size());
+      EXPECT_EQ(std::memcmp(grad_reused.data(), grad_fresh.data(),
+                            grad_fresh.size() * sizeof(double)),
+                0)
+          << nodes << " nodes, robust " << robust;
+    }
+  }
 }
 
 TEST(FigretLoss, InputValidation) {

@@ -399,7 +399,8 @@ TEST(Mlp, ForwardSparseMatchesForwardBitForBit) {
     const Mlp m(cfg);
     const linalg::Matrix w0_t = m.weights()[0].transposed();
     util::Rng rng(43);
-    MlpWorkspace dense_ws, sparse_ws;
+    MlpWorkspace dense_ws;
+    MlpBatchWorkspace sparse_ws;
     for (const double density : {0.0, 0.01, 0.2, 1.0}) {
       std::vector<double> x(m.input_size(), 0.0);
       std::vector<std::size_t> index;
@@ -421,11 +422,90 @@ TEST(Mlp, ForwardSparseMatchesForwardBitForBit) {
   }
 }
 
+TEST(Mlp, ForwardSparseBatchRowsMatchTheirRowsAlone) {
+  // The batched serving forward: row b of every batch size must carry the
+  // bytes of the single-row forward_sparse on x_b and of the dense forward(),
+  // whatever the other rows hold — dense rows, disjoint rows, all-zero rows
+  // and rows with different active sets.
+  MlpConfig cfg;
+  cfg.layer_sizes = {300, 32, 32, 11};
+  cfg.seed = 47;
+  const Mlp m(cfg);
+  const linalg::Matrix w0_t = m.weights()[0].transposed();
+  util::Rng rng(53);
+
+  struct Row {
+    std::vector<std::size_t> index;
+    std::vector<double> value;
+    std::vector<double> dense;
+  };
+  const auto make_row = [&](auto active) {
+    Row r;
+    r.dense.assign(m.input_size(), 0.0);
+    for (std::size_t k = 0; k < m.input_size(); ++k) {
+      if (!active(k)) continue;
+      r.dense[k] = rng.uniform(0.0, 1.0);
+      r.index.push_back(k);
+      r.value.push_back(r.dense[k]);
+    }
+    return r;
+  };
+  std::vector<std::vector<Row>> sets(3);
+  for (std::size_t b = 0; b < 8; ++b) {
+    sets[0].push_back(make_row([](std::size_t) { return true; }));
+    sets[1].push_back(make_row([b](std::size_t k) { return k % 8 == b; }));
+    const double density = b % 4 == 2 ? 0.0 : 0.1 * static_cast<double>(b);
+    sets[2].push_back(
+        make_row([&](std::size_t) { return rng.bernoulli(density); }));
+  }
+
+  MlpWorkspace dense_ws;
+  MlpBatchWorkspace single_ws, batch_ws;
+  for (std::size_t set = 0; set < sets.size(); ++set) {
+    const std::vector<Row>& xs = sets[set];
+    for (std::size_t batch = 1; batch <= xs.size(); ++batch) {
+      std::vector<linalg::SparseRow> rows;
+      for (std::size_t b = 0; b < batch; ++b)
+        rows.push_back({xs[b].index, xs[b].value});
+      const linalg::Matrix& y = m.forward_sparse(rows, w0_t, batch_ws);
+      ASSERT_EQ(y.rows(), batch);
+      ASSERT_EQ(y.cols(), m.output_size());
+      for (std::size_t b = 0; b < batch; ++b) {
+        const auto single =
+            m.forward_sparse(xs[b].index, xs[b].value, w0_t, single_ws);
+        const auto dense = m.forward(xs[b].dense, dense_ws);
+        const std::size_t bytes = m.output_size() * sizeof(double);
+        EXPECT_EQ(std::memcmp(y.row(b).data(), single.data(), bytes), 0)
+            << "set " << set << " row " << b << " of " << batch;
+        EXPECT_EQ(std::memcmp(single.data(), dense.data(), bytes), 0)
+            << "set " << set << " row " << b;
+      }
+    }
+  }
+}
+
+TEST(Mlp, ForwardSparseBatchRejectsAMalformedRow) {
+  MlpConfig cfg;
+  cfg.layer_sizes = {6, 4, 2};
+  const Mlp m(cfg);
+  const linalg::Matrix w0_t = m.weights()[0].transposed();
+  const std::vector<std::size_t> good = {1, 3};
+  const std::vector<std::size_t> descending = {3, 1};
+  const std::vector<double> value = {0.5, 0.25};
+  MlpBatchWorkspace ws;
+  for (std::size_t pos = 0; pos < 3; ++pos) {
+    std::vector<linalg::SparseRow> rows(3, {good, value});
+    rows[pos].index = descending;
+    EXPECT_THROW(m.forward_sparse(rows, w0_t, ws), std::invalid_argument)
+        << "bad row at " << pos;
+  }
+}
+
 TEST(Mlp, ForwardSparseRejectsWrongTransposedShape) {
   MlpConfig cfg;
   cfg.layer_sizes = {6, 4, 2};
   const Mlp m(cfg);
-  MlpWorkspace ws;
+  MlpBatchWorkspace ws;
   const std::vector<std::size_t> index = {1};
   const std::vector<double> value = {0.5};
   // The untransposed weights have the swapped shape.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/failover.h"
+#include "te/figret.h"
 #include "te/lp_schemes.h"
 #include "te/mlu.h"
 #include "te/retrain_monitor.h"
@@ -149,6 +151,122 @@ TEST(ServingLoopStream, InstallServesQuantizedRatios) {
     EXPECT_EQ(r.raw_mlu, mlu(ps, trace[r.trace_index], installed));
     EXPECT_EQ(r.quant_error, expected_err);
     EXPECT_GE(r.install_seconds, 0.0);
+  }
+}
+
+/// Serves a fitted FIGRET model, but holds its first advise until the test
+/// releases it, so the test can queue jobs behind it, and throws on the
+/// snapshot `poisoned` (its history ends right before that trace index),
+/// alone or inside a batch.
+class GatedAdvisor final : public TeScheme {
+ public:
+  GatedAdvisor(FigretScheme& model, const traffic::TrafficTrace& trace,
+               std::uint32_t poisoned)
+      : model_(model), trace_(trace), poisoned_(poisoned) {}
+  std::string name() const override { return "Gated"; }
+  void fit(const traffic::TrafficTrace&) override {}
+  TeConfig advise(std::span<const traffic::DemandMatrix> history) override {
+    TeConfig out;
+    advise_into(history, out);
+    return out;
+  }
+  void advise_into(std::span<const traffic::DemandMatrix> history,
+                   TeConfig& out) override {
+    hold();
+    if (is_poisoned(history)) throw std::runtime_error("poisoned snapshot");
+    model_.advise_into(history, out);
+  }
+  void advise_batch_into(
+      std::span<const std::span<const traffic::DemandMatrix>> histories,
+      std::span<TeConfig> outs) override {
+    hold();
+    batch_sizes.push_back(histories.size());
+    for (const auto& h : histories)
+      if (is_poisoned(h)) {
+        ++batch_throws;
+        throw std::runtime_error("poisoned snapshot in a batch");
+      }
+    model_.advise_batch_into(histories, outs);
+  }
+  std::size_t history_window() const override {
+    return model_.history_window();
+  }
+
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  // Written by the one worker; read after finish().
+  std::vector<std::size_t> batch_sizes;
+  std::size_t batch_throws = 0;
+
+ private:
+  void hold() {
+    if (held_) return;
+    held_ = true;
+    holding.store(true);
+    while (!release.load()) std::this_thread::yield();
+  }
+  bool is_poisoned(std::span<const traffic::DemandMatrix> h) const {
+    return h.data() + h.size() == trace_.snapshots.data() + poisoned_;
+  }
+
+  FigretScheme& model_;
+  const traffic::TrafficTrace& trace_;
+  std::uint32_t poisoned_;
+  bool held_ = false;
+};
+
+TEST(ServingLoopStream, QueuedJobsAreAdvisedInBatchesBitIdentically) {
+  const PathSet ps = mesh_pathset(5);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(5, 90, 31);
+  FigretOptions fopt;
+  fopt.history = 3;
+  fopt.hidden = {16, 16};
+  fopt.epochs = 2;
+  FigretScheme fig(ps, fopt);
+  fig.fit(trace.slice(0, 40));
+
+  // The single-advise reference: each index advised alone, served as
+  // advised (install off).
+  const std::uint32_t first = 40, end = 90, poisoned = 57;
+  std::vector<double> reference(end, 0.0);
+  for (std::uint32_t t = first; t < end; ++t)
+    reference[t] = mlu(ps, trace[t],
+                       fig.advise({trace.snapshots.data() + (t - 3), 3}));
+
+  ServingLoop::Options opt;
+  opt.workers = 1;
+  opt.install = false;
+  ServingLoop loop(ps, trace, opt);
+  GatedAdvisor gate(fig, trace, poisoned);
+  std::vector<TeScheme*> advisors{&gate};
+  loop.start(advisors);
+  // The first job holds the worker while every other one is queued.
+  loop.submit(first);
+  while (!gate.holding.load()) std::this_thread::yield();
+  for (std::uint32_t t = first + 1; t < end; ++t) loop.submit(t);
+  gate.release.store(true);
+  loop.finish();
+  std::vector<SnapshotResult> results;
+  loop.drain(results);
+
+  ASSERT_EQ(results.size(), end - first);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_GT(s[Counter::kBatchedSnapshots], 0u);
+  EXPECT_TRUE(std::any_of(gate.batch_sizes.begin(), gate.batch_sizes.end(),
+                          [](std::size_t n) { return n > 1; }));
+  for (std::size_t n : gate.batch_sizes) EXPECT_LE(n, TeScheme::kMaxBatch);
+  // The poisoned snapshot sank its batch; its batch-mates were re-advised
+  // alone and served fresh, so only it degraded.
+  EXPECT_EQ(gate.batch_throws, 1u);
+  EXPECT_EQ(s[Counter::kInvalidOutputs], 1u);
+  for (const SnapshotResult& r : results) {
+    if (r.trace_index == poisoned) {
+      EXPECT_NE(r.rung, FallbackRung::kFresh);
+      continue;
+    }
+    EXPECT_EQ(r.rung, FallbackRung::kFresh) << "index " << r.trace_index;
+    EXPECT_EQ(r.raw_mlu, reference[r.trace_index])
+        << "index " << r.trace_index;
   }
 }
 
