@@ -143,38 +143,19 @@ FIGRET_FORCE_INLINE void rank1_scatter(double* out, const std::size_t* idx,
   for (std::size_t j = 0; j < n; ++j) out[idx[j]] += a * b[j];
 }
 
-// Row b of y ([n x a.rows()], row-major) = A x_b for the n rows of x
-// ([n x a.cols()], row-major): one dot_lanes per element, each row of `a`
-// taken for every x_b in turn while it is in L1.
-FIGRET_FORCE_INLINE void matvec_rows_kernel(const Matrix& a, const double* x,
-                                            std::size_t n, double* y) {
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  // A lone row skips the batch loop: the same dots, but with that loop GCC
-  // 12 schedules them ~3% slower on a 4932 x 128 layer.
-  if (n == 1) {
-    for (std::size_t i = 0; i < m; ++i)
-      y[i] = dot_lanes(a.row(i).data(), x, k);
-    return;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a.row(i).data();
-    for (std::size_t b = 0; b < n; ++b)
-      y[b * m + i] = dot_lanes(arow, x + b * k, k);
-  }
-}
-
 // Row b of y ([n x at.cols()], row-major) = A x_b for the sparse rows x_b.
 // acc[b][lane][o] is the lane chain of row b's output o: active index k
 // feeds lane k % kLanes, in ascending k — the order lanes_accum gives the
 // dense dot, minus the zero terms. Outputs are swept in blocks of kBlock, and
 // rows in groups of kRowGroup, so the accumulators (16 x kBlock doubles per
-// row) stay on the stack for any width and batch.
+// row: 16 KB) stay on the stack for any width and batch. kRowGroup is the
+// largest batch the serving loop forms (TeScheme::kMaxBatch); a longer batch
+// is folded group by group.
 FIGRET_FORCE_INLINE void sparse_rows_kernel(const Matrix& at,
                                             const SparseRow* rows,
                                             std::size_t n, double* y) {
   constexpr std::size_t kBlock = 128;
-  constexpr std::size_t kRowGroup = 8;
+  constexpr std::size_t kRowGroup = 4;
   // A window of 4 * kLanes consecutive indices holds at most four per lane
   // of each row. The windows are aligned, so a row's terms fall into the
   // same windows whatever the other rows hold, and each lane's terms of a
@@ -274,12 +255,6 @@ void Matrix::reset(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, 0.0);
-}
-
-void Matrix::resize(std::size_t rows, std::size_t cols) {
-  rows_ = rows;
-  cols_ = cols;
-  data_.resize(rows * cols);
 }
 
 Matrix Matrix::transposed() const {
@@ -579,22 +554,15 @@ void matvec_into(const Matrix& a, std::span<const double> x,
   if (a.cols() != x.size())
     throw std::invalid_argument("matvec: dimension mismatch");
   y.resize(a.rows());
-  matvec_rows_kernel(a, x.data(), 1, y.data());
-}
-
-FIGRET_ISA_CLONES
-void matvec_into(const Matrix& a, const Matrix& x, Matrix& y) {
-  if (a.cols() != x.cols())
-    throw std::invalid_argument("matvec: dimension mismatch");
-  y.resize(x.rows(), a.rows());
-  matvec_rows_kernel(a, x.flat().data(), x.rows(), y.flat().data());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    y[i] = dot_lanes(a.row(i).data(), x.data(), a.cols());
 }
 
 FIGRET_ISA_CLONES
 void matvec_sparse_into(const Matrix& at, std::span<const SparseRow> rows,
                         Matrix& y) {
   for (const SparseRow& row : rows) check_sparse_row(at, row);
-  y.resize(rows.size(), at.cols());
+  y.reset(rows.size(), at.cols());
   sparse_rows_kernel(at, rows.data(), rows.size(), y.flat().data());
 }
 

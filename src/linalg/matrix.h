@@ -57,9 +57,6 @@ class Matrix {
   /// Becomes a zero rows x cols matrix, reusing the storage: allocation-free
   /// once the capacity suffices.
   void reset(std::size_t rows, std::size_t cols);
-  /// Becomes rows x cols, reusing the storage, with unspecified entries:
-  /// for outputs that are overwritten whole.
-  void resize(std::size_t rows, std::size_t cols);
 
   Matrix transposed() const;
 
@@ -97,12 +94,6 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 /// same order as dot(a.row(i), x).
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
-
-/// matvec_into for every row of `x` at once: y ([x.rows() x a.rows()])
-/// holds y(b, i) = dot(a.row(i), x.row(b)). Each row of `a` is used for the
-/// whole batch while it is in L1, and row b of y is bit-identical to
-/// matvec_into on x.row(b) alone. Allocation-free once y has capacity.
-void matvec_into(const Matrix& a, const Matrix& x, Matrix& y);
 
 /// Throws std::invalid_argument, naming `what`, unless `index` is strictly
 /// ascending and every entry is below `limit`: the index and column lists

@@ -138,11 +138,13 @@ const linalg::Matrix& Mlp::forward_sparse(
     const linalg::Matrix& w = weight_[l];
     linalg::Matrix& pre = ws.pre[l];
     linalg::Matrix& post = ws.post[l];
-    if (l == 0)
+    if (l == 0) {
       linalg::matvec_sparse_into(w0_t, rows, pre);
-    else
-      linalg::matvec_into(w, ws.post[l - 1], pre);
-    post.resize(batch, w.rows());
+    } else {
+      pre.reset(batch, w.rows());
+      linalg::matmul_t_into(ws.post[l - 1], w, 0, w.rows(), pre);
+    }
+    post.reset(batch, w.rows());
     for (std::size_t s = 0; s < batch; ++s)
       activate(l, pre.row(s), post.row(s), 0, w.rows());
   }

@@ -74,8 +74,8 @@ class Mlp {
   /// ascending). `w0_t` must be weights()[0].transposed(), kept by the
   /// caller so the first layer reads only the weight rows of inputs active
   /// in some row, once per call (linalg::matvec_sparse_into); each later
-  /// layer keeps a weight row in cache across the batch's dot products
-  /// (linalg::matvec_into's batch form). Runs on the calling thread. Row b
+  /// layer streams its weight rows once for the batch
+  /// (linalg::matmul_t_into). Runs on the calling thread. Row b
   /// of the result is bit-identical to forward() on the dense x_b, whatever
   /// the other rows hold. The returned matrix ([rows.size() x output_size()])
   /// aliases ws.post.back() and stays valid until the next pass with `ws`.

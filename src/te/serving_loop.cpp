@@ -229,8 +229,12 @@ void ServingLoop::serve_batch(Worker& w, std::size_t n) {
     batch_infer = seconds_since(dequeued, Clock::now());
   }
   for (std::size_t b = 0; b < n; ++b) {
+    // Job 0's service starts with the batch; a later job's starts when its
+    // own processing does, so its wait behind the batched advise and its
+    // batch-mates is queueing, and the batch's busy time is counted once.
+    const auto started = b == 0 ? dequeued : Clock::now();
     try {
-      process_snapshot(w, b, dequeued, batched ? &batch_infer : nullptr);
+      process_snapshot(w, b, started, batched ? &batch_infer : nullptr);
     } catch (...) {
       std::lock_guard<std::mutex> lock(error_mu_);
       if (!stream_error_) stream_error_ = std::current_exception();
@@ -245,14 +249,14 @@ std::span<const traffic::DemandMatrix> ServingLoop::history_of(
 }
 
 void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
-                                   Clock::time_point dequeued,
+                                   Clock::time_point started,
                                    const double* batch_infer) {
   const Job& job = w.jobs[slot];
   TeConfig& cfg = w.cfgs[slot];
   SnapshotResult r;
   r.seq = job.seq;
   r.trace_index = job.index;
-  r.queue_seconds = seconds_since(job.enqueued, dequeued);
+  r.queue_seconds = seconds_since(job.enqueued, started);
 
   refresh_failures(w);
 

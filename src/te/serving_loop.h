@@ -9,15 +9,19 @@
 //
 // Micro-batching: a worker pops one snapshot, then takes its share of what
 // is already queued (up to queued / workers more, TeScheme::kMaxBatch in
-// all), without ever waiting for more. A batch of two or more is advised in one advise_batch_into call
-// (FIGRET reads its weights once for the batch; Counter::kBatchedSnapshots
-// counts its jobs), then every job runs install -> reroute -> score ->
-// oracle -> publish in submission order, as a lone job does. Each job's
-// infer_seconds is the whole batched call, and its serve time includes the
-// jobs ahead of it in the batch. A job with a chaos plan is served alone,
-// and if a batched call throws, each of its jobs is re-advised alone, so a
-// throw degrades only the snapshot that caused it. Batching changes no
-// served bit: advise_batch_into is bit-identical per row to advise_into.
+// all), without ever waiting for more. A batch of two or more is advised in
+// one advise_batch_into call (FIGRET reads its weights once for the batch;
+// Counter::kBatchedSnapshots counts its jobs), then every job runs install
+// -> reroute -> score -> oracle -> publish in submission order, as a lone
+// job does. Each batched job's infer_seconds is the whole batched call. The
+// first job's queue_seconds ends where the batch starts; a later job's ends
+// where its own processing starts, so it covers the batched advise and the
+// batch-mates ahead of it, and per-job service (total - queue) sums to the
+// worker's busy time. serve_seconds includes all of it. A job with a chaos
+// plan is served alone, and if a batched call throws, each of its jobs is
+// re-advised alone, so a throw degrades only the snapshot that caused it.
+// Batching changes no served bit: advise_batch_into is bit-identical per row
+// to advise_into.
 //
 // Each worker owns its whole working set — TeScheme instance, lp::WarmStart
 // chain, every scratch buffer — so the hot path takes no locks and performs
@@ -77,9 +81,13 @@ struct SnapshotResult {
   double normalized = 0.0;
   /// Largest per-path ratio change introduced by WCMP quantization.
   double quant_error = 0.0;
-  double queue_seconds = 0.0;    // submit -> worker dequeue (of its batch)
+  /// Submit -> the worker starts serving it: for a batched job, the batch
+  /// start (first job) or the start of its own processing (later jobs,
+  /// whose wait behind the batched advise and earlier jobs counts here).
+  double queue_seconds = 0.0;
   /// The advise call that produced this snapshot's config; for a batched
-  /// job, the whole batch's advise_batch_into, shared by its jobs.
+  /// job, the whole batch's advise_batch_into, shared by its jobs (inside
+  /// queue_seconds for every job but the first).
   double infer_seconds = 0.0;
   double lp_seconds = 0.0;       // omniscient resolve
   double install_seconds = 0.0;  // WCMP quantize + ratio reconstruction
@@ -234,10 +242,11 @@ class ServingLoop {
   void worker_loop(Worker& w);
   /// Advises w.jobs[0, n) (in one batched call when n > 1) and serves each.
   void serve_batch(Worker& w, std::size_t n);
-  /// Serves w.jobs[slot]; `batch_infer` is the batched advise's time when
-  /// w.cfgs[slot] already holds its config, null to advise it here.
+  /// Serves w.jobs[slot], whose service began at `started`; `batch_infer`
+  /// is the batched advise's time when w.cfgs[slot] already holds its
+  /// config, null to advise it here.
   void process_snapshot(Worker& w, std::size_t slot,
-                        Clock::time_point dequeued, const double* batch_infer);
+                        Clock::time_point started, const double* batch_infer);
   /// The `w.window` snapshots before trace index `index`.
   std::span<const traffic::DemandMatrix> history_of(const Worker& w,
                                                     std::uint32_t index) const;

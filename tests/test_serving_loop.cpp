@@ -157,7 +157,8 @@ TEST(ServingLoopStream, InstallServesQuantizedRatios) {
 /// Serves a fitted FIGRET model, but holds its first advise until the test
 /// releases it, so the test can queue jobs behind it, and throws on the
 /// snapshot `poisoned` (its history ends right before that trace index),
-/// alone or inside a batch.
+/// alone or inside a batch. Every advise call, lone or batched, first
+/// sleeps for `delay`.
 class GatedAdvisor final : public TeScheme {
  public:
   GatedAdvisor(FigretScheme& model, const traffic::TrafficTrace& trace,
@@ -173,6 +174,7 @@ class GatedAdvisor final : public TeScheme {
   void advise_into(std::span<const traffic::DemandMatrix> history,
                    TeConfig& out) override {
     hold();
+    std::this_thread::sleep_for(delay);
     if (is_poisoned(history)) throw std::runtime_error("poisoned snapshot");
     model_.advise_into(history, out);
   }
@@ -180,6 +182,7 @@ class GatedAdvisor final : public TeScheme {
       std::span<const std::span<const traffic::DemandMatrix>> histories,
       std::span<TeConfig> outs) override {
     hold();
+    std::this_thread::sleep_for(delay);
     batch_sizes.push_back(histories.size());
     for (const auto& h : histories)
       if (is_poisoned(h)) {
@@ -192,6 +195,7 @@ class GatedAdvisor final : public TeScheme {
     return model_.history_window();
   }
 
+  std::chrono::milliseconds delay{0};
   std::atomic<bool> holding{false};
   std::atomic<bool> release{false};
   // Written by the one worker; read after finish().
@@ -268,6 +272,56 @@ TEST(ServingLoopStream, QueuedJobsAreAdvisedInBatchesBitIdentically) {
     EXPECT_EQ(r.raw_mlu, reference[r.trace_index])
         << "index " << r.trace_index;
   }
+}
+
+TEST(ServingLoopStream, BatchedServiceTimesSumToTheWorkersBusyTime) {
+  // Per-job service (total - queue) of one worker's jobs must be disjoint
+  // intervals, so they sum to at most the wall time: a batched advise is
+  // counted once, in the service of the batch's first job, and the later
+  // jobs wait for it in their queue time.
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 40, 37);
+  FigretOptions fopt;
+  fopt.history = 2;
+  fopt.hidden = {8};
+  fopt.epochs = 1;
+  FigretScheme fig(ps, fopt);
+  fig.fit(trace.slice(0, 20));
+
+  ServingLoop::Options opt;
+  opt.workers = 1;
+  opt.install = false;
+  ServingLoop loop(ps, trace, opt);
+  GatedAdvisor gate(fig, trace, /*poisoned=*/0);
+  gate.delay = std::chrono::milliseconds(10);
+  std::vector<TeScheme*> advisors{&gate};
+  loop.start(advisors);
+  const auto begin = std::chrono::steady_clock::now();
+  const std::uint32_t first = 20, end = 33;
+  loop.submit(first);
+  while (!gate.holding.load()) std::this_thread::yield();
+  for (std::uint32_t t = first + 1; t < end; ++t) loop.submit(t);
+  gate.release.store(true);
+  loop.finish();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+  std::vector<SnapshotResult> results;
+  loop.drain(results);
+
+  ASSERT_EQ(results.size(), end - first);
+  ASSERT_TRUE(std::any_of(gate.batch_sizes.begin(), gate.batch_sizes.end(),
+                          [](std::size_t n) { return n > 1; }));
+  double busy = 0.0;
+  for (const SnapshotResult& r : results) {
+    EXPECT_GE(r.queue_seconds, 0.0);
+    EXPECT_GE(r.total_seconds, r.queue_seconds);
+    EXPECT_GE(r.infer_seconds, 0.010) << "index " << r.trace_index;
+    busy += r.total_seconds - r.queue_seconds;
+  }
+  // Counting each batched advise once per job would add 10 ms per extra
+  // job in a batch: at least 30 ms over the wall time here.
+  EXPECT_LE(busy, wall);
 }
 
 TEST(ServingLoopStream, OracleNormalizesAndChainsWarmStarts) {
