@@ -16,6 +16,7 @@
 // The `serve` subcommand replays the test split of the trace through the
 // streaming serving loop (paced arrivals, worker pipeline, SLO accounting)
 // instead of the batch evaluation harness.
+#include <chrono>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -557,8 +558,14 @@ int main(int argc, char** argv) {
       if (scheme_name == "cope")
         ropt.penalty_ratio = te::kDefaultCopePenaltyRatio;
       te::HoseRobustTe robust(paths, ropt);
-      result = harness.evaluate(robust);
-      if (!robust.result().converged) result.name += " (budget hit)";
+      const auto t0 = std::chrono::steady_clock::now();
+      robust.fit(harness.train_trace());
+      const std::chrono::duration<double> fit_time =
+          std::chrono::steady_clock::now() - t0;
+      result = harness.evaluate(robust, /*fit=*/false);
+      result.name += std::string(" (") +
+                     lp::to_string(robust.result().status) + ", " +
+                     util::fmt(fit_time.count(), 1) + "s)";
     } else {
       result = harness.evaluate(*make_scheme(scheme_name, paths));
     }

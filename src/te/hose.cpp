@@ -83,7 +83,7 @@ std::pair<double, traffic::DemandMatrix> worst_demand_for_edge(
   if (!sol.optimal())
     // This LP is feasible (zero demand) and bounded (every variable sits in
     // a finite hose row), so failure means a truncated solve; reporting 0
-    // here could let a cutting-plane scan certify a false convergence.
+    // here would understate the worst case.
     throw std::runtime_error(
         std::string("worst_demand_for_edge: adversary LP status: ") +
         lp::to_string(sol.status));

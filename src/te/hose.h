@@ -1,5 +1,5 @@
-// Hose demand polytope and its adversary oracle — used by the hose-robust
-// cutting-plane solver (oblivious / COPE) and the regret adversary.
+// Hose demand polytope and its adversary oracle, which te/oblivious.h's
+// compact LP dualizes and which seeds the regret adversary.
 //
 // The hose model bounds each node's total egress/ingress demand by the
 // capacity attached to it (times a scale factor), the standard demand
@@ -29,8 +29,8 @@ HoseBounds hose_bounds(const PathSet& ps, double scale);
 /// edge `e` under configuration `r` (a transportation LP).
 /// Returns {utilization, argmax demand}. The LP is always feasible and
 /// bounded, so a non-optimal engine verdict (a pivot-budget hit) throws —
-/// silently reporting utilization 0 could certify a false cutting-plane
-/// convergence. `solver` holds the LP settings (nullptr = SolverOptions{}).
+/// silently reporting utilization 0 would understate the worst case.
+/// `solver` holds the LP settings (nullptr = SolverOptions{}).
 std::pair<double, traffic::DemandMatrix> worst_demand_for_edge(
     const PathSet& ps, const TeConfig& r, const HoseBounds& hose,
     net::EdgeId e, const lp::SolverOptions* solver = nullptr);

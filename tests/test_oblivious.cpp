@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "net/topology.h"
 #include "net/yen.h"
@@ -108,29 +109,46 @@ TEST(Hose, AdversaryMaximizesTheTargetEdge) {
   }
 }
 
-TEST(Oblivious, ConvergesOnTriangle) {
-  const PathSet ps = triangle_pathset();
-  HoseRobustOptions opt;
-  opt.max_rounds = 50;
-  const HoseRobustResult r = solve_hose_robust(ps, opt);
-  EXPECT_TRUE(r.converged);
+struct ObliviousCase {
+  const char* name;
+  PathSet (*build)();
+  double r;  // the optimal hose worst-case MLU
+};
+
+class ObliviousOptimum : public ::testing::TestWithParam<ObliviousCase> {};
+
+TEST_P(ObliviousOptimum, CompactLpMeetsTheExactOracle) {
+  const PathSet ps = GetParam().build();
+  const HoseRobustResult r = solve_hose_robust(ps, {});
+  ASSERT_EQ(r.status, lp::Status::kOptimal);
   EXPECT_TRUE(valid_config(ps, r.config));
-  EXPECT_GT(r.worst_mlu, 0.0);
+  EXPECT_NEAR(r.master_mlu, GetParam().r, 1e-9 * GetParam().r);
+  // The LP objective is the config's exact hose worst case, which the
+  // per-edge adversary LPs measure independently of the compact LP.
+  const double exact = worst_case_mlu_hose(ps, r.config);
+  EXPECT_NEAR(exact, r.master_mlu, 1e-9 * r.master_mlu);
+  EXPECT_EQ(r.worst_mlu, exact);
   // In oblivious mode the run is its own reference.
   EXPECT_EQ(r.oblivious_mlu, r.worst_mlu);
-  EXPECT_LE(r.worst_mlu, r.master_mlu * (1.0 + opt.tolerance) + 1e-9);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, ObliviousOptimum,
+    ::testing::Values(ObliviousCase{"triangle", triangle_pathset, 4.0 / 3.0},
+                      ObliviousCase{"mesh4", [] { return mesh_pathset(4); },
+                                    1.5},
+                      ObliviousCase{"mesh5", [] { return mesh_pathset(5); },
+                                    2.0}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Oblivious, OptimalBeatsArbitraryConfigsInWorstCase) {
   const PathSet ps = triangle_pathset();
-  HoseRobustOptions opt;
-  opt.max_rounds = 50;
-  const HoseRobustResult r = solve_hose_robust(ps, opt);
-  ASSERT_TRUE(r.converged);
+  const HoseRobustResult r = solve_hose_robust(ps, {});
+  ASSERT_EQ(r.status, lp::Status::kOptimal);
   // The oblivious config's worst case must not exceed that of the uniform
   // or the all-direct configuration (it minimizes the worst case).
   const double uniform_worst = worst_case_mlu_hose(ps, uniform_config(ps));
-  EXPECT_LE(r.worst_mlu, uniform_worst + 1e-4);
+  EXPECT_LE(r.worst_mlu, uniform_worst + 1e-9);
 
   TeConfig direct(ps.num_paths(), 0.0);
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
@@ -138,22 +156,13 @@ TEST(Oblivious, OptimalBeatsArbitraryConfigsInWorstCase) {
       if (ps.path_edges(p).size() == 1) direct[p] = 1.0;
   }
   direct = normalize_config(ps, direct);
-  EXPECT_LE(r.worst_mlu, worst_case_mlu_hose(ps, direct) + 1e-4);
-}
-
-TEST(Oblivious, WorstCaseConsistentWithExactOracle) {
-  const PathSet ps = mesh_pathset(4);
-  HoseRobustOptions opt;
-  opt.max_rounds = 30;
-  const HoseRobustResult r = solve_hose_robust(ps, opt);
-  const double exact = worst_case_mlu_hose(ps, r.config);
-  EXPECT_NEAR(r.worst_mlu, exact, 1e-4);
+  EXPECT_LE(r.worst_mlu, worst_case_mlu_hose(ps, direct) + 1e-9);
 }
 
 TEST(HoseRobust, MasterIterationLimitIsAnErrorInEitherMode) {
-  // A pivot-starved master LP must surface kIterationLimit instead of
-  // silently keeping the previous round's configuration. Oblivious and COPE
-  // share one cutting-plane loop, so both modes throw.
+  // A pivot-starved compact LP must surface kIterationLimit instead of
+  // silently keeping the uniform configuration. COPE's first stage is the
+  // oblivious solve, so both modes throw.
   const PathSet ps = triangle_pathset();
   const traffic::TrafficTrace train = traffic::gravity_trace(3, 40, 31);
   for (const double penalty_ratio : {0.0, 1.5}) {
@@ -167,7 +176,7 @@ TEST(HoseRobust, MasterIterationLimitIsAnErrorInEitherMode) {
 
 TEST(HoseRobust, RejectsInvalidPenaltyRatio) {
   // Neither oblivious (0) nor COPE (beta >= 1): used to return a silently
-  // non-converged configuration.
+  // unsolved configuration.
   const PathSet ps = triangle_pathset();
   const traffic::TrafficTrace train = traffic::gravity_trace(3, 40, 31);
   for (const double penalty_ratio :
@@ -183,25 +192,41 @@ TEST(HoseRobust, RejectsInvalidPenaltyRatio) {
 }
 
 TEST(Oblivious, TimeBudgetShortCircuits) {
+  // A spent budget (0 or less) returns at once with kDeadline and the
+  // uniform config, in either mode.
   const PathSet ps = mesh_pathset(4);
-  HoseRobustOptions opt;
-  opt.time_budget_seconds = 0.0;  // immediately out of budget
-  const HoseRobustResult r = solve_hose_robust(ps, opt);
-  EXPECT_FALSE(r.converged);
-  // The fallback config must still be usable.
-  EXPECT_TRUE(valid_config(ps, r.config));
+  const traffic::TrafficTrace train = traffic::gravity_trace(4, 20, 7);
+  for (const double budget : {0.0, -1.0}) {
+    for (const double penalty_ratio : {0.0, 1.5}) {
+      HoseRobustOptions opt;
+      opt.time_budget_seconds = budget;
+      opt.penalty_ratio = penalty_ratio;
+      const HoseRobustResult r = solve_hose_robust(ps, opt, train);
+      EXPECT_EQ(r.status, lp::Status::kDeadline)
+          << "budget " << budget << ", penalty_ratio " << penalty_ratio;
+      EXPECT_EQ(r.config, uniform_config(ps));
+      EXPECT_EQ(r.master_mlu, 0.0);
+    }
+  }
 }
 
-TEST(Oblivious, TruncatedScanNeverCertifiesConvergence) {
-  // With a budget that expires mid-adversary-scan, the solver must report
-  // non-convergence rather than certify a false optimum from a partial scan
-  // (regression test for the budget/convergence interaction).
+TEST(Oblivious, ExpiredBudgetNeverCertifiesAnOptimum) {
+  // COPE must not build an envelope from an r_obl that was never reached:
+  // with the oblivious stage out of time, the call reports that stage's
+  // status and config, and its worst case is the uniform config's, exactly.
+  // (An expired budget, not a tiny one: a 1e-4 s budget can finish this LP
+  // before the engine's first clock probe.)
   const PathSet ps = mesh_pathset(5);
   HoseRobustOptions opt;
-  opt.time_budget_seconds = 1e-4;  // expires almost immediately
-  opt.max_rounds = 50;
-  const HoseRobustResult r = solve_hose_robust(ps, opt);
-  EXPECT_FALSE(r.converged);
+  opt.time_budget_seconds = 0.0;
+  opt.penalty_ratio = 1.5;
+  const HoseRobustResult r =
+      solve_hose_robust(ps, opt, traffic::gravity_trace(5, 20, 7));
+  EXPECT_EQ(r.status, lp::Status::kDeadline);
+  EXPECT_TRUE(valid_config(ps, r.config));
+  const double uniform_worst = worst_case_mlu_hose(ps, uniform_config(ps));
+  EXPECT_EQ(r.worst_mlu, uniform_worst);
+  EXPECT_EQ(r.oblivious_mlu, uniform_worst);
 }
 
 TEST(Oblivious, SchemeAdapterLifecycle) {
@@ -231,7 +256,8 @@ TEST(Oblivious, IgnoresTrainingTrace) {
   ASSERT_EQ(a.config.size(), b.config.size());
   EXPECT_EQ(0, std::memcmp(a.config.data(), b.config.data(),
                            a.config.size() * sizeof(double)));
-  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.master_mlu, b.master_mlu);
 }
 
 }  // namespace
