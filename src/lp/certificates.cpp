@@ -7,6 +7,13 @@ namespace figret::lp {
 
 CertificateReport check_certificate(const LpProblem& problem,
                                     const LpResult& result) {
+  std::vector<double> reduced_costs;
+  return check_certificate(problem, result, reduced_costs);
+}
+
+CertificateReport check_certificate(const LpProblem& problem,
+                                    const LpResult& result,
+                                    std::vector<double>& reduced_costs) {
   CertificateReport report;
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
@@ -21,7 +28,8 @@ CertificateReport check_certificate(const LpProblem& problem,
   const auto& ub = problem.upper_bounds();
 
   // Reduced costs d = c - A'y, accumulated row by row.
-  std::vector<double> d = c;
+  std::vector<double>& d = reduced_costs;
+  d.assign(c.begin(), c.end());
   double dual_obj = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     const auto& row = problem.rows()[i];

@@ -14,6 +14,8 @@
 // battery (tests/test_lp_certificates.cpp).
 #pragma once
 
+#include <vector>
+
 #include "lp/problem.h"
 
 namespace figret::lp {
@@ -34,5 +36,11 @@ struct CertificateReport {
 /// Verifies the strong-duality certificate of an optimal solve.
 CertificateReport check_certificate(const LpProblem& problem,
                                     const LpResult& result);
+
+/// The same check with caller-owned storage for the reduced costs: repeated
+/// checks allocate nothing once `reduced_costs` has num_variables() capacity.
+CertificateReport check_certificate(const LpProblem& problem,
+                                    const LpResult& result,
+                                    std::vector<double>& reduced_costs);
 
 }  // namespace figret::lp

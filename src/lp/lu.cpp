@@ -60,6 +60,7 @@ void LuFactorization::load(const SparseMatrix& A,
 
   w.dval.assign(m_, 0.0);
   w.mark.assign(m_, 0);
+  w.touched.reserve(m_);  // eliminate() touches each row at most once
 }
 
 bool LuFactorization::pick_row(std::uint32_t j, std::size_t& row,
@@ -151,6 +152,19 @@ void LuFactorization::eliminate(std::uint32_t c, double vr, const LCol& lc) {
   w.clen[c] = len;
 }
 
+void LuFactorization::push_u(URow& ur, UEntry e) {
+  if (ur.len == ur.cap) {
+    // Full: move the row to the arena's end with room to double.
+    const std::size_t from = ur.begin;
+    ur.cap = std::max<std::uint32_t>(4, 2 * ur.cap);
+    ur.begin = uents_.size();
+    uents_.resize(uents_.size() + ur.cap);
+    std::copy_n(uents_.begin() + static_cast<std::ptrdiff_t>(from), ur.len,
+                uents_.begin() + static_cast<std::ptrdiff_t>(ur.begin));
+  }
+  uents_[ur.begin + ur.len++] = e;
+}
+
 bool LuFactorization::factorize(const SparseMatrix& A,
                                 const std::vector<std::uint32_t>& basis,
                                 Options opt) {
@@ -163,7 +177,7 @@ bool LuFactorization::factorize(const SparseMatrix& A,
   lmults_.clear();
   retas_.clear();
   urows_.resize(m_);
-  for (URow& ur : urows_) ur.entries.clear();
+  uents_.clear();
   order_.clear();
   order_.reserve(m_);
   pos_.assign(m_, 0);
@@ -172,7 +186,17 @@ bool LuFactorization::factorize(const SparseMatrix& A,
     valid_ = true;
     return true;
   }
+  // Arena floors sized by A, not by this basis: a factorization kept across
+  // solves (a WarmStart handle's engine) then sizes its arenas once, instead
+  // of growing whenever a later basis fills in a little more than any
+  // before it. Reserving touches no memory.
+  const std::size_t room = A.nnz() + m_;
   lcols_.reserve(m_);
+  lmults_.reserve(room);
+  retas_.reserve(room);
+  uents_.reserve(2 * room);
+  ws_.ents.reserve(2 * room);
+  ws_.slots.reserve(2 * room);
   load(A, basis);
   Workspace& w = ws_;
 
@@ -206,7 +230,10 @@ bool LuFactorization::factorize(const SparseMatrix& A,
     URow& ur = urows_[pj];
     ur.pivot_row = lc.pivot_row;
     ur.diag = pv;
-    if (w.rlen[pr] > 1) ur.entries.reserve(w.rlen[pr] - 1);
+    ur.begin = uents_.size();
+    ur.len = 0;
+    ur.cap = w.rlen[pr];  // at most one entry per listed column
+    uents_.resize(uents_.size() + ur.cap);
 
     // Eliminate row pr from every other active column carrying it. The
     // removed entries are exactly this pivot's U row. Indexed, not
@@ -221,7 +248,7 @@ bool LuFactorization::factorize(const SparseMatrix& A,
       const double vr = col[at].second;
       col[at] = col[len - 1];
       --len;
-      ur.entries.push_back({c, 0, vr});
+      uents_[ur.begin + ur.len++] = {c, 0, vr};
       if (lc.end > lc.begin && vr != 0.0) eliminate(c, vr, lc);
       rekey(c);
     }
@@ -237,7 +264,7 @@ bool LuFactorization::factorize(const SparseMatrix& A,
 
 std::size_t LuFactorization::fill_nnz() const noexcept {
   std::size_t n = retas_.size() + lmults_.size();
-  for (const URow& ur : urows_) n += 1 + ur.entries.size();
+  for (const URow& ur : urows_) n += 1 + ur.len;
   return n;
 }
 
@@ -260,7 +287,7 @@ void LuFactorization::ftran(std::vector<double>& v, bool save_spike) {
     const std::uint32_t slot = order_[k];
     const URow& ur = urows_[slot];
     double s = v[ur.pivot_row];
-    for (const UEntry& e : ur.entries)
+    for (const UEntry& e : entries(ur))
       if (live(e)) s -= e.value * work_[e.slot];
     work_[slot] = s / ur.diag;
   }
@@ -277,7 +304,7 @@ void LuFactorization::btran(std::vector<double>& v) {
     const double zk = v[slot] / ur.diag;
     work_[ur.pivot_row] = zk;
     if (zk == 0.0) continue;
-    for (const UEntry& e : ur.entries)
+    for (const UEntry& e : entries(ur))
       if (live(e)) v[e.slot] -= e.value * zk;
   }
   // Transposed update row-etas, then transposed L columns, both in reverse.
@@ -311,8 +338,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
     if (q == slot) continue;
     const double val = spike_[urows_[q].pivot_row];
     if (std::abs(val) > drop)
-      urows_[q].entries.push_back(
-          {slot, colversion_[slot], val});
+      push_u(urows_[q], {slot, colversion_[slot], val});
   }
 
   // Re-eliminate the spiked row r (Forrest–Tomlin): its old entries all
@@ -322,7 +348,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
   // recorded as etas on the L side.
   if (m_ > dwork_.size()) dwork_.assign(m_, 0.0);
   dwork_[slot] = spike_[r];
-  for (const UEntry& e : urows_[slot].entries)
+  for (const UEntry& e : entries(urows_[slot]))
     if (live(e)) dwork_[e.slot] += e.value;
   for (std::size_t k = t + 1; k < m_; ++k) {
     const std::uint32_t q = order_[k];
@@ -332,7 +358,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
     const URow& uq = urows_[q];
     const double mu = piv / uq.diag;
     retas_.push_back({r, uq.pivot_row, mu});
-    for (const UEntry& e : uq.entries)
+    for (const UEntry& e : entries(uq))
       if (live(e)) dwork_[e.slot] -= mu * e.value;
   }
   const double newdiag = dwork_[slot];
@@ -362,7 +388,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
   order_.push_back(slot);
   for (std::size_t k = t; k < m_; ++k) pos_[order_[k]] = static_cast<std::uint32_t>(k);
   urows_[slot].diag = newdiag;
-  urows_[slot].entries.clear();
+  urows_[slot].len = 0;
   return true;
 }
 

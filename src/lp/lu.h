@@ -16,8 +16,10 @@
 //    Active columns sit in a min-heap keyed by (length, slot), re-keyed
 //    whenever elimination changes a column, so each step's pivot search
 //    costs O(log m) plus the chosen column's length instead of a rescan of
-//    every column. The elimination workspace lives in flat member buffers
-//    that a rebuild reuses;
+//    every column. The elimination workspace, L and U all live in flat
+//    member arenas that the next factorize() reuses, so a factorization
+//    kept across solves (a WarmStart handle's engine) stops allocating once
+//    its arenas have grown;
 //  * update() replaces one basis column: the FTRAN'd spike replaces the
 //    leaving column of U, the pivot order is cyclically rotated so U stays
 //    triangular, and the one spiked row is re-eliminated with row operations
@@ -37,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -125,7 +128,9 @@ class LuFactorization {
   // U is stored by rows, keyed by the slot of the row's pivot. Entries
   // reference later-ordered slots; `version` invalidates entries of a column
   // that a Forrest–Tomlin update replaced (lazy deletion, garbage-collected
-  // by the next factorize()).
+  // by the next factorize()). A row's entries are the span [begin, begin +
+  // len) of the uents_ arena with room for `cap`; a row that outgrows it
+  // moves to the arena's end, like the workspace's column lists.
   struct UEntry {
     std::uint32_t slot = 0;
     std::uint32_t version = 0;
@@ -134,7 +139,8 @@ class LuFactorization {
   struct URow {
     std::uint32_t pivot_row = 0;
     double diag = 0.0;
-    std::vector<UEntry> entries;
+    std::size_t begin = 0;
+    std::uint32_t len = 0, cap = 0;
   };
 
   // factorize()'s elimination state. Column entry lists and the row ->
@@ -168,6 +174,10 @@ class LuFactorization {
   bool live(const UEntry& e) const noexcept {
     return e.version == colversion_[e.slot];
   }
+  std::span<const UEntry> entries(const URow& ur) const noexcept {
+    return {uents_.data() + ur.begin, ur.len};
+  }
+  void push_u(URow& ur, UEntry e);
   void load(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
   bool pick_row(std::uint32_t j, std::size_t& row, double& value) const;
   void rekey(std::uint32_t j);
@@ -181,6 +191,7 @@ class LuFactorization {
   std::vector<Entry> lmults_;
   std::vector<REta> retas_;
   std::vector<URow> urows_;            // keyed by slot
+  std::vector<UEntry> uents_;          // U row entry arena
   std::vector<std::uint32_t> order_;   // slots in pivot (triangular) order
   std::vector<std::uint32_t> pos_;     // slot -> position in order_
   std::vector<std::uint32_t> colversion_;

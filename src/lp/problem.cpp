@@ -18,7 +18,22 @@ void LpProblem::add_constraint(std::vector<Term> terms, Relation rel,
   for (const Term& t : terms)
     if (t.var >= obj_.size())
       throw std::out_of_range("LpProblem: constraint references unknown var");
-  rows_.push_back(Row{std::move(terms), rel, rhs});
+  add_row(rel, rhs) = std::move(terms);
+}
+
+std::vector<Term>& LpProblem::add_row(Relation rel, double rhs) {
+  if (num_rows_ == rows_.size()) rows_.emplace_back();
+  Row& row = rows_[num_rows_++];
+  row.terms.clear();
+  row.rel = rel;
+  row.rhs = rhs;
+  return row.terms;
+}
+
+void LpProblem::clear() noexcept {
+  obj_.clear();
+  ub_.clear();
+  num_rows_ = 0;
 }
 
 void LpProblem::set_objective(std::size_t var, double coeff) {
@@ -32,7 +47,8 @@ void LpProblem::set_upper_bound(std::size_t var, double upper) {
 }
 
 void LpProblem::set_rhs(std::size_t row, double rhs) {
-  rows_.at(row).rhs = rhs;
+  if (row >= num_rows_) throw std::out_of_range("LpProblem: unknown row");
+  rows_[row].rhs = rhs;
 }
 
 const char* to_string(Status status) noexcept {

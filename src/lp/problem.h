@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace figret::lp {
@@ -75,6 +76,17 @@ class LpProblem {
   /// accumulated.
   void add_constraint(std::vector<Term> terms, Relation rel, double rhs);
 
+  /// Appends the constraint `terms rel rhs` with an empty term list and
+  /// returns that list for the caller to fill. After clear() it reuses the
+  /// old row's storage, so rebuilding a same-shaped LP allocates nothing.
+  /// Unlike add_constraint it does not check the variable ids: every id the
+  /// caller adds must be below num_variables().
+  std::vector<Term>& add_row(Relation rel, double rhs);
+
+  /// Removes every variable and constraint but keeps their storage for the
+  /// next build (see add_row).
+  void clear() noexcept;
+
   void set_objective(std::size_t var, double coeff);
   void set_upper_bound(std::size_t var, double upper);
   /// Replaces the right-hand side of constraint `row`, keeping its terms and
@@ -83,7 +95,7 @@ class LpProblem {
   void set_rhs(std::size_t row, double rhs);
 
   std::size_t num_variables() const noexcept { return obj_.size(); }
-  std::size_t num_constraints() const noexcept { return rows_.size(); }
+  std::size_t num_constraints() const noexcept { return num_rows_; }
 
   const std::vector<double>& objective() const noexcept { return obj_; }
   const std::vector<double>& upper_bounds() const noexcept { return ub_; }
@@ -93,12 +105,15 @@ class LpProblem {
     Relation rel = Relation::kLessEq;
     double rhs = 0.0;
   };
-  const std::vector<Row>& rows() const noexcept { return rows_; }
+  std::span<const Row> rows() const noexcept {
+    return {rows_.data(), num_rows_};
+  }
 
  private:
   std::vector<double> obj_;
   std::vector<double> ub_;
-  std::vector<Row> rows_;
+  std::vector<Row> rows_;  // [0, num_rows_) live; the rest is spare storage
+  std::size_t num_rows_ = 0;
 };
 
 struct SolveOptions {

@@ -27,43 +27,54 @@ constexpr double kLuDrop = 1e-14;
 // this bound (Forrest & Goldfarb's safeguard against weight blow-up).
 constexpr double kDevexReset = 1e8;
 
+}  // namespace
+
+/// The engine behind solve_with. A WarmStart handle owns one across its
+/// chain (WarmStart::engine); a solve without a handle uses a local one.
 class RevisedSimplex {
  public:
   using VarState = WarmStart::VarState;
 
-  /// `prime_warm` false: ignore the basis stored in the handle passed to
-  /// run() (the cold rerun after a collapsed warm attempt) but still
-  /// capture the final optimal basis into it.
-  RevisedSimplex(const LpProblem& p, const SolverOptions& opt,
-                 bool prime_warm)
-      : opt_(opt),
-        beta_clamp_(beta_clamp(opt.simplex.feasibility_tolerance)),
-        prime_warm_(prime_warm) {
+  /// Loads `p` as the LP of the next run(). When its nonzero pattern and
+  /// normalized relations match the loaded standard form, only the numbers
+  /// are rewritten in place; otherwise the standard form is reassembled
+  /// into the same buffers. Returns true when it reassembled.
+  bool load(const LpProblem& p) {
+    const bool rebuilt = !rewrite(p);
+    if (rebuilt) assemble(p);
+    ub_.assign(n_total_, kInfinity);
+    for (std::size_t j = 0; j < n_struct_; ++j) ub_[j] = p.upper_bounds()[j];
+    obj_.assign(n_total_, 0.0);
+    for (std::size_t j = 0; j < n_struct_; ++j) obj_[j] = p.objective()[j];
+    return rebuilt;
+  }
+
+ private:
+  // --- standard form --------------------------------------------------------
+
+  /// The normalized relation of a row: rhs >= 0, so a negative rhs flips
+  /// an inequality (the same standard form the dense test oracle uses).
+  static Relation normalized(const LpProblem::Row& row) noexcept {
+    if (!(row.rhs < 0.0) || row.rel == Relation::kEq) return row.rel;
+    return row.rel == Relation::kLessEq ? Relation::kGreaterEq
+                                        : Relation::kLessEq;
+  }
+
+  /// Builds the standard form of `p` into this engine's buffers.
+  void assemble(const LpProblem& p) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
     n_struct_ = n;
     m_ = m;
-
-    // Normalize rows to rhs >= 0 (negation flips the relation): the same
-    // standard form the dense test oracle uses.
-    std::vector<Relation> rels(m);
+    rels_.resize(m);
     b_.assign(m, 0.0);
     negated_.assign(m, false);
     {
       std::size_t i = 0;
       for (const auto& row : p.rows()) {
-        Relation rel = row.rel;
-        double rhs = row.rhs;
-        if (rhs < 0.0) {
-          rhs = -rhs;
-          negated_[i] = true;
-          if (rel == Relation::kLessEq)
-            rel = Relation::kGreaterEq;
-          else if (rel == Relation::kGreaterEq)
-            rel = Relation::kLessEq;
-        }
-        rels[i] = rel;
-        b_[i] = rhs;
+        negated_[i] = row.rhs < 0.0;
+        rels_[i] = normalized(row);
+        b_[i] = negated_[i] ? -row.rhs : row.rhs;
         ++i;
       }
     }
@@ -71,56 +82,52 @@ class RevisedSimplex {
     // Column layout (identical to the dense oracle): [0, n) structural, then
     // one slack/surplus per inequality, then one artificial per >=/= row.
     std::size_t n_slack = 0, n_art = 0;
-    for (Relation r : rels) {
+    for (Relation r : rels_) {
       if (r != Relation::kEq) ++n_slack;
       if (r != Relation::kLessEq) ++n_art;
     }
     art_begin_ = n + n_slack;
     n_total_ = n + n_slack + n_art;
 
-    std::vector<Triplet> trip;
-    {
-      std::size_t nnz = 0;
-      for (const auto& row : p.rows()) nnz += row.terms.size();
-      trip.reserve(nnz + n_slack + n_art);
-    }
+    // Structural triplets first, row by row in term order: rewrite() matches
+    // the next problem's terms against this prefix.
+    trip_.clear();
     {
       std::size_t i = 0;
       for (const auto& row : p.rows()) {
         const double sign = negated_[i] ? -1.0 : 1.0;
         for (const Term& t : row.terms)
-          trip.push_back({static_cast<std::uint32_t>(i),
-                          static_cast<std::uint32_t>(t.var), sign * t.coeff});
+          trip_.push_back({static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(t.var), sign * t.coeff});
         ++i;
       }
     }
+    n_terms_ = trip_.size();
     std::size_t slack = n;
     std::size_t art = art_begin_;
     init_basis_.assign(m, 0);
     for (std::size_t i = 0; i < m; ++i) {
       const auto r32 = static_cast<std::uint32_t>(i);
-      switch (rels[i]) {
+      switch (rels_[i]) {
         case Relation::kLessEq:
-          trip.push_back({r32, static_cast<std::uint32_t>(slack), 1.0});
+          trip_.push_back({r32, static_cast<std::uint32_t>(slack), 1.0});
           init_basis_[i] = static_cast<std::uint32_t>(slack++);
           break;
         case Relation::kGreaterEq:
-          trip.push_back({r32, static_cast<std::uint32_t>(slack++), -1.0});
-          trip.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
+          trip_.push_back({r32, static_cast<std::uint32_t>(slack++), -1.0});
+          trip_.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
           init_basis_[i] = static_cast<std::uint32_t>(art++);
           break;
         case Relation::kEq:
-          trip.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
+          trip_.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
           init_basis_[i] = static_cast<std::uint32_t>(art++);
           break;
       }
     }
-    A_ = SparseMatrix::from_triplets(m, n_total_, std::move(trip));
-
-    ub_.assign(n_total_, kInfinity);
-    for (std::size_t j = 0; j < n; ++j) ub_[j] = p.upper_bounds()[j];
-    obj_.assign(n_total_, 0.0);
-    for (std::size_t j = 0; j < n; ++j) obj_[j] = p.objective()[j];
+    A_.assign(m, n_total_, trip_, &slot_of_);
+    // In-place rewrites need one stored entry per term: no duplicate was
+    // summed and no zero dropped.
+    rewritable_ = A_.nnz() == trip_.size();
 
     // Structural signature for warm-start compatibility: shape plus the
     // normalized relation pattern (it determines the logical-column layout).
@@ -131,11 +138,59 @@ class RevisedSimplex {
     };
     mix(n);
     mix(m);
-    for (Relation r : rels) mix(static_cast<std::uint64_t>(r) + 1);
+    for (Relation r : rels_) mix(static_cast<std::uint64_t>(r) + 1);
     row_signature_ = h;
   }
 
-  LpResult run(WarmStart* warm, SolveStats* stats) {
+  /// Writes the numbers of `p` into the loaded standard form when `p` has
+  /// its nonzero pattern: the same shape, normalized relations and terms
+  /// (row by row, in order), every coefficient nonzero. False: the pattern
+  /// differs (some values may already be overwritten; reassemble).
+  bool rewrite(const LpProblem& p) {
+    if (!rewritable_ || p.num_variables() != n_struct_ ||
+        p.num_constraints() != m_)
+      return false;
+    const std::span<double> values = A_.values();
+    std::size_t k = 0;
+    std::size_t i = 0;
+    for (const auto& row : p.rows()) {
+      if (normalized(row) != rels_[i] || row.terms.size() > n_terms_ - k)
+        return false;
+      const bool neg = row.rhs < 0.0;
+      const double sign = neg ? -1.0 : 1.0;
+      for (const Term& t : row.terms) {
+        const Triplet& cached = trip_[k];
+        const double v = sign * t.coeff;
+        if (cached.row != i || cached.col != t.var || v == 0.0) return false;
+        values[slot_of_[k++]] = v;
+      }
+      negated_[i] = neg;
+      b_[i] = neg ? -row.rhs : row.rhs;
+      ++i;
+    }
+    return k == n_terms_;
+  }
+
+ public:
+  /// Moves x and y storage of a spent result into the result buffers.
+  void recycle(LpResult&& spent) noexcept {
+    x_spare_ = std::move(spent.x);
+    y_spare_ = std::move(spent.y);
+  }
+
+  /// Solves the loaded LP. `prime_warm` false: ignore the basis stored in
+  /// `warm` (the cold rerun after a collapsed warm attempt) but still
+  /// capture the final optimal basis into it.
+  LpResult run(const SolverOptions& opt, WarmStart* warm, bool prime_warm,
+               SolveStats* stats) {
+    opt_ = opt;
+    beta_clamp_ = beta_clamp(opt.simplex.feasibility_tolerance);
+    prime_warm_ = prime_warm;
+    iterations_ = 0;
+    singular_ = false;
+    dual_collapsed_ = false;
+    deadline_probe_ = 0;
+    stats_ = SolveStats{};
     LpResult result;
     start_ = std::chrono::steady_clock::now();
     if (opt_.simplex.time_limit_seconds < 0.0) {
@@ -274,7 +329,7 @@ class RevisedSimplex {
 
 #ifndef NDEBUG
   bool update_is_consistent(std::uint32_t slot) {
-    std::vector<double> v(m_, 0.0);
+    std::vector<double>& v = w_;  // the pivot's column, no longer needed
     A_.scatter_col(basis_[slot], v);
     lu_.ftran(v);
     double err = 0.0, scale = 1.0;
@@ -289,12 +344,11 @@ class RevisedSimplex {
 
   /// beta = B^{-1} (b - sum of at-upper nonbasic columns at their bound).
   void compute_beta() {
-    std::vector<double> v = b_;
+    beta_ = b_;
     for (std::size_t j = 0; j < n_total_; ++j)
       if (state_[j] == VarState::kNonbasicUpper && ub_[j] > 0.0)
-        A_.add_col_times(j, -ub_[j], v);
-    ftran(v);
-    beta_ = std::move(v);
+        A_.add_col_times(j, -ub_[j], beta_);
+    ftran(beta_);
   }
 
   // --- start bases ----------------------------------------------------------
@@ -358,7 +412,8 @@ class RevisedSimplex {
     // moved too, repair dual feasibility by bound-flipping nonbasic columns
     // whose reduced-cost sign no longer matches their bound. Flips change no
     // basis column, only the implied nonbasic values.
-    std::vector<double> y(m_, 0.0);
+    std::vector<double>& y = y_;
+    y.assign(m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) y[i] = obj_[basis_[i]];
     btran(y);
     bool flipped = false;
@@ -399,9 +454,12 @@ class RevisedSimplex {
   Status iterate(bool phase1) {
     const double piv_tol = opt_.simplex.pivot_tolerance;
     devex_.assign(n_total_, 1.0);
-    std::vector<double> y(m_, 0.0);
-    std::vector<double> w(m_, 0.0);
-    std::vector<double> rho(m_, 0.0);
+    std::vector<double>& y = y_;
+    std::vector<double>& w = w_;
+    std::vector<double>& rho = rho_;
+    y.assign(m_, 0.0);
+    w.assign(m_, 0.0);
+    rho.assign(m_, 0.0);
     int undo_streak = 0;
     for (;;) {
       if (iterations_ >= opt_.simplex.max_iterations)
@@ -582,9 +640,12 @@ class RevisedSimplex {
   Status dual_iterate() {
     const double piv_tol = opt_.simplex.pivot_tolerance;
     const double feas = opt_.simplex.feasibility_tolerance;
-    std::vector<double> y(m_, 0.0);
-    std::vector<double> w(m_, 0.0);
-    std::vector<double> rho(m_, 0.0);
+    std::vector<double>& y = y_;
+    std::vector<double>& w = w_;
+    std::vector<double>& rho = rho_;
+    y.assign(m_, 0.0);
+    w.assign(m_, 0.0);
+    rho.assign(m_, 0.0);
     int undo_streak = 0;
     for (;;) {
       if (iterations_ >= opt_.simplex.max_iterations)
@@ -731,8 +792,10 @@ class RevisedSimplex {
   // --- results --------------------------------------------------------------
 
   void extract(LpResult& result) {
+    result.x = std::move(x_spare_);
     result.x.assign(n_struct_, 0.0);
-    std::vector<std::size_t> row_of(n_total_, m_);
+    std::vector<std::size_t>& row_of = row_of_;
+    row_of.assign(n_total_, m_);
     for (std::size_t i = 0; i < m_; ++i) row_of[basis_[i]] = i;
     for (std::size_t j = 0; j < n_struct_; ++j) {
       double v = 0.0;
@@ -756,9 +819,11 @@ class RevisedSimplex {
 
     // Duals: y' = c_B' B^{-1} in the normalized row space, then undo the
     // rhs-sign normalization per row.
-    std::vector<double> y(m_, 0.0);
+    std::vector<double>& y = y_;
+    y.assign(m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) y[i] = obj_[basis_[i]];
     btran(y);
+    result.y = std::move(y_spare_);
     result.y.assign(m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i)
       result.y[i] = negated_[i] ? -y[i] : y[i];
@@ -781,9 +846,7 @@ class RevisedSimplex {
     return spent.count() > opt_.simplex.time_limit_seconds;
   }
 
-  SolverOptions opt_;
-  double beta_clamp_ = 0.0;
-  bool prime_warm_ = true;
+  // The standard form (load()).
   std::size_t n_struct_ = 0;
   std::size_t n_total_ = 0;
   std::size_t art_begin_ = 0;
@@ -791,12 +854,23 @@ class RevisedSimplex {
   SparseMatrix A_;
   std::vector<double> b_;
   std::vector<bool> negated_;
+  std::vector<Relation> rels_;  // normalized
   std::vector<double> ub_;
   std::vector<double> obj_;
-  std::vector<double> cost_;
   std::vector<std::uint32_t> init_basis_;
   std::uint64_t row_signature_ = 0;
+  // The triplets A_ was assembled from (structural ones first, n_terms_ of
+  // them) and the stored entry each one landed in: rewrite()'s pattern.
+  std::vector<Triplet> trip_;
+  std::vector<std::size_t> slot_of_;
+  std::size_t n_terms_ = 0;
+  bool rewritable_ = false;
 
+  // Per-run state (run()).
+  SolverOptions opt_;
+  double beta_clamp_ = 0.0;
+  bool prime_warm_ = true;
+  std::vector<double> cost_;
   std::vector<WarmStart::VarState> state_;
   std::vector<std::uint32_t> basis_;
   std::vector<double> beta_;
@@ -808,22 +882,44 @@ class RevisedSimplex {
   std::chrono::steady_clock::time_point start_{};
   std::uint32_t deadline_probe_ = 0;
   SolveStats stats_;
+
+  // Scratch: BTRAN'd prices, the FTRAN'd entering column, the BTRAN'd pivot
+  // row, extract()'s row map, and the x/y storage of the next result.
+  std::vector<double> y_, w_, rho_;
+  std::vector<std::size_t> row_of_;
+  std::vector<double> x_spare_, y_spare_;
 };
 
-}  // namespace
+void WarmStart::EngineDeleter::operator()(RevisedSimplex* engine) const
+    noexcept {
+  delete engine;
+}
+
+RevisedSimplex& WarmStart::engine() {
+  if (!engine_.ptr) engine_.ptr.reset(new RevisedSimplex());
+  return *engine_.ptr;
+}
+
+void WarmStart::recycle(LpResult&& spent) noexcept {
+  if (engine_.ptr) engine_.ptr->recycle(std::move(spent));
+}
 
 LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
                     WarmStart* warm, SolveStats* stats) {
-  RevisedSimplex simplex(problem, options, /*prime_warm=*/true);
+  RevisedSimplex local;
+  RevisedSimplex& simplex = warm ? warm->engine() : local;
+  const bool rebuilt = simplex.load(problem);
   SolveStats first;
-  LpResult result = simplex.run(warm, &first);
+  LpResult result = simplex.run(options, warm, /*prime_warm=*/true, &first);
+  first.rebuilt = rebuilt;
   if (simplex.needs_cold_retry()) {
     // A warm basis that was accepted but collapsed mid-solve (singular
     // refactorization, dual-simplex breakdown): retry cold once —
-    // correctness must never depend on the warm path.
-    RevisedSimplex cold_simplex(problem, options, /*prime_warm=*/false);
+    // correctness must never depend on the warm path. A run changes nothing
+    // of the loaded standard form but the artificials' bounds, which the
+    // cold start resets, so the retry reuses it.
     SolveStats retry;
-    result = cold_simplex.run(warm, &retry);
+    result = simplex.run(options, warm, /*prime_warm=*/false, &retry);
     const WarmFallback why = first.fallback != WarmFallback::kNone
                                  ? first.fallback
                                  : WarmFallback::kSingularBasis;
@@ -835,6 +931,7 @@ LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
     retry.ft_updates += first.ft_updates;
     retry.warm_start_attempted = true;
     retry.fallback = why;
+    retry.rebuilt = rebuilt;
     first = retry;
     if (warm) warm->demote_hit_to_miss(why);
   }

@@ -5,8 +5,10 @@
 // oracle; it is not part of the library.
 //
 // Design:
-//  * the constraint matrix is stored once in CSC (lp/sparse.h) and never
-//    modified — pricing is O(nnz), not O(rows * cols);
+//  * the constraint matrix is stored in CSC (lp/sparse.h) and never
+//    modified during a solve — pricing is O(nnz), not O(rows * cols). A
+//    WarmStart handle keeps it, with the LU and every scratch buffer, from
+//    one solve to the next: a same-pattern LP only rewrites its numbers;
 //  * the basis inverse is a Markowitz-ordered sparse LU factorization with
 //    Forrest–Tomlin column-replacement updates (lp/lu.h). Each pivot is
 //    absorbed by one cheap update; the factorization is rebuilt every
@@ -76,11 +78,16 @@ struct SolveStats {
   /// Why this solve abandoned its warm basis (kNone: it kept it, or no warm
   /// start was attempted). Mirrors the per-reason counters on WarmStart.
   WarmFallback fallback = WarmFallback::kNone;
+  /// The standard form was assembled (always without a WarmStart handle;
+  /// with one, on its first solve and whenever the nonzero pattern or the
+  /// normalized relations changed) rather than rewritten in place.
+  bool rebuilt = false;
 };
 
 /// Solves the LP. `warm` (optional, in/out) re-primes this solve and
-/// captures the optimal basis for the next one; `stats` (optional, out)
-/// reports pivot/refactorization counts.
+/// captures the optimal basis for the next one, and the solve runs in its
+/// cached engine (see lp/warm_start.h); `stats` (optional, out) reports
+/// pivot/refactorization counts.
 LpResult solve_with(const LpProblem& problem, const SolverOptions& options = {},
                     WarmStart* warm = nullptr, SolveStats* stats = nullptr);
 

@@ -22,14 +22,30 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// Immutable CSC matrix. Duplicate (row, col) triplets are accumulated at
-/// build time; explicit zeros are dropped.
+/// CSC matrix. Duplicate (row, col) triplets are accumulated at build time;
+/// explicit zeros are dropped. The pattern is fixed once built; the values
+/// may be rewritten in place (values()).
 class SparseMatrix {
  public:
+  /// slot_of entry of a triplet whose (row, col) entry summed to zero.
+  static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+
   SparseMatrix() = default;
 
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
                                     std::vector<Triplet> triplets);
+
+  /// Rebuilds this matrix from `triplets`, as from_triplets does, in its own
+  /// storage: reassembling a matrix no larger than before allocates nothing.
+  /// `slot_of` (optional out) receives, per triplet, the index into values()
+  /// of the entry it was summed into, or kDropped.
+  void assign(std::size_t rows, std::size_t cols,
+              std::span<const Triplet> triplets,
+              std::vector<std::size_t>* slot_of = nullptr);
+
+  /// The stored values in column order (CSC), for changing the numbers of
+  /// an unchanged pattern in place.
+  std::span<double> values() noexcept { return values_; }
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -58,6 +74,9 @@ class SparseMatrix {
   std::vector<std::size_t> col_ptr_;     // size cols_ + 1
   std::vector<std::uint32_t> row_index_;  // size nnz
   std::vector<double> values_;            // size nnz
+  // assign()'s counting-sort scratch, kept for the next reassembly.
+  std::vector<std::size_t> next_;
+  std::vector<std::uint32_t> order_;
 };
 
 }  // namespace figret::lp

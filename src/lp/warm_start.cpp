@@ -40,13 +40,13 @@ bool WarmStart::compatible(std::size_t num_vars, std::size_t num_cols,
 
 void WarmStart::store(std::size_t num_vars, std::size_t num_cols,
                       std::uint64_t row_signature,
-                      std::vector<VarState> state,
-                      std::vector<std::uint32_t> basis) {
+                      const std::vector<VarState>& state,
+                      const std::vector<std::uint32_t>& basis) {
   num_vars_ = num_vars;
   num_cols_ = num_cols;
   row_signature_ = row_signature;
-  state_ = std::move(state);
-  basis_ = std::move(basis);
+  state_ = state;
+  basis_ = basis;
 }
 
 }  // namespace figret::lp

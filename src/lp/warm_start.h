@@ -18,14 +18,29 @@
 // cold two-phase start — recorded per reason, so callers can tell *why* a
 // chain went cold — and warm starts can never change which LP is solved,
 // only how fast.
+//
+// The handle also owns the engine a re-solve runs in: the standard-form
+// matrix with its right-hand side, bounds and objective, the LU
+// factorization with its elimination workspace, and the pricing, ratio-test
+// and result buffers. When the next LP has the same nonzero pattern, the
+// solve rewrites only the numbers in place; otherwise it reassembles into
+// the same buffers. A chain of same-shaped solves therefore allocates
+// nothing once the buffers have grown (see recycle()). Copying a handle
+// copies the chain (basis, counters, throttle) but not the engine, so the
+// copy's next solve reassembles; results are bit-identical either way.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "lp/problem.h"
+
 namespace figret::lp {
+
+class RevisedSimplex;  // lp/revised_simplex.cpp
 
 /// Why a warm-start attempt fell back to a cold solve (kNone: it did not).
 /// Recorded in SolveStats per solve and counted per reason by WarmStart, so
@@ -91,8 +106,16 @@ class WarmStart {
                   std::uint64_t row_signature) const noexcept;
 
   void store(std::size_t num_vars, std::size_t num_cols,
-             std::uint64_t row_signature, std::vector<VarState> state,
-             std::vector<std::uint32_t> basis);
+             std::uint64_t row_signature, const std::vector<VarState>& state,
+             const std::vector<std::uint32_t>& basis);
+
+  /// The engine this handle's solves run in, created on first use.
+  RevisedSimplex& engine();
+
+  /// Hands a spent result's x and y storage to the next solve, which fills
+  /// it instead of allocating. Call it with the previous result of this
+  /// chain before its next solve when that result is no longer needed.
+  void recycle(LpResult&& spent) noexcept;
 
   const std::vector<VarState>& state() const noexcept { return state_; }
   const std::vector<std::uint32_t>& basis() const noexcept { return basis_; }
@@ -139,6 +162,23 @@ class WarmStart {
   std::size_t recent_hits_ = 0;
   std::size_t recent_misses_ = 0;
   std::size_t skips_since_attempt_ = 0;
+
+  struct EngineDeleter {
+    void operator()(RevisedSimplex* engine) const noexcept;
+  };
+  /// The cached engine. A copy starts without one (see the file comment).
+  struct EngineSlot {
+    std::unique_ptr<RevisedSimplex, EngineDeleter> ptr;
+    EngineSlot() = default;
+    EngineSlot(const EngineSlot&) noexcept {}
+    EngineSlot& operator=(const EngineSlot&) noexcept {
+      ptr.reset();
+      return *this;
+    }
+    EngineSlot(EngineSlot&&) noexcept = default;
+    EngineSlot& operator=(EngineSlot&&) noexcept = default;
+  };
+  EngineSlot engine_;
 };
 
 }  // namespace figret::lp

@@ -14,6 +14,17 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
                            const std::vector<double>* ratio_cap,
                            const std::vector<bool>* alive,
                            std::vector<std::size_t>* var_of_path_out) {
+  lp::LpProblem prob;
+  std::vector<std::size_t> var_of_path;
+  build_mlu_lp_into(ps, demand, ratio_cap, alive, prob,
+                    var_of_path_out ? *var_of_path_out : var_of_path);
+  return prob;
+}
+
+void build_mlu_lp_into(const PathSet& ps, const traffic::DemandMatrix& demand,
+                       const std::vector<double>* ratio_cap,
+                       const std::vector<bool>* alive, lp::LpProblem& prob,
+                       std::vector<std::size_t>& var_of_path) {
   if (demand.size() != ps.num_pairs())
     throw std::invalid_argument("solve_mlu_lp: demand size mismatch");
   if (ratio_cap && ratio_cap->size() != ps.num_paths())
@@ -21,11 +32,11 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   if (alive && alive->size() != ps.num_paths())
     throw std::invalid_argument("solve_mlu_lp: alive size mismatch");
 
-  lp::LpProblem prob;
+  prob.clear();
   // One variable per live path (dead paths are not represented at all), plus
   // the MLU variable U.
   constexpr std::size_t kDead = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> var_of_path(ps.num_paths(), kDead);
+  var_of_path.assign(ps.num_paths(), kDead);
   for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
     if (alive && !(*alive)[pid]) continue;
     double ub = 1.0;
@@ -33,15 +44,19 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
     var_of_path[pid] = prob.add_variable(0.0, ub);
   }
   const std::size_t u_var = prob.add_variable(1.0);  // minimize U
+  const auto live = [&](std::size_t pid) { return var_of_path[pid] != kDead; };
 
-  // Conservation: each pair's live ratios sum to 1.
+  // Conservation: each pair's live ratios sum to 1. A pair with no live
+  // path (disconnected under failures) gets no row.
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
-    std::vector<lp::Term> row;
-    row.reserve(ps.pair_end(pr) - ps.pair_begin(pr));
-    for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
-      if (var_of_path[p] != kDead) row.push_back({var_of_path[p], 1.0});
-    if (row.empty()) continue;  // disconnected pair under failures
-    prob.add_constraint(std::move(row), lp::Relation::kEq, 1.0);
+    std::size_t p = ps.pair_begin(pr);
+    const std::size_t end = ps.pair_end(pr);
+    while (p < end && !live(p)) ++p;
+    if (p == end) continue;
+    std::vector<lp::Term>& row = prob.add_row(lp::Relation::kEq, 1.0);
+    row.reserve(end - p);
+    for (; p < end; ++p)
+      if (live(p)) row.push_back({var_of_path[p], 1.0});
   }
 
   // Capacity: per edge, sum_{p through e} D_sd(p) r_p - U c_e <= 0.
@@ -51,22 +66,18 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   // consecutive snapshots signature-compatible for lp::WarmStart re-priming
   // (sparse DC traces zero out many pairs per snapshot).
   for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
-    std::vector<lp::Term> row;
-    row.reserve(ps.paths_on_edge(e).size() + 1);  // + the U term
-    bool has_live_path = false;
-    for (std::uint32_t pid : ps.paths_on_edge(e)) {
-      if (var_of_path[pid] == kDead) continue;
-      has_live_path = true;
+    const auto on_edge = ps.paths_on_edge(e);
+    if (std::none_of(on_edge.begin(), on_edge.end(), live)) continue;
+    std::vector<lp::Term>& row = prob.add_row(lp::Relation::kLessEq, 0.0);
+    row.reserve(on_edge.size() + 1);  // + the U term
+    for (std::uint32_t pid : on_edge) {
+      if (!live(pid)) continue;
       const double d = demand[ps.pair_of_path(pid)];
       if (d == 0.0) continue;
       row.push_back({var_of_path[pid], d});
     }
-    if (!has_live_path) continue;
     row.push_back({u_var, -ps.edge_capacity(e)});
-    prob.add_constraint(std::move(row), lp::Relation::kLessEq, 0.0);
   }
-  if (var_of_path_out) *var_of_path_out = std::move(var_of_path);
-  return prob;
 }
 
 MluLpResult solve_mlu_lp(const PathSet& ps,
@@ -75,23 +86,39 @@ MluLpResult solve_mlu_lp(const PathSet& ps,
                          const std::vector<bool>* alive,
                          const lp::SolverOptions* solver,
                          lp::WarmStart* warm) {
-  std::vector<std::size_t> var_of_path;
-  const lp::LpProblem prob =
-      build_mlu_lp(ps, demand, ratio_cap, alive, &var_of_path);
+  MluLpScratch scratch;
+  solve_mlu_lp(ps, demand, ratio_cap, alive, solver, warm, scratch);
+  return std::move(scratch.result);
+}
+
+const MluLpResult& solve_mlu_lp(const PathSet& ps,
+                                const traffic::DemandMatrix& demand,
+                                const std::vector<double>* ratio_cap,
+                                const std::vector<bool>* alive,
+                                const lp::SolverOptions* solver,
+                                lp::WarmStart* warm, MluLpScratch& scratch) {
+  build_mlu_lp_into(ps, demand, ratio_cap, alive, scratch.problem,
+                    scratch.var_of_path);
 
   const lp::SolverOptions opts = solver ? *solver : lp::SolverOptions{};
   lp::SolveStats stats;
-  const lp::LpResult sol = lp::solve_with(prob, opts, warm, &stats);
-  MluLpResult out;
+  if (warm) warm->recycle(std::move(scratch.solution));
+  scratch.solution = lp::solve_with(scratch.problem, opts, warm, &stats);
+  const lp::LpResult& sol = scratch.solution;
+  MluLpResult& out = scratch.result;
   out.status = sol.status;
   out.pivots = stats.pivots;
   out.dual_pivots = stats.dual_pivots;
   out.warm_start_used = stats.warm_start_used;
   out.warm_fallback = stats.fallback;
+  out.rebuilt = stats.rebuilt;
+  out.mlu = 0.0;
+  out.config.clear();
   if (!out.optimal()) return out;
   out.mlu = sol.objective;
   out.config.assign(ps.num_paths(), 0.0);
   constexpr std::size_t kDead = static_cast<std::size_t>(-1);
+  const std::vector<std::size_t>& var_of_path = scratch.var_of_path;
   for (std::size_t pid = 0; pid < ps.num_paths(); ++pid)
     if (var_of_path[pid] != kDead) out.config[pid] = sol.x[var_of_path[pid]];
   return out;

@@ -44,6 +44,9 @@ struct MluLpResult {
   bool warm_start_used = false;
   /// Why a warm-start attempt fell back cold (kNone: it did not).
   lp::WarmFallback warm_fallback = lp::WarmFallback::kNone;
+  /// The solver assembled the standard form instead of rewriting the warm
+  /// handle's cached one in place (lp::SolveStats::rebuilt).
+  bool rebuilt = false;
 
   bool optimal() const noexcept { return status == lp::Status::kOptimal; }
 };
@@ -57,6 +60,13 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
                            const std::vector<double>* ratio_cap = nullptr,
                            const std::vector<bool>* alive = nullptr,
                            std::vector<std::size_t>* var_of_path = nullptr);
+
+/// In-place form of build_mlu_lp: rebuilds `prob` and `var_of_path` in
+/// their own storage, so rebuilding a same-shaped LP allocates nothing.
+void build_mlu_lp_into(const PathSet& ps, const traffic::DemandMatrix& demand,
+                       const std::vector<double>* ratio_cap,
+                       const std::vector<bool>* alive, lp::LpProblem& prob,
+                       std::vector<std::size_t>& var_of_path);
 
 /// Solves  min_R MLU(R, demand)  over the candidate paths (Appendix B).
 ///
@@ -73,6 +83,25 @@ MluLpResult solve_mlu_lp(const PathSet& ps,
                          const std::vector<bool>* alive = nullptr,
                          const lp::SolverOptions* solver = nullptr,
                          lp::WarmStart* warm = nullptr);
+
+/// Caller-owned buffers for repeated solve_mlu_lp calls. Together with the
+/// warm handle's cached engine they make a re-solve of a same-shaped LP
+/// allocation-free once they have grown.
+struct MluLpScratch {
+  lp::LpProblem problem;                  // the last LP built
+  std::vector<std::size_t> var_of_path;   // path id -> LP variable
+  lp::LpResult solution;                  // its solve: x and the duals y
+  MluLpResult result;                     // its config storage is reused
+};
+
+/// solve_mlu_lp in `scratch`: builds into scratch.problem, solves, and
+/// fills and returns scratch.result. Bit-identical to the allocating form.
+const MluLpResult& solve_mlu_lp(const PathSet& ps,
+                                const traffic::DemandMatrix& demand,
+                                const std::vector<double>* ratio_cap,
+                                const std::vector<bool>* alive,
+                                const lp::SolverOptions* solver,
+                                lp::WarmStart* warm, MluLpScratch& scratch);
 
 /// Per-path ratio caps realizing a sensitivity bound: cap_p = F_sd * C_p.
 /// Guarantees per-pair feasibility (sum of caps >= 1) by proportionally

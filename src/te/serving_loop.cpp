@@ -4,9 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "lp/certificates.h"
 #include "te/chaos.h"
 #include "te/failover.h"
-#include "te/lp_schemes.h"
 #include "te/mlu.h"
 #include "util/parallel.h"
 
@@ -17,6 +17,11 @@ double seconds_since(std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double>(now - start).count();
 }
+
+// One optimal oracle solve in this many per worker (the first included) is
+// re-verified against its strong-duality certificate: O(nnz) against the
+// solve's O(pivots * nnz).
+constexpr std::size_t kCertificateEvery = 64;
 
 }  // namespace
 
@@ -363,7 +368,7 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
       sopts.simplex.time_limit_seconds = opt_.solver_deadline_seconds;
     const std::size_t max_attempts = 1 + opt_.oracle_retries;
     double backoff = opt_.oracle_backoff_seconds;
-    MluLpResult res;
+    const MluLpResult& res = w.oracle_lp.result;
     std::size_t attempt = 0;
     for (;; ++attempt) {
       lp::SolverOptions cur = sopts;
@@ -372,7 +377,9 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
       // backoff+retry path runs deterministically.
       if (plan != nullptr && plan->overrun && attempt == 0)
         cur.simplex.time_limit_seconds = -1.0;
-      res = solve_mlu_lp(*ps_, (*trace_)[t], nullptr, alive, &cur, &w.warm);
+      solve_mlu_lp(*ps_, (*trace_)[t], nullptr, alive, &cur, &w.warm,
+                   w.oracle_lp);
+      if (res.rebuilt) stats_.add(Counter::kOracleRebuilds);
       // A numerical verdict is a property of the LP, not of the attempt:
       // retrying it would only burn the backoff budget.
       if (res.optimal() || res.status == lp::Status::kNumerical ||
@@ -386,6 +393,11 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
         backoff *= 2.0;
       }
     }
+    if (res.optimal() && w.oracle_optima++ % kCertificateEvery == 0 &&
+        !lp::check_certificate(w.oracle_lp.problem, w.oracle_lp.solution,
+                               w.certificate_scratch)
+             .ok())
+      stats_.add(Counter::kOracleCertificateFailures);
     r.lp_seconds = seconds_since(start, Clock::now());
     r.lp_pivots = static_cast<std::uint32_t>(res.pivots);
     r.lp_attempts =

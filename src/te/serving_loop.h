@@ -24,11 +24,16 @@
 // to advise_into.
 //
 // Each worker owns its whole working set — TeScheme instance, lp::WarmStart
-// chain, every scratch buffer — so the hot path takes no locks and performs
-// no allocations once buffers reach steady-state capacity (the LP stage
-// allocates internally; disable `oracle` for a strictly allocation-free
-// serving path). Warm-LP chains are per worker by construction, so two
-// concurrent callers can never interleave basis lineages.
+// chain with its cached LP engine, the oracle's LP scratch, every other
+// buffer — so the hot path takes no locks and performs no allocations once
+// buffers reach steady-state capacity, the oracle included: a re-solve of a
+// same-shaped LP rewrites the worker's cached standard form in place. A
+// failure-mask swap or a change in which pairs carry demand reshapes the LP
+// and reassembles it once (Counter::kOracleRebuilds). Every 64th optimal
+// oracle solve per worker is re-verified against its strong-duality
+// certificate (Counter::kOracleCertificateFailures). Warm-LP chains are per
+// worker by construction, so two concurrent callers can never interleave
+// basis lineages.
 //
 // The loop only serves streams. Offline evaluation (the Harness' omniscient
 // sweep and MLU scoring) runs on util/parallel.h instead, with warm-LP chains
@@ -52,6 +57,7 @@
 #include <vector>
 
 #include "lp/revised_simplex.h"
+#include "te/lp_schemes.h"
 #include "te/pathset.h"
 #include "te/scheme.h"
 #include "te/serving_stats.h"
@@ -119,7 +125,7 @@ class ServingLoop {
     /// Quantize to WCMP weights and serve the realized switch ratios.
     bool install = true;
     /// Per-snapshot omniscient warm-LP resolve (the normalizer). Off by
-    /// default: it dominates cost and allocates inside the solver.
+    /// default: it dominates the cost of a snapshot.
     bool oracle = false;
     std::uint32_t wcmp_table_size = 16;
     /// LP solver settings for oracle resolves.
@@ -213,6 +219,10 @@ class ServingLoop {
     TeScheme* advisor = nullptr;
     std::size_t window = 1;
     lp::WarmStart warm;
+    /// The oracle's LP, solution and result buffers, reused per solve.
+    MluLpScratch oracle_lp;
+    std::vector<double> certificate_scratch;
+    std::size_t oracle_optima = 0;  // optimal oracle solves so far
     /// The batch in service: jobs[b]'s history and advised config sit in
     /// slot b of the other two.
     std::array<Job, kMaxBatch> jobs;

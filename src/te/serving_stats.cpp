@@ -16,7 +16,8 @@ constexpr const char* kCounterNames[] = {
     "served", "slo_violations", "overflows", "result_backpressure",
     "oracle_failures", "warm_hits", "warm_misses", "failure_epochs",
     "invalid_outputs", "dropped_pair_snapshots", "oracle_retries",
-    "oracle_retry_successes", "chaos_stalls", "batched_snapshots"};
+    "oracle_retry_successes", "chaos_stalls", "batched_snapshots",
+    "oracle_rebuilds", "oracle_certificate_failures"};
 constexpr const char* kStageNames[] = {"queue",   "infer", "lp",    "install",
                                        "reroute", "score", "serve", "e2e"};
 static_assert(std::size(kRungNames) == kFallbackRungCount);

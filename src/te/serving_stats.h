@@ -47,8 +47,11 @@ enum class Counter : std::uint8_t {
   kOracleRetrySuccesses,  // snapshots whose oracle recovered on a retry
   kChaosStalls,           // chaos-injected worker stalls (te/chaos.h)
   kBatchedSnapshots,      // snapshots advised in a batch of two or more
+  kOracleRebuilds,        // oracle solves that reassembled the LP's form
+  kOracleCertificateFailures,  // sampled oracle optima failing the duality
+                               // certificate (lp/certificates.h)
 };
-inline constexpr std::size_t kCounterCount = 14;
+inline constexpr std::size_t kCounterCount = 16;
 const char* to_string(Counter counter) noexcept;
 
 /// Timed stages of a served snapshot; a stage records only when it ran.

@@ -355,6 +355,52 @@ TEST(ServingLoopStream, OracleNormalizesAndChainsWarmStarts) {
   // Per-worker chains across 58 consecutive resolves must score warm hits.
   EXPECT_GT(s[Counter::kWarmHits] + s[Counter::kWarmMisses], 0u);
   EXPECT_GT(s[Counter::kWarmHits], 0u);
+  // Each worker's first optimum is certificate-checked, and passes.
+  EXPECT_EQ(s[Counter::kOracleCertificateFailures], 0u);
+  // The ToR trace's zero-demand pairs change, so LPs reshape now and then.
+  EXPECT_GE(s[Counter::kOracleRebuilds], 1u);
+}
+
+TEST(ServingLoopStream, OracleReassemblesOnlyWhenTheLpReshapes) {
+  // GEANT WAN snapshots all share one LP pattern: each worker assembles its
+  // oracle's standard form once, then rewrites it in place. A failure-mask
+  // install or clear reshapes the LP, so every worker that serves under the
+  // new mask reassembles exactly once more.
+  const net::Graph g = net::geant();
+  const PathSet ps = PathSet::build(g, net::all_pairs_k_shortest(g, 3));
+  const traffic::TrafficTrace trace =
+      traffic::wan_trace(g.num_nodes(), 160, 101);
+  const TeConfig cfg = skewed_config(ps);
+  const auto failed = sample_safe_failures(ps, 2, 3);
+
+  ServingLoop::Options opt;
+  opt.workers = 2;
+  opt.oracle = true;
+  ServingLoop loop(ps, trace, opt);
+  FixedAdvisor a(ps, cfg), b(ps, cfg);
+  std::vector<TeScheme*> advisors{&a, &b};
+  loop.start(advisors);
+  // Serves `count` snapshots from `first` and waits for them; returns the
+  // rebuilds so far.
+  const auto serve = [&](std::uint32_t first, std::uint32_t count) {
+    for (std::uint32_t t = first; t < first + count; ++t) loop.submit(t);
+    while (loop.completed() < loop.submitted()) std::this_thread::yield();
+    return loop.stats().snapshot()[Counter::kOracleRebuilds];
+  };
+  EXPECT_EQ(serve(2, 52), 2u);
+  loop.install_failures(failed);
+  EXPECT_EQ(serve(54, 52), 4u);
+  loop.clear_failures();
+  EXPECT_EQ(serve(106, 52), 6u);
+  loop.finish();
+
+  std::vector<SnapshotResult> results;
+  loop.drain(results);
+  ASSERT_EQ(results.size(), 156u);
+  for (const auto& r : results) EXPECT_GE(r.normalized, 1.0 - 1e-6);
+  const ServingStats::Snapshot s = loop.stats().snapshot();
+  EXPECT_EQ(s[Counter::kOracleFailures], 0u);
+  EXPECT_EQ(s[Counter::kOracleCertificateFailures], 0u);
 }
 
 TEST(ServingLoopStream, NumericalOracleVerdictIsNotRetried) {
