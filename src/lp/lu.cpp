@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 namespace figret::lp {
 
 namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
 
 // Scatter marks: the row is in the workspace / was in the column before.
 constexpr std::uint8_t kSet = 1;
@@ -72,13 +74,12 @@ bool LuFactorization::pick_row(std::uint32_t j, std::size_t& row,
   for (std::uint32_t k = 0; k < len; ++k)
     cmax = std::max(cmax, std::abs(col[k].second));
   if (cmax < opt_.abs_pivot_tol) return false;  // unusable (for now) column
-  const double thresh = std::max(opt_.abs_pivot_tol, opt_.rel_pivot_tol * cmax);
   row = kNone;
   value = 0.0;
   std::uint32_t best_rc = std::numeric_limits<std::uint32_t>::max();
   for (std::uint32_t k = 0; k < len; ++k) {
     const auto [r, v] = col[k];
-    if (std::abs(v) < thresh) continue;
+    if (!passes_threshold(v, cmax)) continue;
     if (w.rlen[r] < best_rc ||
         (w.rlen[r] == best_rc && std::abs(v) > std::abs(value))) {
       best_rc = w.rlen[r];
@@ -145,6 +146,8 @@ void LuFactorization::eliminate(std::uint32_t c, double vr, const LCol& lc) {
     if (std::abs(v) > drop) {
       w.ents[w.cbeg[c] + len++] = {row, v};
       if (!(w.mark[row] & kOld)) push_slot(row, c);
+    } else {
+      structural_ = false;  // an entry the derived pattern would hold
     }
     w.dval[row] = 0.0;
     w.mark[row] = 0;
@@ -173,6 +176,9 @@ bool LuFactorization::factorize(const SparseMatrix& A,
   valid_ = false;
   updates_ = 0;
   have_spike_ = false;
+  has_kept_ = false;
+  derived_ = false;
+  structural_ = true;
   lcols_.clear();
   lmults_.clear();
   retas_.clear();
@@ -198,6 +204,7 @@ bool LuFactorization::factorize(const SparseMatrix& A,
   ws_.ents.reserve(2 * room);
   ws_.slots.reserve(2 * room);
   load(A, basis);
+  record_pattern(A, basis);
   Workspace& w = ws_;
 
   for (std::size_t step = 0; step < m_; ++step) {
@@ -249,7 +256,12 @@ bool LuFactorization::factorize(const SparseMatrix& A,
       col[at] = col[len - 1];
       --len;
       uents_[ur.begin + ur.len++] = {c, 0, vr};
-      if (lc.end > lc.begin && vr != 0.0) eliminate(c, vr, lc);
+      if (lc.end > lc.begin) {
+        if (vr != 0.0)
+          eliminate(c, vr, lc);
+        else
+          structural_ = false;  // fill the derived pattern would hold
+      }
       rekey(c);
     }
 
@@ -258,7 +270,305 @@ bool LuFactorization::factorize(const SparseMatrix& A,
     lcols_.push_back(lc);
   }
   for (std::size_t k = 0; k < m_; ++k) pos_[order_[k]] = static_cast<std::uint32_t>(k);
+  // Keep this order for refactor().
+  kept_.slot = order_;
+  kept_.row.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k)
+    kept_.row[k] = urows_[order_[k]].pivot_row;
+  kept_basis_ = basis;
+  has_kept_ = true;
   valid_ = true;
+  return true;
+}
+
+bool LuFactorization::passes_threshold(double pivot,
+                                       double cmax) const noexcept {
+  return std::abs(pivot) >=
+         std::max(opt_.abs_pivot_tol, opt_.rel_pivot_tol * cmax);
+}
+
+void LuFactorization::record_pattern(const SparseMatrix& A,
+                                     const std::vector<std::uint32_t>& basis) {
+  kbeg_.resize(m_ + 1);
+  krows_.clear();
+  krows_.reserve(A.nnz() + m_);
+  for (std::size_t s = 0; s < m_; ++s) {
+    kbeg_[s] = krows_.size();
+    const auto rows = A.col_rows(basis[s]);
+    krows_.insert(krows_.end(), rows.begin(), rows.end());
+  }
+  kbeg_[m_] = krows_.size();
+  has_kpat_ = true;
+}
+
+bool LuFactorization::same_basis_pattern(
+    const SparseMatrix& A, const std::vector<std::uint32_t>& basis) const {
+  if (A.rows() != m_) return false;
+  for (std::size_t s = 0; s < m_; ++s) {
+    const auto rows = A.col_rows(basis[s]);
+    if (rows.size() != kbeg_[s + 1] - kbeg_[s] ||
+        !std::equal(rows.begin(), rows.end(),
+                    krows_.begin() + static_cast<std::ptrdiff_t>(kbeg_[s])))
+      return false;
+  }
+  return true;
+}
+
+void LuFactorization::keep_order(const std::vector<std::uint32_t>& basis,
+                                 const PivotOrder& order) {
+  if (has_kept_ && kept_basis_ == basis && kept_ == order) return;
+  kept_basis_ = basis;
+  kept_ = order;
+  has_kept_ = true;
+  has_kpat_ = false;
+  derived_ = false;
+  structural_ = false;
+}
+
+void LuFactorization::drop_order() noexcept {
+  has_kept_ = false;
+  derived_ = false;
+  structural_ = false;
+}
+
+LuFactorization::Refactor LuFactorization::refactor(
+    const SparseMatrix& A, const std::vector<std::uint32_t>& basis,
+    Options opt) {
+  if (!has_kept_ || basis.empty() || basis != kept_basis_) {
+    factorize(A, basis, opt);
+    return Refactor::kFull;
+  }
+  opt_ = opt;
+  if (in_order(A, basis)) return Refactor::kInOrder;
+  factorize(A, basis, opt);
+  return Refactor::kFallback;
+}
+
+bool LuFactorization::in_order(const SparseMatrix& A,
+                               const std::vector<std::uint32_t>& basis) {
+  m_ = basis.size();
+  valid_ = false;
+  updates_ = 0;
+  have_spike_ = false;
+  retas_.clear();
+  if (has_kpat_ && !same_basis_pattern(A, basis)) return false;
+  if (!has_kpat_) {
+    if (A.rows() != m_) return false;
+    record_pattern(A, basis);
+  }
+  // Floors sized by A, as factorize() sizes its arenas.
+  const std::size_t room = A.nnz() + m_;
+  ucol_.reserve(room);
+  fill_head_.reserve(room);
+  fill_next_.reserve(room);
+  urow_.reserve(room);
+  if (!derived_) {
+    if (structural_)
+      adopt_layout();
+    else if (!derive(A, basis))
+      return false;
+    derived_ = true;
+  }
+  // One numeric pass for every refactor in an order, however its patterns
+  // were obtained: engines that share an order share the bits.
+  ws_.dval.assign(m_, 0.0);
+  if (!renumber(A, basis)) {
+    derived_ = false;  // factorize() takes over L and U
+    return false;
+  }
+  valid_ = true;
+  return true;
+}
+
+void LuFactorization::adopt_layout() {
+  // factorize() dropped nothing and skipped no fill, so its L and U hold
+  // exactly the derived patterns, in derive()'s orders: index U by column.
+  const std::size_t m = m_;
+  ucbeg_.assign(m + 1, 0);
+  for (const std::uint32_t c : kept_.slot)
+    for (const UEntry& e : entries(urows_[c])) ++ucbeg_[pos_[e.slot] + 1];
+  for (std::size_t k = 0; k < m; ++k) ucbeg_[k + 1] += ucbeg_[k];
+  ucur_.assign(ucbeg_.begin(), ucbeg_.end() - 1);
+  ucol_.resize(ucbeg_[m]);
+  for (std::size_t j = 0; j < m; ++j) {
+    const URow& ur = urows_[kept_.slot[j]];
+    for (std::uint32_t t = 0; t < ur.len; ++t)
+      ucol_[ucur_[pos_[uents_[ur.begin + t].slot]]++] = {
+          static_cast<std::uint32_t>(j), kUnset, ur.begin + t};
+  }
+}
+
+bool LuFactorization::derive(const SparseMatrix& A,
+                             const std::vector<std::uint32_t>& basis) {
+  const std::size_t m = m_;
+  Workspace& w = ws_;
+  // The order must be a permutation of the slots and of the rows.
+  if (kept_.slot.size() != m || kept_.row.size() != m) return false;
+  step_of_row_.assign(m, kUnset);
+  w.mark.assign(m, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::uint32_t r = kept_.row[k], c = kept_.slot[k];
+    if (r >= m || c >= m || step_of_row_[r] != kUnset || w.mark[c])
+      return false;
+    step_of_row_[r] = static_cast<std::uint32_t>(k);
+    w.mark[c] = 1;
+  }
+  w.mark.assign(m, 0);
+
+  const std::size_t room = A.nnz() + m;
+  lcols_.clear();
+  lcols_.reserve(m);
+  lmults_.clear();
+  lmults_.reserve(room);
+  ucol_.clear();
+  uents_.reserve(2 * room);
+  ucbeg_.resize(m + 1);
+  urows_.resize(m);
+  order_ = kept_.slot;
+  pos_.resize(m);
+  colversion_.assign(m, 0);
+  reach_.resize(m);
+  lpos_.resize(m);
+  w.touched.reserve(m);
+  w.steps.reserve(m);
+  const auto later = std::greater<std::uint32_t>{};
+
+  // Left-looking, one column per step. The column's entry list is kept in
+  // the order factorize()'s right-looking elimination would hold it (A's
+  // rows; a removed entry's place taken by the last one; fill appended in
+  // L-column order), so that L comes out in factorize()'s order.
+  std::vector<std::uint32_t>& col = w.touched;
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::uint32_t c = kept_.slot[k], r = kept_.row[k];
+    pos_[c] = static_cast<std::uint32_t>(k);
+    ucbeg_[k] = ucol_.size();
+    col.clear();
+    // `cause`: the U entry whose step's L column brought `row` in (kUnset:
+    // A's entry). A row pivoted earlier brings in its step's L column,
+    // steps taken in order (a heap).
+    auto reach = [&](std::uint32_t row, std::uint32_t cause) {
+      w.mark[row] = 1;
+      reach_[row] = cause;
+      lpos_[row] = static_cast<std::uint32_t>(col.size());
+      col.push_back(row);
+      if (step_of_row_[row] < k) {
+        w.steps.push_back(step_of_row_[row]);
+        std::push_heap(w.steps.begin(), w.steps.end(), later);
+      }
+    };
+    for (const std::uint32_t row : A.col_rows(basis[c])) reach(row, kUnset);
+    while (!w.steps.empty()) {
+      std::pop_heap(w.steps.begin(), w.steps.end(), later);
+      const std::uint32_t j = w.steps.back();
+      w.steps.pop_back();
+      const std::uint32_t rj = kept_.row[j];
+      const auto entry = static_cast<std::uint32_t>(ucol_.size());
+      ucol_.push_back({j, reach_[rj], 0});
+      const std::uint32_t last = col.back();
+      col[lpos_[rj]] = last;
+      lpos_[last] = lpos_[rj];
+      col.pop_back();
+      w.mark[rj] = 0;
+      for (std::size_t i = lcols_[j].begin; i < lcols_[j].end; ++i)
+        if (!w.mark[lmults_[i].first]) reach(lmults_[i].first, entry);
+    }
+    // Every row left is pivoted at step k or later: the active column. A
+    // pivot row outside it is a zero pivot, which renumber() refuses.
+    const std::size_t lbegin = lmults_.size();
+    for (const std::uint32_t row : col) {
+      if (row != r) lmults_.emplace_back(row, 0.0);
+      w.mark[row] = 0;
+    }
+    lcols_.push_back({r, lbegin, lmults_.size()});
+    urows_[c].pivot_row = r;
+  }
+  ucbeg_[m] = ucol_.size();
+  lay_out_u();
+  return true;
+}
+
+void LuFactorization::lay_out_u() {
+  // U row j lists its columns in the order of factorize()'s row list for
+  // row j's pivot row: the columns holding it in A, by slot, then those
+  // that gained it as fill, by fill step and then by their place in that
+  // step's U row (the order elimination visited them). So the A entries
+  // are placed first, and then each row, once complete, in step order,
+  // appends the entries its own entries' fill brought in.
+  const std::size_t m = m_;
+  const std::size_t nu = ucol_.size();
+  ubeg_.assign(m + 1, 0);
+  for (const UPos& e : ucol_) ++ubeg_[e.step + 1];
+  for (std::size_t j = 0; j < m; ++j) ubeg_[j + 1] += ubeg_[j];
+  ucur_.assign(ubeg_.begin(), ubeg_.end() - 1);
+  fill_head_.assign(nu, kUnset);
+  fill_next_.resize(nu);
+  for (std::size_t i = nu; i-- > 0;) {
+    const std::uint32_t cause = ucol_[i].cause;
+    if (cause == kUnset) continue;
+    fill_next_[i] = fill_head_[cause];
+    fill_head_[cause] = static_cast<std::uint32_t>(i);
+  }
+  urow_.resize(nu);
+  const auto place = [&](std::uint32_t i, std::uint32_t k) {
+    urow_[ucur_[ucol_[i].step]++] = {i, k};
+  };
+  for (std::uint32_t c = 0; c < m; ++c) {
+    const std::uint32_t k = pos_[c];
+    for (std::size_t i = ucbeg_[k]; i < ucbeg_[k + 1]; ++i)
+      if (ucol_[i].cause == kUnset) place(static_cast<std::uint32_t>(i), k);
+  }
+  uents_.clear();
+  for (std::size_t j = 0; j < m; ++j) {
+    URow& ur = urows_[kept_.slot[j]];
+    ur.begin = uents_.size();
+    ur.len = ur.cap = static_cast<std::uint32_t>(ubeg_[j + 1] - ubeg_[j]);
+    uents_.resize(uents_.size() + ur.len);
+    for (std::size_t t = ubeg_[j]; t < ubeg_[j + 1]; ++t) {
+      const auto [i, k] = urow_[t];
+      ucol_[i].at = ur.begin + (t - ubeg_[j]);
+      uents_[ucol_[i].at] = {kept_.slot[k], 0, 0.0};
+      for (std::uint32_t q = fill_head_[i]; q != kUnset; q = fill_next_[q])
+        place(q, k);
+    }
+  }
+}
+
+bool LuFactorization::renumber(const SparseMatrix& A,
+                               const std::vector<std::uint32_t>& basis) {
+  // Left-looking over the kept patterns. Each entry sees the same
+  // operations in the same order as in factorize()'s right-looking
+  // elimination; a zero U entry applies no L column there either.
+  std::vector<double>& x = ws_.dval;
+  for (std::size_t k = 0; k < m_; ++k) {
+    const std::uint32_t c = kept_.slot[k];
+    const auto rows = A.col_rows(basis[c]);
+    const auto vals = A.col_values(basis[c]);
+    for (std::size_t i = 0; i < rows.size(); ++i) x[rows[i]] = vals[i];
+    for (std::size_t i = ucbeg_[k]; i < ucbeg_[k + 1]; ++i) {
+      const UPos& e = ucol_[i];
+      double& xj = x[kept_.row[e.step]];
+      const double u = xj;
+      xj = 0.0;
+      uents_[e.at].value = u;
+      if (u == 0.0) continue;
+      for (std::size_t q = lcols_[e.step].begin; q < lcols_[e.step].end; ++q)
+        x[lmults_[q].first] -= lmults_[q].second * u;
+    }
+    double& xr = x[kept_.row[k]];
+    const double pivot = xr;
+    xr = 0.0;
+    const LCol& lc = lcols_[k];
+    double cmax = std::abs(pivot);
+    for (std::size_t q = lc.begin; q < lc.end; ++q)
+      cmax = std::max(cmax, std::abs(x[lmults_[q].first]));
+    if (!passes_threshold(pivot, cmax)) return false;
+    for (std::size_t q = lc.begin; q < lc.end; ++q) {
+      double& xi = x[lmults_[q].first];
+      lmults_[q].second = xi / pivot;
+      xi = 0.0;
+    }
+    urows_[c].diag = pivot;
+  }
   return true;
 }
 
@@ -320,6 +630,9 @@ void LuFactorization::btran(std::vector<double>& v) {
 }
 
 bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
+  has_kept_ = false;  // the pivot order no longer describes the basis
+  derived_ = false;
+  structural_ = false;
   if (!valid_ || !have_spike_) return false;
   have_spike_ = false;
   ++updates_;

@@ -28,7 +28,28 @@
 //  * drop tolerances are *relative* to the largest entry of the vector being
 //    compacted, never absolute, so ill-scaled LPs do not silently lose
 //    entries that matter (absolute drops were a documented bug of the eta
-//    file).
+//    file);
+//  * refactor() re-runs the numbers of a factorization in its kept pivot
+//    order, as KLU's refactor does (Davis & Palamadai Natarajan 2010). A
+//    factorize() keeps its pivot sequence (slot and pivot row per step) and
+//    the row patterns of the basis columns. A refactor of the same basis
+//    ids over an A whose basis columns keep that pattern is a left-looking
+//    pass in that order: scatter the basis column, apply the earlier L
+//    columns its U pattern names, in step order, divide by the pivot. It
+//    does no pivot search, no heap work and no arena growth. The L and U
+//    patterns are derived on the first refactor in an order, from A's
+//    pattern, the basis and the order alone: every structural entry is
+//    kept, also one that cancels to zero. L's columns and U's rows are laid
+//    out in the order factorize()'s elimination would hold them, so when
+//    factorize() picks the same order it computes the same bits. A
+//    factorize() that dropped nothing holds these patterns already, and
+//    the next refactor adopts them. Each pivot must pass factorize()'s
+//    threshold test, |pivot| >= max(abs_pivot_tol, rel_pivot_tol *
+//    max|active column|); a failed pivot or a changed basis-column pattern
+//    falls back to factorize() on the spot. Every update() drops the kept
+//    order and every factorize() replaces it. keep_order() installs an
+//    order carried from elsewhere (a copied WarmStart handle), so two
+//    engines that refactor one basis in one order compute the same bits.
 //
 // Slot convention (shared with RevisedSimplex): the basis is an ordered list
 // basis[0..m) of column ids; "slot" i is position i of that list, which is
@@ -47,6 +68,15 @@
 
 namespace figret::lp {
 
+/// A factorization's pivot sequence: step k eliminated pivot row `row[k]`
+/// with the basis column in slot `slot[k]`.
+struct PivotOrder {
+  std::vector<std::uint32_t> slot;
+  std::vector<std::uint32_t> row;
+
+  bool operator==(const PivotOrder&) const = default;
+};
+
 class LuFactorization {
  public:
   struct Options {
@@ -63,10 +93,36 @@ class LuFactorization {
   };
 
   /// Factorizes B = [A.col(basis[0]) ... A.col(basis[m-1])]. Resets any
-  /// prior factorization and update history. Returns false when the basis is
-  /// numerically singular (no usable pivot in some elimination step).
+  /// prior factorization and update history, and keeps the pivot order it
+  /// chose for refactor(). Returns false when the basis is numerically
+  /// singular (no usable pivot in some elimination step).
   bool factorize(const SparseMatrix& A, const std::vector<std::uint32_t>& basis,
                  Options opt);
+
+  /// How refactor() factorized.
+  enum class Refactor : std::uint8_t {
+    kInOrder,   // numerically, in the kept pivot order
+    kFull,      // by factorize(): no kept order applies to this basis
+    kFallback,  // by factorize(), after the kept order failed
+  };
+  /// Refactorizes B over the numbers of `A`: in the kept pivot order when
+  /// it was kept for these basis ids (see the file comment), else — or when
+  /// a pivot fails the threshold test or a basis column's pattern changed —
+  /// by factorize(). The result is valid() unless the basis is singular.
+  Refactor refactor(const SparseMatrix& A,
+                    const std::vector<std::uint32_t>& basis, Options opt);
+
+  /// The kept pivot order (empty when none is kept).
+  const PivotOrder& kept_order() const noexcept {
+    static const PivotOrder kNone;
+    return has_kept_ ? kept_ : kNone;
+  }
+  /// Keeps `order` for the basis ids `basis`, as factorize() would have; a
+  /// no-op when it is already the kept one. Its patterns are derived from
+  /// A at the next refactor().
+  void keep_order(const std::vector<std::uint32_t>& basis,
+                  const PivotOrder& order);
+  void drop_order() noexcept;
 
   bool valid() const noexcept { return valid_; }
   std::size_t rows() const noexcept { return m_; }
@@ -169,6 +225,8 @@ class LuFactorization {
     std::vector<double> dval;
     std::vector<std::uint8_t> mark;
     std::vector<std::uint32_t> touched;
+    // derive()'s min-heap of earlier steps a column's pattern reaches.
+    std::vector<std::uint32_t> steps;
   };
 
   bool live(const UEntry& e) const noexcept {
@@ -180,6 +238,16 @@ class LuFactorization {
   void push_u(URow& ur, UEntry e);
   void load(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
   bool pick_row(std::uint32_t j, std::size_t& row, double& value) const;
+  void record_pattern(const SparseMatrix& A,
+                      const std::vector<std::uint32_t>& basis);
+  bool same_basis_pattern(const SparseMatrix& A,
+                          const std::vector<std::uint32_t>& basis) const;
+  bool in_order(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
+  bool derive(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
+  void lay_out_u();
+  void adopt_layout();
+  bool renumber(const SparseMatrix& A, const std::vector<std::uint32_t>& basis);
+  bool passes_threshold(double pivot, double cmax) const noexcept;
   void rekey(std::uint32_t j);
   void push_slot(std::uint32_t row, std::uint32_t slot);
   void eliminate(std::uint32_t c, double vr, const LCol& lc);
@@ -196,6 +264,41 @@ class LuFactorization {
   std::vector<std::uint32_t> pos_;     // slot -> position in order_
   std::vector<std::uint32_t> colversion_;
   std::size_t updates_ = 0;
+
+  // The kept pivot order, the basis ids it was kept for and the row
+  // patterns of those basis columns (CSC over slots; has_kpat_ false: not
+  // recorded yet, refactor() records them from its A).
+  PivotOrder kept_;
+  std::vector<std::uint32_t> kept_basis_;
+  bool has_kept_ = false;
+  std::vector<std::size_t> kbeg_;
+  std::vector<std::uint32_t> krows_;
+  bool has_kpat_ = false;
+  // The patterns in the kept order (derived_: derive()d or adopted), which
+  // renumber() fills with numbers: L is lcols_ and the rows of lmults_; U
+  // by column step k is ucol_[ucbeg_[k], ucbeg_[k+1]):
+  // per entry an earlier step, the ucol_ index of the entry whose step's
+  // fill brought its row into the column (kUnset: A's entry), and the
+  // uents_ index of its value.
+  struct UPos {
+    std::uint32_t step = 0;
+    std::uint32_t cause = 0;
+    std::size_t at = 0;
+  };
+  std::vector<std::size_t> ucbeg_;
+  std::vector<UPos> ucol_;
+  std::vector<std::uint32_t> step_of_row_;
+  bool derived_ = false;
+  // The current L and U are a factorize() in the kept order that dropped
+  // no entry and skipped no fill: they are the derived patterns already.
+  bool structural_ = false;
+  // derive()'s scratch: per row, its cause and its place in the column's
+  // entry list; lay_out_u()'s per-row groups of (ucol_ index, column step)
+  // and the entries each entry's fill caused (linked lists).
+  std::vector<std::uint32_t> reach_, lpos_;
+  std::vector<std::size_t> ubeg_, ucur_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> urow_;
+  std::vector<std::uint32_t> fill_head_, fill_next_;
 
   std::vector<double> spike_;  // cached L^{-1} * (entering column)
   bool have_spike_ = false;

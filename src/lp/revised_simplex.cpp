@@ -129,6 +129,20 @@ class RevisedSimplex {
     // summed and no zero dropped.
     rewritable_ = A_.nnz() == trip_.size();
 
+    // Fingerprint of A's nonzero pattern: a warm handle's pivot order is
+    // reused only on the pattern it was made on. In-place rewrites keep it.
+    std::uint64_t f = 1469598103934665603ULL;
+    auto fold = [&f](std::uint64_t x) {
+      f ^= x;
+      f *= 1099511628211ULL;
+    };
+    for (std::size_t j = 0; j < n_total_; ++j) {
+      const auto rows = A_.col_rows(j);
+      fold(rows.size());
+      for (const std::uint32_t r : rows) fold(r);
+    }
+    pattern_ = f;
+
     // Structural signature for warm-start compatibility: shape plus the
     // normalized relation pattern (it determines the logical-column layout).
     std::uint64_t h = 1469598103934665603ULL;
@@ -262,8 +276,11 @@ class RevisedSimplex {
     if (st != Status::kOptimal) return finish(result, warm, stats);
 
     extract(result);
+    // Optimality is declared only on a fresh factorization of this basis,
+    // so the LU keeps its pivot order for the next warm prime.
     if (warm)
-      warm->store(n_struct_, n_total_, row_signature_, state_, basis_);
+      warm->store(n_struct_, n_total_, row_signature_, state_, basis_,
+                  lu_.kept_order(), pattern_);
     return finish(result, warm, stats);
   }
 
@@ -288,11 +305,43 @@ class RevisedSimplex {
   void btran(std::vector<double>& v) { lu_.btran(v); }
 
   /// Rebuilds the LU factorization for the current basis (basis order is
-  /// preserved — slots keep their meaning). False: numerically singular.
-  bool refactorize() {
+  /// preserved — slots keep their meaning). `in_order`: numerically in the
+  /// LU's kept pivot order when it applies (the warm prime), else with a
+  /// Markowitz pivot search. False: numerically singular.
+  bool refactorize(bool in_order = false) {
+    using Refactor = LuFactorization::Refactor;
+    constexpr LuFactorization::Options lu_opt{kSingularTol, kRelPivotTol,
+                                              kLuDrop};
+    const auto t0 = std::chrono::steady_clock::now();
     ++stats_.refactorizations;
-    return lu_.factorize(A_, basis_,
-                         {kSingularTol, kRelPivotTol, kLuDrop});
+    Refactor how = Refactor::kFull;
+    if (in_order)
+      how = lu_.refactor(A_, basis_, lu_opt);
+    else
+      lu_.factorize(A_, basis_, lu_opt);
+#ifndef NDEBUG
+    // Debug builds check every in-order factorization like an FT update:
+    // it must map each basis column to its unit vector, else it is redone
+    // with the pivot search.
+    if (how == Refactor::kInOrder) {
+      for (std::uint32_t slot = 0; slot < m_; ++slot)
+        if (!column_is_consistent(slot)) {
+          how = Refactor::kFallback;
+          lu_.factorize(A_, basis_, lu_opt);
+          break;
+        }
+    }
+#endif
+    if (how == Refactor::kInOrder) {
+      ++stats_.inorder_refactorizations;
+    } else {
+      ++stats_.full_refactorizations;
+      if (how == Refactor::kFallback) ++stats_.inorder_fallbacks;
+    }
+    const std::chrono::duration<double> spent =
+        std::chrono::steady_clock::now() - t0;
+    stats_.factorize_seconds += spent.count();
+    return lu_.valid();
   }
 
   /// Absorbs the pivot at `slot` (entering column FTRAN'd with
@@ -308,7 +357,7 @@ class RevisedSimplex {
       // represent: B^{-1} a_enter must be e_slot. A violation beyond noise
       // means a (relative) drop lost an entry that mattered — rebuild
       // instead of iterating on a wrong inverse.
-      if (!update_is_consistent(slot)) {
+      if (!column_is_consistent(slot)) {
         if (!refactorize()) return false;
         compute_beta();
         return true;
@@ -328,8 +377,10 @@ class RevisedSimplex {
   }
 
 #ifndef NDEBUG
-  bool update_is_consistent(std::uint32_t slot) {
-    std::vector<double>& v = w_;  // the pivot's column, no longer needed
+  /// B^{-1} applied to the basis column at `slot` gives e_slot. Clobbers
+  /// w_ (after a pivot, the entering column, no longer needed).
+  bool column_is_consistent(std::uint32_t slot) {
+    std::vector<double>& v = w_;
     A_.scatter_col(basis_[slot], v);
     lu_.ftran(v);
     double err = 0.0, scale = 1.0;
@@ -398,7 +449,15 @@ class RevisedSimplex {
       if (state_[j] == VarState::kNonbasicUpper && !(ub_[j] < kInfinity))
         state_[j] = VarState::kNonbasicLower;
 
-    if (!refactorize()) return reject(WarmFallback::kSingularBasis);
+    // The basis is the one the chain's last solve ended on, factorized
+    // afresh there: reuse that factorization's pivot order unless the
+    // standard form's pattern changed since.
+    if (warm->order().slot.size() == m_ && warm->order_pattern() == pattern_)
+      lu_.keep_order(basis_, warm->order());
+    else
+      lu_.drop_order();
+    if (!refactorize(/*in_order=*/true))
+      return reject(WarmFallback::kSingularBasis);
     compute_beta();
     const double feas = opt_.simplex.feasibility_tolerance;
     if (primal_feasible(feas)) {
@@ -859,6 +918,7 @@ class RevisedSimplex {
   std::vector<double> obj_;
   std::vector<std::uint32_t> init_basis_;
   std::uint64_t row_signature_ = 0;
+  std::uint64_t pattern_ = 0;  // fingerprint of A_'s nonzero pattern
   // The triplets A_ was assembled from (structural ones first, n_terms_ of
   // them) and the stored entry each one landed in: rewrite()'s pattern.
   std::vector<Triplet> trip_;
@@ -928,6 +988,10 @@ LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
     retry.pivots += first.pivots;
     retry.dual_pivots += first.dual_pivots;
     retry.refactorizations += first.refactorizations;
+    retry.full_refactorizations += first.full_refactorizations;
+    retry.inorder_refactorizations += first.inorder_refactorizations;
+    retry.inorder_fallbacks += first.inorder_fallbacks;
+    retry.factorize_seconds += first.factorize_seconds;
     retry.ft_updates += first.ft_updates;
     retry.warm_start_attempted = true;
     retry.fallback = why;

@@ -22,13 +22,16 @@
 //    over after `SolveOptions::bland_after` pivots as the anti-cycling
 //    backstop;
 //  * an optimal basis can be captured in a WarmStart handle and re-primed
-//    into the next solve. When the re-primed basis is primal feasible the
-//    solve continues with the primal simplex; when an RHS-only change left
-//    it primal-infeasible (but still dual feasible — the typical
-//    failure-masked-capacity resolve) the **dual simplex** re-optimizes it
-//    in a handful of pivots instead of falling back to a cold two-phase
-//    start. Cold fallbacks that do happen are recorded per reason in
-//    SolveStats::fallback and the WarmStart handle.
+//    into the next solve. The prime refactorizes it numerically in the
+//    pivot order the handle kept (LuFactorization::refactor), falling back
+//    to the Markowitz factorization when a pivot fails the threshold test.
+//    When the re-primed basis is primal feasible the solve continues with
+//    the primal simplex; when an RHS-only change left it primal-infeasible
+//    (but still dual feasible — the typical failure-masked-capacity
+//    resolve) the **dual simplex** re-optimizes it in a handful of pivots
+//    instead of falling back to a cold two-phase start. Cold fallbacks that
+//    do happen are recorded per reason in SolveStats::fallback and the
+//    WarmStart handle.
 //
 // The dual path is an accelerator, never an authority: after it reaches
 // primal feasibility the primal phase 2 certifies optimality, and any dual
@@ -55,7 +58,20 @@ struct SolveStats {
   std::size_t pivots = 0;
   /// The subset of `pivots` performed by the dual simplex.
   std::size_t dual_pivots = 0;
+  /// Basis factorizations of both kinds: full_refactorizations +
+  /// inorder_refactorizations.
   std::size_t refactorizations = 0;
+  /// Factorizations with a Markowitz pivot search (LuFactorization::
+  /// factorize), in-order fallbacks included.
+  std::size_t full_refactorizations = 0;
+  /// Warm primes refactorized numerically in the handle's kept pivot order
+  /// (LuFactorization::refactor).
+  std::size_t inorder_refactorizations = 0;
+  /// Warm primes whose kept order failed (a pivot under the threshold, a
+  /// changed basis-column pattern) and fell back to a full factorization.
+  std::size_t inorder_fallbacks = 0;
+  /// Wall time spent factorizing, both kinds.
+  double factorize_seconds = 0.0;
   /// Forrest–Tomlin updates absorbed without a rebuild.
   std::size_t ft_updates = 0;
   bool warm_start_attempted = false;

@@ -41,12 +41,15 @@ bool WarmStart::compatible(std::size_t num_vars, std::size_t num_cols,
 void WarmStart::store(std::size_t num_vars, std::size_t num_cols,
                       std::uint64_t row_signature,
                       const std::vector<VarState>& state,
-                      const std::vector<std::uint32_t>& basis) {
+                      const std::vector<std::uint32_t>& basis,
+                      const PivotOrder& order, std::uint64_t pattern) {
   num_vars_ = num_vars;
   num_cols_ = num_cols;
   row_signature_ = row_signature;
   state_ = state;
   basis_ = basis;
+  order_ = order;
+  order_pattern_ = pattern;
 }
 
 }  // namespace figret::lp

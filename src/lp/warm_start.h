@@ -12,8 +12,12 @@
 //
 // The handle stores the column-status vector and the basis (row -> column)
 // of the last optimal solve, plus a structural signature (variable count,
-// row count, normalized relation pattern). A solve offered a handle with a
-// matching signature refactorizes the stored basis against the *new* matrix;
+// row count, normalized relation pattern). It also stores the pivot order of
+// that solve's final factorization (lp/lu.h) with a fingerprint of the
+// standard form's nonzero pattern it was made on. A solve offered a handle
+// with a matching signature refactorizes the stored basis against the *new*
+// matrix — numerically in the stored pivot order when the pattern is
+// unchanged, which skips the pivot search, else from scratch;
 // a mismatch, singular basis, or dual-infeasible re-prime falls back to a
 // cold two-phase start — recorded per reason, so callers can tell *why* a
 // chain went cold — and warm starts can never change which LP is solved,
@@ -26,8 +30,9 @@
 // solve rewrites only the numbers in place; otherwise it reassembles into
 // the same buffers. A chain of same-shaped solves therefore allocates
 // nothing once the buffers have grown (see recycle()). Copying a handle
-// copies the chain (basis, counters, throttle) but not the engine, so the
-// copy's next solve reassembles; results are bit-identical either way.
+// copies the chain (basis, pivot order, counters, throttle) but not the
+// engine, so the copy's next solve reassembles and factorizes in the copied
+// order; results are bit-identical either way.
 #pragma once
 
 #include <array>
@@ -36,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "lp/lu.h"
 #include "lp/problem.h"
 
 namespace figret::lp {
@@ -105,9 +111,13 @@ class WarmStart {
   bool compatible(std::size_t num_vars, std::size_t num_cols,
                   std::uint64_t row_signature) const noexcept;
 
+  /// Keeps an optimal solve's basis, and the pivot order its final
+  /// factorization ran in over a standard form with pattern fingerprint
+  /// `pattern`.
   void store(std::size_t num_vars, std::size_t num_cols,
              std::uint64_t row_signature, const std::vector<VarState>& state,
-             const std::vector<std::uint32_t>& basis);
+             const std::vector<std::uint32_t>& basis, const PivotOrder& order,
+             std::uint64_t pattern);
 
   /// The engine this handle's solves run in, created on first use.
   RevisedSimplex& engine();
@@ -119,6 +129,8 @@ class WarmStart {
 
   const std::vector<VarState>& state() const noexcept { return state_; }
   const std::vector<std::uint32_t>& basis() const noexcept { return basis_; }
+  const PivotOrder& order() const noexcept { return order_; }
+  std::uint64_t order_pattern() const noexcept { return order_pattern_; }
 
   void record_hit() noexcept {
     ++hits_;
@@ -156,6 +168,8 @@ class WarmStart {
   std::uint64_t row_signature_ = 0;
   std::vector<VarState> state_;
   std::vector<std::uint32_t> basis_;
+  PivotOrder order_;
+  std::uint64_t order_pattern_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::array<std::size_t, kWarmFallbackCount> miss_reasons_{};

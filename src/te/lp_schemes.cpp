@@ -112,6 +112,7 @@ const MluLpResult& solve_mlu_lp(const PathSet& ps,
   out.warm_start_used = stats.warm_start_used;
   out.warm_fallback = stats.fallback;
   out.rebuilt = stats.rebuilt;
+  out.inorder_refactorizations = stats.inorder_refactorizations;
   out.mlu = 0.0;
   out.config.clear();
   if (!out.optimal()) return out;

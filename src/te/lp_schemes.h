@@ -47,6 +47,9 @@ struct MluLpResult {
   /// The solver assembled the standard form instead of rewriting the warm
   /// handle's cached one in place (lp::SolveStats::rebuilt).
   bool rebuilt = false;
+  /// Warm primes refactorized in the kept pivot order
+  /// (lp::SolveStats::inorder_refactorizations).
+  std::size_t inorder_refactorizations = 0;
 
   bool optimal() const noexcept { return status == lp::Status::kOptimal; }
 };

@@ -380,6 +380,9 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
       solve_mlu_lp(*ps_, (*trace_)[t], nullptr, alive, &cur, &w.warm,
                    w.oracle_lp);
       if (res.rebuilt) stats_.add(Counter::kOracleRebuilds);
+      if (res.inorder_refactorizations > 0)
+        stats_.add(Counter::kOracleInorderRefactors,
+                   res.inorder_refactorizations);
       // A numerical verdict is a property of the LP, not of the attempt:
       // retrying it would only burn the backoff budget.
       if (res.optimal() || res.status == lp::Status::kNumerical ||

@@ -17,7 +17,8 @@ constexpr const char* kCounterNames[] = {
     "oracle_failures", "warm_hits", "warm_misses", "failure_epochs",
     "invalid_outputs", "dropped_pair_snapshots", "oracle_retries",
     "oracle_retry_successes", "chaos_stalls", "batched_snapshots",
-    "oracle_rebuilds", "oracle_certificate_failures"};
+    "oracle_rebuilds", "oracle_certificate_failures",
+    "oracle_inorder_refactors"};
 constexpr const char* kStageNames[] = {"queue",   "infer", "lp",    "install",
                                        "reroute", "score", "serve", "e2e"};
 static_assert(std::size(kRungNames) == kFallbackRungCount);

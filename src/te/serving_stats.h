@@ -50,8 +50,10 @@ enum class Counter : std::uint8_t {
   kOracleRebuilds,        // oracle solves that reassembled the LP's form
   kOracleCertificateFailures,  // sampled oracle optima failing the duality
                                // certificate (lp/certificates.h)
+  kOracleInorderRefactors,  // oracle warm primes refactorized in the kept
+                            // pivot order (lp/lu.h)
 };
-inline constexpr std::size_t kCounterCount = 16;
+inline constexpr std::size_t kCounterCount = 17;
 const char* to_string(Counter counter) noexcept;
 
 /// Timed stages of a served snapshot; a stage records only when it ran.

@@ -3,8 +3,11 @@
 // random bases, column-replacement updates validated against the basis they
 // claim to represent, the determinant-lemma accuracy test (|newdiag| =
 // |pivot| * |old diag|), the relative — never absolute — drop tolerance
-// on ill-scaled instances, and a differential check of the heap-ordered
-// pivot search against the full-rescan reference it replaced.
+// on ill-scaled instances, a differential check of the heap-ordered
+// pivot search against the full-rescan reference it replaced, and the
+// refactor in a kept pivot order: bit for bit against a fresh factorization
+// in that order (and against factorize() when it picks the same order), its
+// threshold fallback, and what makes it fall back to factorize().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -509,6 +512,223 @@ TEST(LpLu, MatchesFullRescanReferenceOnGeantWarmBasis) {
   ReferenceLu ref;
   EXPECT_FALSE(ref.factorize(A, basis, kOpt));
   EXPECT_FALSE(lu.factorize(A, basis, kOpt));
+}
+
+// --- refactor in the kept pivot order ------------------------------------
+
+// A copy of A with every value scaled by a random factor in [0.5, 2]: the
+// same pattern with new numbers, like the next snapshot's LP.
+SparseMatrix revalued(const SparseMatrix& A, util::Rng& rng) {
+  SparseMatrix B = A;
+  for (double& v : B.values()) v *= rng.uniform(0.5, 2.0);
+  return B;
+}
+
+// FTRAN and BTRAN of `lu` and `ref` agree bit for bit on random vectors.
+void expect_same_solves(LuFactorization& lu, LuFactorization& ref,
+                        std::size_t m, util::Rng& rng,
+                        const std::string& what) {
+  for (int t = 0; t < 6; ++t) {
+    std::vector<double> v(m);
+    for (double& x : v) x = rng.uniform(-2.0, 2.0);
+    std::vector<double> got = v, want = v;
+    lu.ftran(got);
+    ref.ftran(want);
+    EXPECT_TRUE(same_bits(got, want)) << what << ": ftran differs";
+    got = v;
+    want = v;
+    lu.btran(got);
+    ref.btran(want);
+    EXPECT_TRUE(same_bits(got, want)) << what << ": btran differs";
+  }
+}
+
+using Refactor = LuFactorization::Refactor;
+
+TEST(LpLuRefactor, InOrderMatchesAFreshFactorizationInThatOrder) {
+  // A chain of value changes on one pattern: each refactor runs in the
+  // order the first factorize() kept. Its numbers must equal those of an
+  // LU that never saw the earlier values and factorizes in that order from
+  // scratch — the copied-handle case — and those of factorize() whenever
+  // it picks the same order (random values never cancel to zero).
+  int in_order = 0, same_as_markowitz = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t m = 3 + rng.uniform_index(30);
+    const SparseMatrix A0 = random_pool(rng, m, m + 10);
+    std::vector<std::uint32_t> basis(m);
+    for (std::size_t i = 0; i < m; ++i)
+      basis[i] = static_cast<std::uint32_t>(i);
+    LuFactorization lu;
+    ASSERT_TRUE(lu.factorize(A0, basis, kOpt));
+    PivotOrder order = lu.kept_order();
+    ASSERT_EQ(order.slot.size(), m);
+    for (int round = 0; round < 3; ++round) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const SparseMatrix A = revalued(A0, rng);
+      const Refactor how = lu.refactor(A, basis, kOpt);
+      ASSERT_TRUE(lu.valid()) << what;
+      EXPECT_LT(basis_residual(lu, A, basis), 1e-9) << what;
+      if (how != Refactor::kInOrder) {
+        // A pivot sank under the threshold: factorize()'s new order is
+        // the kept one from here on.
+        EXPECT_EQ(how, Refactor::kFallback) << what;
+        order = lu.kept_order();
+        continue;
+      }
+      ++in_order;
+      EXPECT_EQ(lu.kept_order(), order) << what;
+      LuFactorization fresh;
+      fresh.keep_order(basis, order);
+      ASSERT_EQ(fresh.refactor(A, basis, kOpt), Refactor::kInOrder) << what;
+      expect_same_solves(lu, fresh, m, rng, what + " vs fresh");
+      LuFactorization full;
+      ASSERT_TRUE(full.factorize(A, basis, kOpt));
+      if (full.kept_order() == order) {
+        ++same_as_markowitz;
+        expect_same_solves(lu, full, m, rng, what + " vs factorize");
+      }
+    }
+  }
+  EXPECT_GT(in_order, 50);
+  EXPECT_GT(same_as_markowitz, 25);
+}
+
+TEST(LpLuRefactor, GeantWarmPrimesMatchFactorizeBitForBit) {
+  // The serving oracle's case: the optimal basis of one GEANT snapshot,
+  // refactorized in its kept order over the next snapshot's matrix. The
+  // MLU LP cancels entries to exact zeros, which factorize() drops and the
+  // kept pattern keeps; the numbers must still equal factorize()'s.
+  const net::Graph g = net::geant();
+  const te::PathSet ps =
+      te::PathSet::build(g, net::all_pairs_k_shortest(g, 3));
+  const traffic::TrafficTrace trace = traffic::wan_trace(g.num_nodes(), 24, 101);
+  WarmStart warm;
+  util::Rng rng(11);
+  int compared = 0;
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    const LpProblem prob = te::build_mlu_lp(ps, trace[t], nullptr, nullptr);
+    if (warm.has_basis()) {
+      const SparseMatrix A = standard_form(prob);
+      LuFactorization lu;
+      lu.keep_order(warm.basis(), warm.order());
+      ASSERT_EQ(lu.refactor(A, warm.basis(), kOpt), Refactor::kInOrder);
+      LuFactorization full;
+      ASSERT_TRUE(full.factorize(A, warm.basis(), kOpt));
+      ASSERT_EQ(full.kept_order(), warm.order()) << "t=" << t;
+      expect_same_solves(lu, full, warm.basis().size(), rng,
+                         "t=" + std::to_string(t));
+      ++compared;
+    }
+    ASSERT_TRUE(solve_with(prob, SolverOptions{}, &warm).optimal());
+  }
+  EXPECT_EQ(compared, static_cast<int>(trace.size()) - 1);
+}
+
+TEST(LpLuRefactor, PivotBelowThresholdFallsBack) {
+  // B = [x y] with x = (2, 1), y = (1, 3): factorize() pivots x on row 0.
+  // Shrinking that entry to 1e-4 leaves B nonsingular but sinks the kept
+  // pivot under the relative threshold (0.01 of its column's 1): the
+  // refactor must fall back to factorize(), which pivots x on row 1.
+  const auto matrix = [](double x0) {
+    return SparseMatrix::from_triplets(
+        2, 2, {{0, 0, x0}, {1, 0, 1.0}, {0, 1, 1.0}, {1, 1, 3.0}});
+  };
+  const std::vector<std::uint32_t> basis{0, 1};
+  LuFactorization lu;
+  ASSERT_TRUE(lu.factorize(matrix(2.0), basis, kOpt));
+  ASSERT_EQ(lu.kept_order().slot[0], 0u);
+  ASSERT_EQ(lu.kept_order().row[0], 0u);
+
+  const SparseMatrix A = matrix(1e-4);
+  EXPECT_EQ(lu.refactor(A, basis, kOpt), Refactor::kFallback);
+  ASSERT_TRUE(lu.valid());
+  EXPECT_LT(basis_residual(lu, A, basis), 1e-12);
+  EXPECT_EQ(lu.kept_order().row[0], 1u);  // factorize()'s new order is kept
+  // The fallback's order serves the next refactor.
+  EXPECT_EQ(lu.refactor(matrix(2e-4), basis, kOpt), Refactor::kInOrder);
+  EXPECT_LT(basis_residual(lu, matrix(2e-4), basis), 1e-12);
+
+  // A copied order fails the same way from a fresh LU.
+  LuFactorization fresh;
+  fresh.keep_order(basis, PivotOrder{{0, 1}, {0, 1}});
+  EXPECT_EQ(fresh.refactor(A, basis, kOpt), Refactor::kFallback);
+  EXPECT_LT(basis_residual(fresh, A, basis), 1e-12);
+  // So does a malformed one (row 0 pivoted twice).
+  fresh.keep_order(basis, PivotOrder{{0, 1}, {0, 0}});
+  EXPECT_EQ(fresh.refactor(matrix(2.0), basis, kOpt), Refactor::kFallback);
+  EXPECT_LT(basis_residual(fresh, matrix(2.0), basis), 1e-12);
+}
+
+TEST(LpLuRefactor, UpdateOrAnotherBasisForcesAFullFactorize) {
+  util::Rng rng(77);
+  const std::size_t m = 16;
+  const SparseMatrix A = random_pool(rng, m, m + 8);
+  std::vector<std::uint32_t> basis(m);
+  for (std::size_t i = 0; i < m; ++i) basis[i] = static_cast<std::uint32_t>(i);
+  LuFactorization lu;
+  ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+  ASSERT_EQ(lu.refactor(A, basis, kOpt), Refactor::kInOrder);
+
+  // A Forrest–Tomlin update drops the order, even when the basis ids come
+  // back to the ones it was kept for.
+  std::vector<double> v(m, 0.0);
+  A.scatter_col(m + 2, v);
+  lu.ftran(v, /*save_spike=*/true);
+  std::uint32_t slot = 0;
+  for (std::size_t i = 0; i < m; ++i)
+    if (std::abs(v[i]) > std::abs(v[slot])) slot = static_cast<std::uint32_t>(i);
+  ASSERT_TRUE(lu.update(slot, v[slot]));
+  EXPECT_TRUE(lu.kept_order().slot.empty());
+  EXPECT_EQ(lu.refactor(A, basis, kOpt), Refactor::kFull);
+  EXPECT_LT(basis_residual(lu, A, basis), 1e-9);
+
+  // Other basis ids than the order was kept for.
+  std::vector<std::uint32_t> other = basis;
+  other[slot] = static_cast<std::uint32_t>(m + 2);
+  EXPECT_EQ(lu.refactor(A, other, kOpt), Refactor::kFull);
+  EXPECT_LT(basis_residual(lu, A, other), 1e-9);
+  EXPECT_EQ(lu.refactor(A, other, kOpt), Refactor::kInOrder);
+  // A dropped order.
+  lu.drop_order();
+  EXPECT_EQ(lu.refactor(A, other, kOpt), Refactor::kFull);
+}
+
+TEST(LpLuRefactor, PatternChangeUnderTheSameBasisFallsBack) {
+  // Same basis ids, but a basis column gained an entry: the kept patterns
+  // no longer describe B, so the refactor must not run in them.
+  util::Rng rng(5);
+  const std::size_t m = 12;
+  const SparseMatrix A = random_pool(rng, m, m + 4);
+  std::vector<std::uint32_t> basis(m);
+  for (std::size_t i = 0; i < m; ++i) basis[i] = static_cast<std::uint32_t>(i);
+  LuFactorization lu;
+  ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+
+  std::vector<Triplet> trip;
+  bool added = false;
+  for (std::uint32_t j = 0; j < A.cols(); ++j) {
+    const auto rows = A.col_rows(j);
+    const auto vals = A.col_values(j);
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      trip.push_back({rows[k], j, vals[k]});
+    if (!added && j < m && rows.size() < m) {
+      std::uint32_t r = 0;  // the first row column j lacks
+      while (std::find(rows.begin(), rows.end(), r) != rows.end()) ++r;
+      trip.push_back({r, j, 0.25});
+      added = true;
+    }
+  }
+  ASSERT_TRUE(added);
+  const SparseMatrix grown =
+      SparseMatrix::from_triplets(m, A.cols(), std::move(trip));
+  EXPECT_EQ(lu.refactor(grown, basis, kOpt), Refactor::kFallback);
+  EXPECT_LT(basis_residual(lu, grown, basis), 1e-9);
+  // The fallback keeps the grown pattern for the next refactor.
+  EXPECT_EQ(lu.refactor(grown, basis, kOpt), Refactor::kInOrder);
+  // And the old pattern is a change again.
+  EXPECT_EQ(lu.refactor(A, basis, kOpt), Refactor::kFallback);
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // must return bit for bit what a chain returns whose every solve starts
 // from a handle that holds only the previous basis (a copy, which drops the
 // engine and so assembles afresh). Objective, x, y, pivot, dual-pivot and
-// refactorization counts and the per-reason hit/miss counters are compared
-// on the GEANT WAN trace and on a ToR fabric trace whose LP changes shape
-// with a failure-mask sequence and with the set of zero-demand pairs.
+// refactorization counts (full, in the kept pivot order, fallbacks) and the
+// per-reason hit/miss counters are compared on the GEANT WAN trace, on a
+// ToR fabric trace whose LP changes shape with a failure-mask sequence and
+// with the set of zero-demand pairs, and on an LP whose kept pivot order
+// fails its threshold test.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -57,6 +60,13 @@ class TwinChains {
     EXPECT_EQ(ks.pivots, fs.pivots) << label;
     EXPECT_EQ(ks.dual_pivots, fs.dual_pivots) << label;
     EXPECT_EQ(ks.refactorizations, fs.refactorizations) << label;
+    EXPECT_EQ(ks.full_refactorizations, fs.full_refactorizations) << label;
+    EXPECT_EQ(ks.inorder_refactorizations, fs.inorder_refactorizations)
+        << label;
+    EXPECT_EQ(ks.inorder_fallbacks, fs.inorder_fallbacks) << label;
+    EXPECT_EQ(ks.refactorizations,
+              ks.full_refactorizations + ks.inorder_refactorizations)
+        << label;
     EXPECT_EQ(ks.ft_updates, fs.ft_updates) << label;
     EXPECT_EQ(ks.warm_start_attempted, fs.warm_start_attempted) << label;
     EXPECT_EQ(ks.warm_start_used, fs.warm_start_used) << label;
@@ -67,16 +77,23 @@ class TwinChains {
     EXPECT_EQ(kept_.miss_reasons(), fresh_.miss_reasons()) << label;
     EXPECT_EQ(kept_.basis(), fresh_.basis()) << label;
     if (ks.dual_simplex_used) ++dual_solves_;
+    inorder_ += ks.inorder_refactorizations;
+    fallbacks_ += ks.inorder_fallbacks;
     return ks.rebuilt;
   }
 
   const WarmStart& kept() const { return kept_; }
   std::size_t dual_solves() const { return dual_solves_; }
+  /// Kept-chain warm primes refactorized in the kept order, and fallbacks.
+  std::size_t inorder() const { return inorder_; }
+  std::size_t fallbacks() const { return fallbacks_; }
 
  private:
   SolverOptions opt_;
   WarmStart kept_, fresh_;
   std::size_t dual_solves_ = 0;
+  std::size_t inorder_ = 0;
+  std::size_t fallbacks_ = 0;
 };
 
 TEST(LpWarmReuse, GeantWanChainIsBitIdenticalAndRewritesInPlace) {
@@ -95,6 +112,10 @@ TEST(LpWarmReuse, GeantWanChainIsBitIdenticalAndRewritesInPlace) {
   EXPECT_EQ(rebuilds, 1u);
   EXPECT_GT(chains.kept().hits(), trace.size() / 2);
   EXPECT_GT(chains.dual_solves(), 0u);
+  // Every warm prime after the first solve refactorizes in the order the
+  // previous solve's final factorization kept.
+  EXPECT_EQ(chains.inorder(), trace.size() - 1);
+  EXPECT_EQ(chains.fallbacks(), 0u);
 }
 
 TEST(LpWarmReuse, TorChainWithMasksAndZeroDemandsIsBitIdentical) {
@@ -143,6 +164,44 @@ TEST(LpWarmReuse, TorChainWithMasksAndZeroDemandsIsBitIdentical) {
   EXPECT_GT(rebuilds, 8u);
   EXPECT_LT(rebuilds, trace.size());
   EXPECT_GT(chains.kept().misses_by(WarmFallback::kSignatureMismatch), 0u);
+}
+
+TEST(LpWarmReuse, PivotOrderFallbackIsBitIdenticalInBothChains) {
+  // Two equality rows over x and y: the optimal basis is always {x, y},
+  // at x = y = 1. The second LP shrinks the entry the kept order pivots on
+  // first to 1e-4 of its column's other entry. B stays nonsingular, but
+  // both chains' warm primes — the kept LU and a fresh one given the
+  // copied order — must fall back to factorize(), and agree bit for bit.
+  // The fallback's order then serves the third solve.
+  using Coeffs = std::array<double, 4>;  // x row 0, x row 1, y row 0, y row 1
+  const auto lp = [](const Coeffs& a) {
+    LpProblem p;
+    const auto x = p.add_variable(1.0);
+    const auto y = p.add_variable(1.0);
+    p.add_constraint({{x, a[0]}, {y, a[2]}}, Relation::kEq, a[0] + a[2]);
+    p.add_constraint({{x, a[1]}, {y, a[3]}}, Relation::kEq, a[1] + a[3]);
+    return p;
+  };
+  Coeffs a{2.0, 1.0, 1.0, 3.0};
+  TwinChains chains;
+  chains.solve(lp(a), "first");
+  const WarmStart& warm = chains.kept();
+  ASSERT_EQ(warm.basis().size(), 2u);
+  const std::uint32_t col = warm.basis()[warm.order().slot[0]];
+  const std::uint32_t row = warm.order().row[0];
+  ASSERT_LT(col, 2u);  // a structural column: its entry is the pivot
+  a[2 * col + row] = 1e-4 * a[2 * col + (1 - row)];
+  chains.solve(lp(a), "shrunk");
+  EXPECT_EQ(chains.fallbacks(), 1u);
+  EXPECT_EQ(chains.inorder(), 0u);
+  a[2 * col + row] *= 1.5;
+  const LpResult r = solve_with(lp(a), SolverOptions{}, nullptr);
+  chains.solve(lp(a), "after");
+  EXPECT_EQ(chains.fallbacks(), 1u);
+  EXPECT_EQ(chains.inorder(), 1u);
+  EXPECT_EQ(chains.kept().hits(), 2u);
+  ASSERT_TRUE(r.optimal());
+  EXPECT_NEAR(r.objective, 2.0, 1e-12);
 }
 
 TEST(LpWarmReuse, ScratchSolveMatchesTheAllocatingForm) {

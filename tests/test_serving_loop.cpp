@@ -401,6 +401,9 @@ TEST(ServingLoopStream, OracleReassemblesOnlyWhenTheLpReshapes) {
   const ServingStats::Snapshot s = loop.stats().snapshot();
   EXPECT_EQ(s[Counter::kOracleFailures], 0u);
   EXPECT_EQ(s[Counter::kOracleCertificateFailures], 0u);
+  // Every solve but the six that assembled a new pattern (each cold: no
+  // basis yet, or one of another shape) primes in its kept pivot order.
+  EXPECT_EQ(s[Counter::kOracleInorderRefactors], results.size() - 6);
 }
 
 TEST(ServingLoopStream, NumericalOracleVerdictIsNotRetried) {
