@@ -356,12 +356,22 @@ bool LuFactorization::in_order(const SparseMatrix& A,
     if (A.rows() != m_) return false;
     record_pattern(A, basis);
   }
-  // Floors sized by A, as factorize() sizes its arenas.
+  // Floors sized by A, as factorize() sizes its arenas. derive()'s per-step
+  // scratch gets its floor here too: whether a prime adopts or derives its
+  // patterns depends on the bases an engine has met, so the first derive()
+  // may come long after the engine's buffers have grown.
   const std::size_t room = A.nnz() + m_;
   ucol_.reserve(room);
   fill_head_.reserve(room);
   fill_next_.reserve(room);
   urow_.reserve(room);
+  ucbeg_.reserve(m_ + 1);
+  ubeg_.reserve(m_ + 1);
+  ucur_.reserve(m_ + 1);
+  step_of_row_.reserve(m_);
+  reach_.reserve(m_);
+  lpos_.reserve(m_);
+  ws_.steps.reserve(m_);
   if (!derived_) {
     if (structural_)
       adopt_layout();
@@ -429,8 +439,6 @@ bool LuFactorization::derive(const SparseMatrix& A,
   colversion_.assign(m, 0);
   reach_.resize(m);
   lpos_.resize(m);
-  w.touched.reserve(m);
-  w.steps.reserve(m);
   const auto later = std::greater<std::uint32_t>{};
 
   // Left-looking, one column per step. The column's entry list is kept in

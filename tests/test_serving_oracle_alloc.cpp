@@ -2,18 +2,24 @@
 // one warm-up pass over the GEANT WAN trace, a second pass with the
 // per-snapshot warm-LP oracle on makes zero heap allocations. Each worker's
 // lp::WarmStart keeps the LP's standard form, LU and scratch, and its
-// te::MluLpScratch keeps the LP, solution and result buffers.
+// te::MluLpScratch keeps the LP, solution and result buffers. Which snapshots
+// a worker serves depends on timing, so the LU's rarer paths are pinned
+// directly as well: an LU that has refactored in order once allocates
+// nothing when it first derives the patterns of a kept order.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stays separate from the other serving suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <thread>
 #include <vector>
 
+#include "lp/lu.h"
+#include "lp/sparse.h"
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/serving_loop.h"
@@ -59,6 +65,42 @@ class FixedAdvisor final : public TeScheme {
  private:
   TeConfig cfg_;
 };
+
+TEST(ServingOracleAlloc, FirstDerivedInOrderRefactorAllocatesNothing) {
+  // A diagonal basis factors with no fill and no drop, so its in-order
+  // refactors adopt factorize()'s patterns. An order carried in from
+  // elsewhere (here the reverse, as valid for a diagonal) makes the next
+  // refactor derive its patterns, for the first time in this LU.
+  constexpr std::size_t m = 64;
+  const auto matrix = [&](double scale) {
+    std::vector<lp::Triplet> trip;
+    for (std::uint32_t i = 0; i < m; ++i)
+      trip.push_back({i, i, scale * (1.0 + i)});
+    return lp::SparseMatrix::from_triplets(m, m, std::move(trip));
+  };
+  const lp::SparseMatrix a = matrix(1.0), b = matrix(2.0);
+  std::vector<std::uint32_t> basis(m);
+  for (std::uint32_t i = 0; i < m; ++i) basis[i] = i;
+  const lp::LuFactorization::Options opt;
+  using Refactor = lp::LuFactorization::Refactor;
+
+  lp::LuFactorization lu;
+  ASSERT_TRUE(lu.factorize(a, basis, opt));
+  ASSERT_EQ(lu.refactor(b, basis, opt), Refactor::kInOrder);
+  lp::PivotOrder reversed = lu.kept_order();
+  std::reverse(reversed.slot.begin(), reversed.slot.end());
+  std::reverse(reversed.row.begin(), reversed.row.end());
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  lu.keep_order(basis, reversed);
+  const Refactor how = lu.refactor(a, basis, opt);
+  g_counting.store(false);
+
+  EXPECT_EQ(how, Refactor::kInOrder);
+  EXPECT_EQ(g_allocs.load(), 0u);
+  EXPECT_EQ(lu.kept_order(), reversed);
+}
 
 TEST(ServingOracleAlloc, SteadyStateOraclePassAllocatesNothing) {
   const net::Graph g = net::geant();
