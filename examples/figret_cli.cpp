@@ -273,7 +273,17 @@ std::unique_ptr<te::TeScheme> make_scheme(const std::string& name,
   throw UsageError("unknown --scheme " + name);
 }
 
+/// The --json output path. util::Args stores a bare switch as "true", so a
+/// valueless --json would otherwise write the stats to a file named "true".
+std::optional<std::string> json_path(const util::Args& args) {
+  const auto path = args.get("json");
+  if (path && (path->empty() || *path == "true"))
+    throw UsageError("flag --json needs a file path");
+  return path;
+}
+
 int run_serve(const util::Args& args) {
+  const std::optional<std::string> json = json_path(args);
   const net::Graph graph = make_graph(args);
   const auto per_pair = flag_bool(args, "racke")
                             ? net::racke_style_paths(graph, {})
@@ -386,7 +396,7 @@ int run_serve(const util::Args& args) {
               << (rep.all_finite ? "; all weights finite\n"
                                  : "; NON-FINITE OUTPUT SERVED\n");
     loop.stats().print(std::cout);
-    if (const auto path = args.get("json")) {
+    if (const auto& path = json) {
       util::Json j = util::Json::object();
       j.set("scheme", schemes.front()->name())
           .set("workers", static_cast<std::int64_t>(workers))
@@ -483,7 +493,7 @@ int run_serve(const util::Args& args) {
               << (monitor->should_retrain() ? "RECOMMENDED" : "not needed")
               << "\n";
 
-  if (const auto path = args.get("json")) {
+  if (const auto& path = json) {
     util::Json j = util::Json::object();
     j.set("scheme", schemes.front()->name())
         .set("workers", static_cast<std::int64_t>(workers))

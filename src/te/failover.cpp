@@ -94,6 +94,7 @@ std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
     throw std::invalid_argument(
         "sample_safe_failures: count exceeds the number of edges");
   util::Rng rng(seed);
+  std::vector<std::uint32_t> disconnected;
   for (int attempt = 0; attempt < 10000; ++attempt) {
     std::vector<net::EdgeId> failed;
     std::vector<bool> chosen(ps.num_edges(), false);
@@ -103,18 +104,8 @@ std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
       chosen[e] = true;
       failed.push_back(e);
     }
-    const auto alive = surviving_paths(ps, failed);
-    bool all_reachable = true;
-    for (std::size_t pr = 0; pr < ps.num_pairs() && all_reachable; ++pr) {
-      bool any = false;
-      for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
-        if (alive[p]) {
-          any = true;
-          break;
-        }
-      all_reachable = any;
-    }
-    if (all_reachable) return failed;
+    disconnected_pairs_into(ps, surviving_paths(ps, failed), disconnected);
+    if (disconnected.empty()) return failed;
   }
   throw std::runtime_error(
       "sample_safe_failures: could not find a non-disconnecting failure set");

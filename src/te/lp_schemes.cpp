@@ -12,19 +12,15 @@ namespace figret::te {
 lp::LpProblem build_mlu_lp(const PathSet& ps,
                            const traffic::DemandMatrix& demand,
                            const std::vector<double>* ratio_cap,
-                           const std::vector<bool>* alive,
-                           std::vector<std::size_t>* var_of_path_out) {
+                           const std::vector<bool>* alive) {
   lp::LpProblem prob;
-  std::vector<std::size_t> var_of_path;
-  build_mlu_lp_into(ps, demand, ratio_cap, alive, prob,
-                    var_of_path_out ? *var_of_path_out : var_of_path);
+  build_mlu_lp_into(ps, demand, ratio_cap, alive, prob);
   return prob;
 }
 
 void build_mlu_lp_into(const PathSet& ps, const traffic::DemandMatrix& demand,
                        const std::vector<double>* ratio_cap,
-                       const std::vector<bool>* alive, lp::LpProblem& prob,
-                       std::vector<std::size_t>& var_of_path) {
+                       const std::vector<bool>* alive, lp::LpProblem& prob) {
   if (demand.size() != ps.num_pairs())
     throw std::invalid_argument("solve_mlu_lp: demand size mismatch");
   if (ratio_cap && ratio_cap->size() != ps.num_paths())
@@ -33,48 +29,47 @@ void build_mlu_lp_into(const PathSet& ps, const traffic::DemandMatrix& demand,
     throw std::invalid_argument("solve_mlu_lp: alive size mismatch");
 
   prob.clear();
-  // One variable per live path (dead paths are not represented at all), plus
-  // the MLU variable U.
-  constexpr std::size_t kDead = static_cast<std::size_t>(-1);
-  var_of_path.assign(ps.num_paths(), kDead);
+  // One variable per path, indexed by path id, plus the MLU variable U. A
+  // dead path is fixed at 0 by its upper bound, so the LP's shape does not
+  // depend on the failure mask: a mask swap changes only bounds and
+  // right-hand sides, and a warm basis carries across it.
   for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
-    if (alive && !(*alive)[pid]) continue;
-    double ub = 1.0;
+    double ub = alive && !(*alive)[pid] ? 0.0 : 1.0;
     if (ratio_cap) ub = std::min(ub, (*ratio_cap)[pid]);
-    var_of_path[pid] = prob.add_variable(0.0, ub);
+    prob.add_variable(0.0, ub);
   }
   const std::size_t u_var = prob.add_variable(1.0);  // minimize U
-  const auto live = [&](std::size_t pid) { return var_of_path[pid] != kDead; };
 
-  // Conservation: each pair's live ratios sum to 1. A pair with no live
-  // path (disconnected under failures) gets no row.
+  // Conservation: each pair's ratios sum to 1. A pair with no live path
+  // (disconnected under failures) sums to 0: its demand is dropped, as the
+  // §4.5 reroute accounts it.
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
-    std::size_t p = ps.pair_begin(pr);
+    const std::size_t begin = ps.pair_begin(pr);
     const std::size_t end = ps.pair_end(pr);
-    while (p < end && !live(p)) ++p;
-    if (p == end) continue;
-    std::vector<lp::Term>& row = prob.add_row(lp::Relation::kEq, 1.0);
-    row.reserve(end - p);
-    for (; p < end; ++p)
-      if (live(p)) row.push_back({var_of_path[p], 1.0});
+    bool connected = !alive;
+    for (std::size_t p = begin; p < end && !connected; ++p)
+      connected = (*alive)[p];
+    std::vector<lp::Term>& row =
+        prob.add_row(lp::Relation::kEq, connected ? 1.0 : 0.0);
+    row.reserve(end - begin);
+    for (std::size_t p = begin; p < end; ++p) row.push_back({p, 1.0});
   }
 
   // Capacity: per edge, sum_{p through e} D_sd(p) r_p - U c_e <= 0.
-  // A row is emitted for every edge carrying at least one live path — even
-  // when all its demands are currently zero — so the row structure depends
-  // only on (path set, alive mask), never on the demand values. That keeps
+  // A row is emitted for every edge carrying at least one path — even when
+  // all its demands are currently zero — so the row structure depends only
+  // on the path set, never on the demand values or the mask. That keeps
   // consecutive snapshots signature-compatible for lp::WarmStart re-priming
   // (sparse DC traces zero out many pairs per snapshot).
   for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
     const auto on_edge = ps.paths_on_edge(e);
-    if (std::none_of(on_edge.begin(), on_edge.end(), live)) continue;
+    if (on_edge.empty()) continue;
     std::vector<lp::Term>& row = prob.add_row(lp::Relation::kLessEq, 0.0);
     row.reserve(on_edge.size() + 1);  // + the U term
     for (std::uint32_t pid : on_edge) {
-      if (!live(pid)) continue;
       const double d = demand[ps.pair_of_path(pid)];
       if (d == 0.0) continue;
-      row.push_back({var_of_path[pid], d});
+      row.push_back({pid, d});
     }
     row.push_back({u_var, -ps.edge_capacity(e)});
   }
@@ -97,8 +92,7 @@ const MluLpResult& solve_mlu_lp(const PathSet& ps,
                                 const std::vector<bool>* alive,
                                 const lp::SolverOptions* solver,
                                 lp::WarmStart* warm, MluLpScratch& scratch) {
-  build_mlu_lp_into(ps, demand, ratio_cap, alive, scratch.problem,
-                    scratch.var_of_path);
+  build_mlu_lp_into(ps, demand, ratio_cap, alive, scratch.problem);
 
   const lp::SolverOptions opts = solver ? *solver : lp::SolverOptions{};
   lp::SolveStats stats;
@@ -117,11 +111,7 @@ const MluLpResult& solve_mlu_lp(const PathSet& ps,
   out.config.clear();
   if (!out.optimal()) return out;
   out.mlu = sol.objective;
-  out.config.assign(ps.num_paths(), 0.0);
-  constexpr std::size_t kDead = static_cast<std::size_t>(-1);
-  const std::vector<std::size_t>& var_of_path = scratch.var_of_path;
-  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid)
-    if (var_of_path[pid] != kDead) out.config[pid] = sol.x[var_of_path[pid]];
+  out.config.assign(sol.x.begin(), sol.x.begin() + ps.num_paths());
   return out;
 }
 

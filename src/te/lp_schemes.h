@@ -55,29 +55,31 @@ struct MluLpResult {
 };
 
 /// Builds the MLU LP (Appendix B):  min U  over split ratios on the candidate
-/// paths. `var_of_path` (optional out) maps path id -> LP variable index,
-/// with SIZE_MAX for paths excluded by `alive`. Exposed separately from
-/// solve_mlu_lp so tests can verify duality certificates on the real TE LPs.
+/// paths. Variable p is path p's ratio and variable num_paths() is U, with or
+/// without a mask: `alive` only sets bounds and right-hand sides (see
+/// solve_mlu_lp), so every mask gives the LP the same shape. Exposed
+/// separately from solve_mlu_lp so tests can verify duality certificates on
+/// the real TE LPs.
 lp::LpProblem build_mlu_lp(const PathSet& ps,
                            const traffic::DemandMatrix& demand,
                            const std::vector<double>* ratio_cap = nullptr,
-                           const std::vector<bool>* alive = nullptr,
-                           std::vector<std::size_t>* var_of_path = nullptr);
+                           const std::vector<bool>* alive = nullptr);
 
-/// In-place form of build_mlu_lp: rebuilds `prob` and `var_of_path` in
-/// their own storage, so rebuilding a same-shaped LP allocates nothing.
+/// In-place form of build_mlu_lp: rebuilds `prob` in its own storage, so
+/// rebuilding a same-shaped LP allocates nothing.
 void build_mlu_lp_into(const PathSet& ps, const traffic::DemandMatrix& demand,
                        const std::vector<double>* ratio_cap,
-                       const std::vector<bool>* alive, lp::LpProblem& prob,
-                       std::vector<std::size_t>& var_of_path);
+                       const std::vector<bool>* alive, lp::LpProblem& prob);
 
 /// Solves  min_R MLU(R, demand)  over the candidate paths (Appendix B).
 ///
 /// `ratio_cap`  — optional per-path upper bound on split ratios (the
 ///                sensitivity constraint r_p <= F(s,d) * C_p of Eq. 4);
 ///                entries >= 1 are vacuous and dropped.
-/// `alive`      — optional path mask for fault-aware variants; dead paths
-///                are excluded entirely (pairs with no live path are skipped).
+/// `alive`      — optional path mask for fault-aware variants; a dead path's
+///                ratio is bounded by 0, and a pair with no live path sums
+///                to 0 (its demand is dropped). A mask swap keeps the LP's
+///                shape, so a warm chain re-optimizes across it.
 /// `solver`     — solver settings; nullptr uses SolverOptions{}.
 /// `warm`       — optional warm-start handle chaining consecutive solves.
 MluLpResult solve_mlu_lp(const PathSet& ps,
@@ -91,10 +93,9 @@ MluLpResult solve_mlu_lp(const PathSet& ps,
 /// warm handle's cached engine they make a re-solve of a same-shaped LP
 /// allocation-free once they have grown.
 struct MluLpScratch {
-  lp::LpProblem problem;                  // the last LP built
-  std::vector<std::size_t> var_of_path;   // path id -> LP variable
-  lp::LpResult solution;                  // its solve: x and the duals y
-  MluLpResult result;                     // its config storage is reused
+  lp::LpProblem problem;  // the last LP built
+  lp::LpResult solution;  // its solve: x and the duals y
+  MluLpResult result;     // its config storage is reused
 };
 
 /// solve_mlu_lp in `scratch`: builds into scratch.problem, solves, and

@@ -28,8 +28,9 @@
 // buffer — so the hot path takes no locks and performs no allocations once
 // buffers reach steady-state capacity, the oracle included: a re-solve of a
 // same-shaped LP rewrites the worker's cached standard form in place. A
-// failure-mask swap or a change in which pairs carry demand reshapes the LP
-// and reassembles it once (Counter::kOracleRebuilds). Every 64th optimal
+// failure-mask swap changes only bounds and right-hand sides; a change in
+// which pairs carry demand reshapes the LP and reassembles it once
+// (Counter::kOracleRebuilds). Every 64th optimal
 // oracle solve per worker is re-verified against its strong-duality
 // certificate (Counter::kOracleCertificateFailures). Warm-LP chains are per
 // worker by construction, so two concurrent callers can never interleave

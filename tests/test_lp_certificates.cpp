@@ -135,15 +135,50 @@ TEST(LpCertificates, SensitivityCappedTeLpsCertified) {
   }
 }
 
+void expect_same_lp(const LpProblem& a, const LpProblem& b) {
+  EXPECT_EQ(a.objective(), b.objective());
+  EXPECT_EQ(a.upper_bounds(), b.upper_bounds());
+  ASSERT_EQ(a.num_constraints(), b.num_constraints());
+  for (std::size_t i = 0; i < a.num_constraints(); ++i) {
+    const auto& x = a.rows()[i];
+    const auto& y = b.rows()[i];
+    EXPECT_EQ(x.rel, y.rel) << "row " << i;
+    EXPECT_EQ(x.rhs, y.rhs) << "row " << i;
+    ASSERT_EQ(x.terms.size(), y.terms.size()) << "row " << i;
+    for (std::size_t k = 0; k < x.terms.size(); ++k) {
+      EXPECT_EQ(x.terms[k].var, y.terms[k].var) << "row " << i;
+      EXPECT_EQ(x.terms[k].coeff, y.terms[k].coeff) << "row " << i;
+    }
+  }
+}
+
 TEST(LpCertificates, FaultMaskedTeLpsCertified) {
   const te::PathSet ps = mesh_pathset(5);
   const traffic::TrafficTrace trace = traffic::dc_tor_trace(5, 8, 13);
   std::vector<bool> alive(ps.num_paths(), true);
+  // An all-true mask builds the unmasked LP, term for term.
+  expect_same_lp(te::build_mlu_lp(ps, trace[0], nullptr, &alive),
+                 te::build_mlu_lp(ps, trace[0]));
   // Kill one path per pair (keeping at least one alive).
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr)
     if (ps.pair_end(pr) - ps.pair_begin(pr) > 1) alive[ps.pair_begin(pr)] = false;
   const LpProblem p = te::build_mlu_lp(ps, trace[0], nullptr, &alive);
   expect_certified(p, "FaultMaskedTE");
+
+  // Then every path of pair 0: the pair keeps its conservation row (row 0),
+  // which now sums its ratios to 0, and the LP keeps its shape.
+  for (std::size_t q = ps.pair_begin(0); q < ps.pair_end(0); ++q)
+    alive[q] = false;
+  const LpProblem cut = te::build_mlu_lp(ps, trace[0], nullptr, &alive);
+  ASSERT_EQ(cut.num_variables(), p.num_variables());
+  ASSERT_EQ(cut.num_constraints(), p.num_constraints());
+  EXPECT_EQ(cut.rows()[0].rhs, 0.0);
+  EXPECT_EQ(cut.rows()[1].rhs, 1.0);
+  expect_certified(cut, "DisconnectedPairTE");
+  const LpResult r = solve_with(cut);
+  ASSERT_TRUE(r.optimal());
+  for (std::size_t q = ps.pair_begin(0); q < ps.pair_end(0); ++q)
+    EXPECT_EQ(r.x[q], 0.0) << "path " << q;
 }
 
 TEST(LpCertificates, WarmStartedSolvesStayCertified) {

@@ -185,6 +185,23 @@ TEST(MluLp, AliveMaskExcludesDeadPaths) {
   for (std::size_t p = ps.pair_begin(0); p < ps.pair_end(0); ++p)
     sum += r.config[p];
   EXPECT_NEAR(sum, 1.0, 1e-8);
+
+  // Kill every path of pair 1 too: it is disconnected, so its demand is
+  // dropped and its ratios are 0, while the other pairs still split fully.
+  for (std::size_t p = ps.pair_begin(1); p < ps.pair_end(1); ++p)
+    alive[p] = false;
+  const MluLpResult cut = solve_mlu_lp(ps, dm, nullptr, &alive);
+  ASSERT_TRUE(cut.optimal());
+  EXPECT_LE(cut.mlu, r.mlu + 1e-9);
+  for (std::size_t p = ps.pair_begin(1); p < ps.pair_end(1); ++p)
+    EXPECT_EQ(cut.config[p], 0.0);
+  for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
+    if (pr == 1) continue;
+    double pair_sum = 0.0;
+    for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
+      pair_sum += cut.config[p];
+    EXPECT_NEAR(pair_sum, 1.0, 1e-8) << "pair " << pr;
+  }
 }
 
 TEST(PredictionTe, OptimalForPreviousDemand) {
