@@ -137,7 +137,7 @@ int main() {
       te::ServingLoop::Options opt;
       opt.workers = workers;
       opt.oracle = true;
-      opt.solver_deadline_seconds = 0.05;
+      opt.solver.simplex.time_limit_seconds = 0.05;
       opt.oracle_backoff_seconds = 0.00002;
       opt.chaos = &chaos;
       te::ServingLoop loop(ps, trace, opt);

@@ -1,7 +1,7 @@
 // figret_cli — run any TE scheme on any built-in scenario from the command
 // line; the embedding surface a network operator would script against.
 //
-//   figret_cli --topology geant --traffic wan --scheme figret \
+//   figret_cli --topology geant --traffic wan --scheme figret
 //              --epochs 20 --robust-weight 4 --save model.bin
 //   figret_cli --topology mesh --nodes 8 --traffic tor --scheme des
 //   figret_cli serve --topology geant --scheme pred --rate 500 --workers 4
@@ -16,6 +16,7 @@
 // The `serve` subcommand replays the test split of the trace through the
 // streaming serving loop (paced arrivals, worker pipeline, SLO accounting)
 // instead of the batch evaluation harness.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <limits>
@@ -353,8 +354,10 @@ int run_serve(const util::Args& args) {
   lopt.oracle = flag_bool(args, "oracle");
   lopt.wcmp_table_size =
       static_cast<std::uint32_t>(flag_size(args, "table", 16));
-  lopt.solver_deadline_seconds =
-      flag_double(args, "solver-deadline-ms", 0.0) * 1e-3;
+  // A negative budget would mean "already expired" to the simplex; on the
+  // command line it means no deadline, as 0 does.
+  lopt.solver.simplex.time_limit_seconds =
+      std::max(0.0, flag_double(args, "solver-deadline-ms", 0.0)) * 1e-3;
   if (fallback == "none") lopt.validate_outputs = false;
   if (fallback == "uniform") lopt.fallback_last_good = false;
 

@@ -339,8 +339,8 @@ ChaosRunReport run_chaos_serving(ServingLoop& loop, const ChaosEngine& chaos,
   for (std::uint32_t t = chaos.begin(); t < chaos.end(); ++t) {
     const EpochPlan& p = chaos.plan(t);
     if (p.mask_id != cur_mask) {
-      // Quiesce before swapping so every snapshot serves under exactly the
-      // mask its epoch was scheduled with — the determinism contract.
+      // A mask changes only at a quiescent point, so every snapshot serves
+      // under exactly the mask its epoch was scheduled with.
       while (loop.completed() < loop.submitted()) std::this_thread::yield();
       loop.drain(results);
       if (p.mask_id == 0)

@@ -9,14 +9,20 @@ namespace figret::te {
 
 std::vector<bool> surviving_paths(
     const PathSet& ps, const std::vector<net::EdgeId>& failed_edges) {
-  std::vector<bool> edge_down(ps.num_edges(), false);
-  for (net::EdgeId e : failed_edges) edge_down.at(e) = true;
-  std::vector<bool> alive(ps.num_paths(), true);
-  for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
-    if (!edge_down[e]) continue;
-    for (std::uint32_t pid : ps.paths_on_edge(e)) alive[pid] = false;
-  }
+  std::vector<bool> alive;
+  surviving_paths_into(ps, failed_edges, alive);
   return alive;
+}
+
+void surviving_paths_into(const PathSet& ps,
+                          const std::vector<net::EdgeId>& failed_edges,
+                          std::vector<bool>& out) {
+  for (net::EdgeId e : failed_edges)
+    if (e >= ps.num_edges())
+      throw std::out_of_range("surviving_paths: edge id out of range");
+  out.assign(ps.num_paths(), true);
+  for (net::EdgeId e : failed_edges)
+    for (std::uint32_t pid : ps.paths_on_edge(e)) out[pid] = false;
 }
 
 TeConfig reroute(const PathSet& ps, const TeConfig& config,
@@ -94,6 +100,7 @@ std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
     throw std::invalid_argument(
         "sample_safe_failures: count exceeds the number of edges");
   util::Rng rng(seed);
+  std::vector<bool> alive;
   std::vector<std::uint32_t> disconnected;
   for (int attempt = 0; attempt < 10000; ++attempt) {
     std::vector<net::EdgeId> failed;
@@ -104,7 +111,8 @@ std::vector<net::EdgeId> sample_safe_failures(const PathSet& ps,
       chosen[e] = true;
       failed.push_back(e);
     }
-    disconnected_pairs_into(ps, surviving_paths(ps, failed), disconnected);
+    surviving_paths_into(ps, failed, alive);
+    disconnected_pairs_into(ps, alive, disconnected);
     if (disconnected.empty()) return failed;
   }
   throw std::runtime_error(

@@ -14,6 +14,13 @@ namespace figret::te {
 std::vector<bool> surviving_paths(const PathSet& ps,
                                   const std::vector<net::EdgeId>& failed_edges);
 
+/// In-place variant: rewrites `out` (resized to num_paths) with the mask
+/// surviving_paths returns. An edge id >= num_edges throws std::out_of_range
+/// and leaves `out` untouched.
+void surviving_paths_into(const PathSet& ps,
+                          const std::vector<net::EdgeId>& failed_edges,
+                          std::vector<bool>& out);
+
 /// Dropped-demand accounting for reroute_into. A pair whose candidate paths
 /// all died has nothing to renormalize onto: its ratios stay zero and its
 /// traffic is dropped at the source. These counters make that loss explicit
@@ -47,8 +54,8 @@ void reroute_into(const PathSet& ps, const TeConfig& config,
 
 /// Collects the pair ids with no surviving candidate path under `alive`
 /// (resizes `out` to the match count). The serving loop computes this once
-/// per failure epoch to price dropped demand without rescanning every pair
-/// on every snapshot.
+/// per mask change to price dropped demand without rescanning every pair on
+/// every snapshot.
 void disconnected_pairs_into(const PathSet& ps, const std::vector<bool>& alive,
                              std::vector<std::uint32_t>& out);
 

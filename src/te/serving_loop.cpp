@@ -23,6 +23,9 @@ double seconds_since(std::chrono::steady_clock::time_point start,
 // solve's O(pivots * nnz).
 constexpr std::size_t kCertificateEvery = 64;
 
+// Cap on one backoff wait between oracle resolve attempts.
+constexpr double kOracleBackoffMaxSeconds = 0.005;
+
 }  // namespace
 
 ServingLoop::ServingLoop(const PathSet& ps, const traffic::TrafficTrace& trace)
@@ -33,6 +36,7 @@ ServingLoop::ServingLoop(const PathSet& ps, const traffic::TrafficTrace& trace,
     : ps_(&ps),
       trace_(&trace),
       opt_(opt),
+      alive_(ps.num_paths(), true),
       workers_(opt.workers == 0 ? util::default_threads() : opt.workers),
       uniform_(uniform_config(ps)),
       jobs_(opt.queue_capacity == 0 ? 1 : opt.queue_capacity),
@@ -44,6 +48,7 @@ ServingLoop::ServingLoop(const PathSet& ps, const traffic::TrafficTrace& trace,
     throw std::invalid_argument("ServingLoop: queue_capacity must be >= 1");
   if (opt_.wcmp_table_size == 0)
     throw std::invalid_argument("ServingLoop: wcmp_table_size must be >= 1");
+  dead_pairs_.reserve(ps.num_pairs());
 }
 
 ServingLoop::~ServingLoop() {
@@ -137,41 +142,26 @@ void ServingLoop::finish() {
   }
 }
 
+void ServingLoop::check_quiescent() const {
+  if (running_ && completed() != submitted())
+    throw std::logic_error(
+        "ServingLoop: failure mask changed while a snapshot is in service");
+}
+
 void ServingLoop::install_failures(const std::vector<net::EdgeId>& failed) {
-  auto alive = std::make_shared<const std::vector<bool>>(
-      surviving_paths(*ps_, failed));
+  check_quiescent();
+  surviving_paths_into(*ps_, failed, alive_);
   // Pairs with zero surviving paths are priced as dropped demand rather than
   // silently rerouted (the §4.5 all-paths-dead edge case).
-  auto dead = std::make_shared<std::vector<std::uint32_t>>();
-  disconnected_pairs_into(*ps_, *alive, *dead);
-  {
-    std::lock_guard<std::mutex> lock(failure_mu_);
-    failure_alive_ = std::move(alive);
-    failure_dead_pairs_ = std::move(dead);
-    failure_epoch_.fetch_add(1, std::memory_order_release);
-  }
+  disconnected_pairs_into(*ps_, alive_, dead_pairs_);
+  masked_ = true;
   stats_.add(Counter::kFailureEpochs);
 }
 
 void ServingLoop::clear_failures() {
-  {
-    std::lock_guard<std::mutex> lock(failure_mu_);
-    failure_alive_.reset();
-    failure_dead_pairs_.reset();
-    failure_epoch_.fetch_add(1, std::memory_order_release);
-  }
+  check_quiescent();
+  masked_ = false;
   stats_.add(Counter::kFailureEpochs);
-}
-
-void ServingLoop::refresh_failures(Worker& w) {
-  // One relaxed-ish load per snapshot; the mutex is touched only on the
-  // snapshot where the epoch actually changed.
-  if (failure_epoch_.load(std::memory_order_acquire) == w.failure_epoch_seen)
-    return;
-  std::lock_guard<std::mutex> lock(failure_mu_);
-  w.alive = failure_alive_;
-  w.dead_pairs = failure_dead_pairs_;
-  w.failure_epoch_seen = failure_epoch_.load(std::memory_order_relaxed);
 }
 
 const EpochPlan* ServingLoop::chaos_plan(std::uint32_t index) const {
@@ -263,8 +253,6 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
   r.trace_index = job.index;
   r.queue_seconds = seconds_since(job.enqueued, started);
 
-  refresh_failures(w);
-
   const std::size_t t = job.index;
   const ChaosEngine* chaos = opt_.chaos;
   const EpochPlan* plan = chaos_plan(job.index);
@@ -336,15 +324,15 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
   double reroute_seconds = 0.0;
   // §4.5: failure response renormalizes whatever is installed, so it comes
   // after quantization (a switch reroutes its realized WCMP ratios).
-  if (w.alive) {
+  if (masked_) {
     const auto start = Clock::now();
-    reroute_into(*ps_, *served, *w.alive, w.rerouted);
+    reroute_into(*ps_, *served, alive_, w.rerouted);
     reroute_seconds = seconds_since(start, Clock::now());
     served = &w.rerouted;
-    if (w.dead_pairs && !w.dead_pairs->empty()) {
+    if (!dead_pairs_.empty()) {
       const auto& dm = (*trace_)[t];
       double dropped = 0.0;
-      for (const std::uint32_t pr : *w.dead_pairs) dropped += dm[pr];
+      for (const std::uint32_t pr : dead_pairs_) dropped += dm[pr];
       if (dropped > 0.0) {
         r.dropped_demand = dropped;
         stats_.add(Counter::kDroppedPairSnapshots);
@@ -362,16 +350,13 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
 
   if (opt_.oracle) {
     const auto start = Clock::now();
-    const std::vector<bool>* alive = w.alive ? w.alive.get() : nullptr;
-    lp::SolverOptions sopts = opt_.solver;
-    if (opt_.solver_deadline_seconds > 0.0)
-      sopts.simplex.time_limit_seconds = opt_.solver_deadline_seconds;
+    const std::vector<bool>* alive = masked_ ? &alive_ : nullptr;
     const std::size_t max_attempts = 1 + opt_.oracle_retries;
     double backoff = opt_.oracle_backoff_seconds;
     const MluLpResult& res = w.oracle_lp.result;
     std::size_t attempt = 0;
     for (;; ++attempt) {
-      lp::SolverOptions cur = sopts;
+      lp::SolverOptions cur = opt_.solver;
       // Injected deadline overrun: the first attempt's budget is already
       // expired, so it returns kDeadline before its first pivot and the
       // backoff+retry path runs deterministically.
@@ -392,7 +377,7 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
       stats_.add(Counter::kOracleRetries);
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(backoff, opt_.oracle_backoff_max_seconds)));
+            std::min(backoff, kOracleBackoffMaxSeconds)));
         backoff *= 2.0;
       }
     }
@@ -432,7 +417,7 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
   stats_.record(Stage::kQueue, r.queue_seconds);
   stats_.record(Stage::kInfer, r.infer_seconds);
   if (opt_.install) stats_.record(Stage::kInstall, r.install_seconds);
-  if (w.alive) stats_.record(Stage::kReroute, reroute_seconds);
+  if (masked_) stats_.record(Stage::kReroute, reroute_seconds);
   stats_.record(Stage::kScore, score_seconds);
   if (opt_.oracle) stats_.record(Stage::kLp, r.lp_seconds);
   stats_.record(Stage::kServe, r.serve_seconds);

@@ -42,9 +42,10 @@
 // width. Here each worker chains its LP warm starts indefinitely —
 // deliberately trading that determinism for steady-state pivot savings.
 //
-// Failure handling mid-stream: install_failures() swaps in a path-liveness
-// mask behind a shared_ptr + epoch counter; workers notice with one relaxed
-// load per snapshot and only touch a mutex on the epoch that changes.
+// Failure handling mid-stream: the loop owns one path-liveness mask, sized
+// at construction. install_failures() and clear_failures() rewrite it in
+// place at a quiescent point (every submitted snapshot served), so workers
+// read it without a lock and a mask change allocates nothing.
 #pragma once
 
 #include <array>
@@ -129,7 +130,9 @@ class ServingLoop {
     /// default: it dominates the cost of a snapshot.
     bool oracle = false;
     std::uint32_t wcmp_table_size = 16;
-    /// LP solver settings for oracle resolves.
+    /// LP solver settings for oracle resolves. simplex.time_limit_seconds is
+    /// the budget per resolve attempt (0 = none): a deadline hit returns
+    /// lp::Status::kDeadline instead of throwing, and the snapshot serves.
     lp::SolverOptions solver;
 
     // --- graceful degradation ----------------------------------------------
@@ -140,16 +143,11 @@ class ServingLoop {
     /// surviving paths on install). Off -> rejected outputs skip straight to
     /// uniform ECMP.
     bool fallback_last_good = true;
-    /// Wall-clock budget per oracle resolve attempt; 0 = no deadline. A
-    /// deadline hit returns a typed partial status (lp::Status::kDeadline)
-    /// instead of throwing — the snapshot still serves.
-    double solver_deadline_seconds = 0.0;
     /// Retry attempts (beyond the first) for a failed oracle resolve, with
-    /// bounded exponential backoff between attempts. lp::Status::kNumerical
-    /// is never retried: the same LP reaches the same verdict.
+    /// exponential backoff (each wait <= 5 ms) between attempts.
+    /// lp::Status::kNumerical is never retried: same LP, same verdict.
     std::size_t oracle_retries = 2;
     double oracle_backoff_seconds = 0.0002;
-    double oracle_backoff_max_seconds = 0.005;
     /// Optional fault-injection schedule (borrowed; must outlive the run).
     /// Workers consult it read-only, keyed by trace index.
     const ChaosEngine* chaos = nullptr;
@@ -191,10 +189,11 @@ class ServingLoop {
   /// first worker exception, if any. The loop may be start()ed again.
   void finish();
 
-  /// §4.5 mid-stream failure events: swap the path-liveness mask derived
-  /// from `failed` in (or out) without pausing the stream. Workers pick the
-  /// new mask up on their next snapshot; LP warm chains fall back to a cold
-  /// start on their own when the constraint structure changes.
+  /// §4.5 failure events: rewrite the path-liveness mask from `failed` (or
+  /// clear it) in place, without allocating. Throws std::logic_error, and
+  /// does not wait, unless every submitted snapshot is served. Later
+  /// snapshots serve under the new mask. It changes only the oracle LP's
+  /// bounds and right-hand sides, so warm chains keep their basis across it.
   void install_failures(const std::vector<net::EdgeId>& failed);
   void clear_failures();
 
@@ -234,10 +233,6 @@ class ServingLoop {
     WcmpWeights weights;
     WcmpScratch wcmp_scratch;
     std::vector<double> edge_scratch;
-    std::shared_ptr<const std::vector<bool>> alive;
-    /// Pair ids with no surviving path under `alive` (same epoch swap).
-    std::shared_ptr<const std::vector<std::uint32_t>> dead_pairs;
-    std::uint64_t failure_epoch_seen = 0;
     /// Rung-1 cache: the most recent known-good advised config. Under chaos
     /// the donor epoch is pinned by ChaosEngine::last_clean_before so every
     /// worker recomputes the identical donor; without chaos it is simply the
@@ -267,13 +262,20 @@ class ServingLoop {
   /// serve and sets `rung` (kLastGood when a donor exists, else kUniform).
   const TeConfig* fallback_config(Worker& w, std::uint32_t index,
                                   FallbackRung& rung);
-  void refresh_failures(Worker& w);
+  /// Throws std::logic_error while a submitted snapshot is in service.
+  void check_quiescent() const;
   void aggregate_warm(const Worker& w);
   void check_submittable(std::uint32_t index) const;
 
   const PathSet* ps_;
   const traffic::TrafficTrace* trace_;
   Options opt_;
+  // Failure mask and the pairs it disconnects, written at quiescent points
+  // only; workers read them unlocked (completed_'s acquire orders the write
+  // after earlier snapshots, the job ring's push/pop before later ones).
+  bool masked_ = false;
+  std::vector<bool> alive_;
+  std::vector<std::uint32_t> dead_pairs_;
   std::size_t workers_;
   TeConfig uniform_;
   util::MpmcRing<Job> jobs_;
@@ -289,13 +291,6 @@ class ServingLoop {
   std::size_t window_ = 1;
   std::exception_ptr stream_error_;  // guarded by error_mu_
   std::mutex error_mu_;
-
-  // Failure mask, swapped atomically-by-epoch (mask + epoch share the mutex).
-  std::shared_ptr<const std::vector<bool>> failure_alive_;
-  /// Pairs with zero surviving paths under failure_alive_ (same epoch).
-  std::shared_ptr<const std::vector<std::uint32_t>> failure_dead_pairs_;
-  std::atomic<std::uint64_t> failure_epoch_{0};
-  std::mutex failure_mu_;
 };
 
 }  // namespace figret::te

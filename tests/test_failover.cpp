@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "net/topology.h"
 #include "net/yen.h"
 
@@ -23,6 +26,21 @@ TEST(SurvivingPaths, MarksPathsThroughFailedEdges) {
     for (net::EdgeId e : ps.path_edges(pid)) uses |= e == failed;
     EXPECT_EQ(alive[pid], !uses);
   }
+
+  // The in-place form rewrites a reused buffer of any size and contents.
+  for (const std::size_t size : {std::size_t{3}, ps.num_paths() + 7}) {
+    std::vector<bool> reused(size, false);
+    surviving_paths_into(ps, {failed}, reused);
+    EXPECT_EQ(reused, alive) << "reused buffer of size " << size;
+  }
+
+  // An out-of-range edge id throws, and leaves the buffer untouched.
+  const auto past_end = static_cast<net::EdgeId>(ps.num_edges());
+  EXPECT_THROW(surviving_paths(ps, {past_end}), std::out_of_range);
+  std::vector<bool> kept = alive;
+  EXPECT_THROW(surviving_paths_into(ps, {failed, past_end}, kept),
+               std::out_of_range);
+  EXPECT_EQ(kept, alive);
 }
 
 TEST(Reroute, PaperProportionalExample) {
@@ -78,7 +96,9 @@ TEST(Reroute, PreservesValidityForSurvivingPairs) {
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
     double sum = 0.0;
     for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p) {
-      if (!alive[p]) EXPECT_DOUBLE_EQ(out[p], 0.0);
+      if (!alive[p]) {
+        EXPECT_DOUBLE_EQ(out[p], 0.0);
+      }
       sum += out[p];
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);

@@ -40,7 +40,9 @@ TEST(HeuristicF, LinearBoundsDecreaseWithVarianceRank) {
   // Bounds must be anti-monotone in variance: higher variance, tighter bound.
   for (std::size_t a = 0; a < f.size(); ++a)
     for (std::size_t b = 0; b < f.size(); ++b)
-      if (var[a] < var[b]) EXPECT_GE(f[a] + 1e-12, f[b]);
+      if (var[a] < var[b]) {
+        EXPECT_GE(f[a] + 1e-12, f[b]);
+      }
   // Extremes match Max and Min.
   EXPECT_NEAR(*std::max_element(f.begin(), f.end()), 0.8, 1e-12);
   EXPECT_NEAR(*std::min_element(f.begin(), f.end()), 0.3, 1e-12);

@@ -136,7 +136,9 @@ TEST(SensitivityCaps, VacuousForFatPaths) {
   const auto caps =
       sensitivity_caps(ps, std::vector<double>(ps.num_pairs(), 2.0 / 3.0));
   for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
-    if (ps.path_capacity(pid) >= 1.5) EXPECT_DOUBLE_EQ(caps[pid], 1.0);
+    if (ps.path_capacity(pid) >= 1.5) {
+      EXPECT_DOUBLE_EQ(caps[pid], 1.0);
+    }
   }
 }
 
@@ -278,8 +280,11 @@ TEST(FaultAwareDesTe, NeverUsesDeadPaths) {
   DesensitizationTe scheme(ps, {}, "FA-DesTE", nullptr, alive);
   std::vector<traffic::DemandMatrix> history(2, traffic::DemandMatrix(4, 0.3));
   const TeConfig cfg = scheme.advise(history);
-  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid)
-    if (!alive[pid]) EXPECT_DOUBLE_EQ(cfg[pid], 0.0);
+  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
+    if (!alive[pid]) {
+      EXPECT_DOUBLE_EQ(cfg[pid], 0.0);
+    }
+  }
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
     double sum = 0.0;
     for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)

@@ -37,7 +37,9 @@ Cells cells_of(const SparseMatrix& m) {
     const auto rows = m.col_rows(j);
     const auto vals = m.col_values(j);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << "column " << j;
+      if (k > 0) {
+        EXPECT_LT(rows[k - 1], rows[k]) << "column " << j;
+      }
       EXPECT_NE(vals[k], 0.0);
       cells[{static_cast<std::uint32_t>(j), rows[k]}] = vals[k];
     }

@@ -505,6 +505,54 @@ TEST(ServingLoopStream, MidStreamFailureReroutesSubsequentSnapshots) {
   EXPECT_EQ(results[0].raw_mlu, mlu(ps, trace[10], cfg));
 }
 
+TEST(ServingLoopStream, MaskChangesRequireAQuiescentLoop) {
+  // A mask changes only between snapshots: while a submitted snapshot is in
+  // service, install_failures and clear_failures throw and leave the mask
+  // as it was.
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 40, 23);
+  FigretOptions fopt;
+  fopt.history = 2;
+  fopt.hidden = {8};
+  fopt.epochs = 1;
+  FigretScheme fig(ps, fopt);
+  fig.fit(trace.slice(0, 20));
+  const auto failed = sample_safe_failures(ps, 1, 3);
+
+  ServingLoop::Options opt;
+  opt.workers = 1;
+  opt.install = false;
+  ServingLoop loop(ps, trace, opt);
+  GatedAdvisor gate(fig, trace, 0);  // poisons no served snapshot
+  std::vector<TeScheme*> advisors{&gate};
+  loop.install_failures(failed);  // before start(): nothing is in service
+  loop.start(advisors);
+  loop.submit(25);
+  EXPECT_THROW(loop.install_failures({}), std::logic_error);
+  EXPECT_THROW(loop.clear_failures(), std::logic_error);
+  gate.release.store(true);
+  while (loop.completed() < loop.submitted()) std::this_thread::yield();
+  loop.clear_failures();
+  loop.submit(26);
+  loop.finish();
+
+  std::vector<SnapshotResult> results;
+  loop.drain(results);
+  ASSERT_EQ(results.size(), 2u);
+  std::sort(results.begin(), results.end(),
+            [](const SnapshotResult& x, const SnapshotResult& y) {
+              return x.trace_index < y.trace_index;
+            });
+  const auto advised = [&](std::uint32_t t) {
+    return fig.advise({trace.snapshots.data() + (t - 2), 2});
+  };
+  EXPECT_EQ(results[0].raw_mlu,
+            mlu(ps, trace[25],
+                reroute(ps, advised(25), surviving_paths(ps, failed))));
+  EXPECT_EQ(results[1].raw_mlu, mlu(ps, trace[26], advised(26)));
+  EXPECT_EQ(loop.stats().snapshot()[Counter::kFailureEpochs], 2u);
+}
+
 TEST(ServingLoopStream, RetrainMonitorWatchesTheStream) {
   // Satellite: the §6 retraining detectors consume streaming results. Feed a
   // drifted traffic regime through the loop and let the monitor watch the

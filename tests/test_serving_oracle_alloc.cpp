@@ -7,6 +7,10 @@
 // directly as well: an LU that has refactored in order once allocates
 // nothing when it first derives the patterns of a kept order.
 //
+// Failure masks are in the steady state too: the counted pass installs and
+// clears two link-failure sets at quiescent points. The loop rewrites its
+// one mask in place, and the oracle's LP changes only bounds.
+//
 // This binary replaces the global operator new with a counting one, so it
 // stays separate from the other serving suites.
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "lp/sparse.h"
 #include "net/topology.h"
 #include "net/yen.h"
+#include "te/failover.h"
 #include "te/serving_loop.h"
 #include "traffic/generators.h"
 
@@ -117,16 +122,32 @@ TEST(ServingOracleAlloc, SteadyStateOraclePassAllocatesNothing) {
   loop.start(advisors);
   std::vector<SnapshotResult> results;
   results.reserve(2 * trace.size());
+  const std::vector<net::EdgeId> cut_a = sample_safe_failures(ps, 2, 5);
+  const std::vector<net::EdgeId> cut_b = sample_safe_failures(ps, 3, 9);
 
-  const auto pass = [&] {
-    for (std::uint32_t t = 2; t < trace.size(); ++t) loop.submit(t);
+  // Serves trace indices [from, to) and waits until the loop is quiescent.
+  const auto segment = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t t = from; t < to; ++t) loop.submit(t);
     while (loop.completed() < loop.submitted()) std::this_thread::yield();
   };
-  pass();  // warm-up: every buffer grows to its steady-state size
+  // Warm-up: every buffer grows to its steady-state size, with one masked
+  // segment among the healthy ones.
+  segment(2, 60);
+  loop.install_failures(cut_a);
+  segment(60, 90);
+  loop.clear_failures();
+  segment(90, 120);
   loop.drain(results);
   g_allocs.store(0);
   g_counting.store(true);
-  pass();
+  loop.install_failures(cut_a);
+  segment(2, 30);
+  loop.clear_failures();
+  segment(30, 60);
+  loop.install_failures(cut_b);
+  segment(60, 90);
+  loop.clear_failures();
+  segment(90, 120);
   g_counting.store(false);
   const std::uint64_t allocs = g_allocs.load();
   loop.finish();
@@ -141,6 +162,7 @@ TEST(ServingOracleAlloc, SteadyStateOraclePassAllocatesNothing) {
   const ServingStats::Snapshot s = loop.stats().snapshot();
   EXPECT_EQ(s[Counter::kOracleFailures], 0u);
   EXPECT_EQ(s[Counter::kOracleCertificateFailures], 0u);
+  EXPECT_EQ(s[Counter::kFailureEpochs], 6u);
 }
 
 }  // namespace

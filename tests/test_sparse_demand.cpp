@@ -99,9 +99,10 @@ TEST(SparseDemand, DotNormCosineMatchDenseComputation) {
     for (const auto& y : {b, b.sparsified()}) {
       EXPECT_NEAR(traffic::dot(x, y), want_dot, 1e-12);
       EXPECT_NEAR(traffic::norm(x), std::sqrt(na), 1e-12);
-      if (na > 0.0 && nb > 0.0)
+      if (na > 0.0 && nb > 0.0) {
         EXPECT_NEAR(traffic::cosine_similarity(x, y),
                     want_dot / (std::sqrt(na) * std::sqrt(nb)), 1e-12);
+      }
     }
   }
 }

@@ -66,9 +66,13 @@ TEST(Topology, FullMeshPFabric) {
   EXPECT_EQ(g.num_nodes(), spec.nodes);
   EXPECT_EQ(g.num_edges(), spec.arcs);  // 9 * 8 = 72
   EXPECT_TRUE(g.strongly_connected());
-  for (NodeId a = 0; a < 9; ++a)
-    for (NodeId b = 0; b < 9; ++b)
-      if (a != b) EXPECT_NE(g.find_edge(a, b), g.num_edges());
+  for (NodeId a = 0; a < 9; ++a) {
+    for (NodeId b = 0; b < 9; ++b) {
+      if (a != b) {
+        EXPECT_NE(g.find_edge(a, b), g.num_edges());
+      }
+    }
+  }
 }
 
 TEST(Topology, FullMeshMetaPodLevels) {

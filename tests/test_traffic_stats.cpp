@@ -28,8 +28,11 @@ TEST(PairVariances, DetectsTheVaryingPair) {
   const auto var = pair_variances(t);
   const std::size_t idx = pair_index(3, 0, 1);
   EXPECT_DOUBLE_EQ(var[idx], 1.0);  // values alternate 0/2 -> variance 1
-  for (std::size_t p = 0; p < var.size(); ++p)
-    if (p != idx) EXPECT_DOUBLE_EQ(var[p], 0.0);
+  for (std::size_t p = 0; p < var.size(); ++p) {
+    if (p != idx) {
+      EXPECT_DOUBLE_EQ(var[p], 0.0);
+    }
+  }
 }
 
 TEST(PairVariances, NormalizedMaxIsOne) {
