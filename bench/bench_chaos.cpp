@@ -14,11 +14,8 @@
 // run must reproduce the reference values bit-for-bit; any drift means the
 // schedule, the ladder, or the reroute path changed semantics.
 #include <array>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -81,28 +78,6 @@ std::uint64_t scheduled_bound(const te::ChaosEngine& chaos) {
     }
   }
   return bound;
-}
-
-/// String-scans a committed BENCH_chaos.json (util::Json is a writer) for
-/// `"intensity": "<tag>"` ... `"workers": 1` ... `"<key>": <value>`,
-/// returning the raw value token (number or quoted string) or "" if absent.
-std::string reference_token(const std::string& ref, const std::string& tag,
-                            const std::string& key) {
-  std::size_t at = ref.find("\"intensity\": \"" + tag + "\"");
-  if (at == std::string::npos) return "";
-  const std::string needle = "\"" + key + "\": ";
-  at = ref.find(needle, at);
-  if (at == std::string::npos) return "";
-  std::size_t begin = at + needle.size();
-  std::size_t end = begin;
-  if (ref[begin] == '"') {
-    end = ref.find('"', begin + 1);
-    return end == std::string::npos ? "" : ref.substr(begin + 1, end - begin - 1);
-  }
-  while (end < ref.size() && ref[end] != ',' && ref[end] != '\n' &&
-         ref[end] != '}')
-    ++end;
-  return ref.substr(begin, end - begin);
 }
 
 }  // namespace
@@ -216,40 +191,32 @@ int main() {
             << "cross-worker hash): " << (rc == 0 ? "PASS" : "FAIL") << "\n";
 
   // Gate 4: exact reproduction of the committed reference.
-  if (const char* ref_path = std::getenv("FIGRET_BENCH_REFERENCE")) {
-    std::ifstream in(ref_path);
-    if (!in) {
-      std::cout << "ERROR: cannot read bench reference " << ref_path << "\n";
-      rc = 1;
-    } else {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const std::string ref = buf.str();
-      for (const CellResult& c : cells) {
-        if (c.workers != 1) continue;  // gate 3 already ties the others
-        const std::array<std::pair<const char*, std::string>, 5> checks{{
-            {"rung_fresh", std::to_string(c.rep.rungs[0])},
-            {"rung_last_good", std::to_string(c.rep.rungs[1])},
-            {"rung_uniform", std::to_string(c.rep.rungs[2])},
-            {"degraded_epochs", std::to_string(c.rep.degraded_epochs)},
-            {"determinism_hash", std::to_string(c.rep.determinism_hash)},
-        }};
-        for (const auto& [key, cur] : checks) {
-          const std::string want = reference_token(ref, c.intensity, key);
-          if (want.empty()) {
-            std::cout << "reference check i=" << c.intensity << " " << key
-                      << ": not in reference — skipped\n";
-            continue;
-          }
-          if (want != cur) {
-            std::cout << "ERROR: i=" << c.intensity << " " << key
-                      << " drifted: " << cur << " vs reference " << want
-                      << "\n";
-            rc = 1;
-          } else {
-            std::cout << "reference check i=" << c.intensity << " " << key
-                      << ": " << cur << " — ok\n";
-          }
+  if (const auto ref = bench::read_reference(rc)) {
+    for (const CellResult& c : cells) {
+      if (c.workers != 1) continue;  // gate 3 already ties the others
+      const std::array<std::pair<const char*, std::string>, 5> checks{{
+          {"rung_fresh", std::to_string(c.rep.rungs[0])},
+          {"rung_last_good", std::to_string(c.rep.rungs[1])},
+          {"rung_uniform", std::to_string(c.rep.rungs[2])},
+          {"degraded_epochs", std::to_string(c.rep.degraded_epochs)},
+          {"determinism_hash", std::to_string(c.rep.determinism_hash)},
+      }};
+      for (const auto& [key, cur] : checks) {
+        const std::string want = bench::reference_token(
+            *ref, {"\"intensity\": \"" + c.intensity + "\""}, key);
+        if (want.empty()) {
+          std::cout << "reference check i=" << c.intensity << " " << key
+                    << ": not in reference — skipped\n";
+          continue;
+        }
+        if (want != cur) {
+          std::cout << "ERROR: i=" << c.intensity << " " << key
+                    << " drifted: " << cur << " vs reference " << want
+                    << "\n";
+          rc = 1;
+        } else {
+          std::cout << "reference check i=" << c.intensity << " " << key
+                    << ": " << cur << " — ok\n";
         }
       }
     }
@@ -284,7 +251,8 @@ int main() {
         .set("determinism_hash", std::to_string(c.rep.determinism_hash))
         .set("all_finite", c.rep.all_finite)
         // Last, and sharing no key with the gated fields above:
-        // reference_token takes the first match after the intensity tag.
+        // bench::reference_token takes the first match after the intensity
+        // tag.
         .set("stats", c.rep.stats.to_json());
     arr.push(std::move(o));
   }

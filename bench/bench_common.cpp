@@ -1,8 +1,10 @@
 #include "bench_common.h"
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "net/topology.h"
@@ -194,6 +196,42 @@ void write_json(const std::string& bench_id) {
   const std::string path = "BENCH_" + bench_id + ".json";
   j.write_file(path);
   std::cout << "machine-readable results: " << path << "\n";
+}
+
+std::optional<std::string> read_reference(int& rc) {
+  const char* path = std::getenv("FIGRET_BENCH_REFERENCE");
+  if (path == nullptr) return std::nullopt;
+  std::ifstream in(path);
+  if (!in) {
+    std::cout << "ERROR: cannot read bench reference " << path << "\n";
+    rc = 1;
+    return std::nullopt;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::string reference_token(const std::string& ref,
+                            std::initializer_list<std::string> anchors,
+                            const std::string& key) {
+  std::size_t at = 0;
+  for (const std::string& anchor : anchors) {
+    at = ref.find(anchor, at);
+    if (at == std::string::npos) return "";
+  }
+  const std::string needle = "\"" + key + "\":";
+  at = ref.find(needle, at);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = ref.find_first_not_of(" \n", at + needle.size());
+  if (begin == std::string::npos) return "";
+  if (ref[begin] == '"') {
+    const std::size_t end = ref.find('"', begin + 1);
+    return end == std::string::npos ? ""
+                                    : ref.substr(begin + 1, end - begin - 1);
+  }
+  const std::size_t end = ref.find_first_of(",}] \n", begin);
+  return ref.substr(begin, end - begin);  // to the end when end is npos
 }
 
 }  // namespace figret::bench

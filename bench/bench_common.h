@@ -8,7 +8,9 @@
 // the environment for larger instances.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,5 +70,20 @@ std::vector<std::string> eval_header();
 void json_add_table(const std::string& section, const util::Table& table);
 void json_add_check(const std::string& name, bool pass);
 void write_json(const std::string& bench_id);
+
+/// The committed reference a bench's regression gates compare against: the
+/// text of the BENCH_<id>.json that FIGRET_BENCH_REFERENCE names, or nullopt
+/// when the variable is unset. A file that cannot be read prints an error,
+/// sets `rc` to 1 and gives nullopt.
+std::optional<std::string> read_reference(int& rc);
+
+/// The raw value token of `"<key>": <value>` in a reference's text (util::Json
+/// is a writer, so the text is scanned): the first key after each of
+/// `anchors` in turn, each found after the previous one. A quoted value comes
+/// without its quotes, a number as written; "" when an anchor or the key is
+/// missing.
+std::string reference_token(const std::string& ref,
+                            std::initializer_list<std::string> anchors,
+                            const std::string& key);
 
 }  // namespace figret::bench

@@ -20,10 +20,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -423,45 +421,28 @@ int main(int argc, char** argv) {
   // CI regression smoke: FIGRET_BENCH_REFERENCE points at a committed
   // BENCH_tab02_timing.json; fail when a dual-warm chain now needs more
   // than 3x the reference pivot count (+ a small grace for tiny counts).
-  // util::Json is a writer, so the reference is string-scanned: locate the
-  // "rhs_chain" array, then each network's "warm_pivots" within it.
+  // Each network's "warm_pivots" is read within the "rhs_chain" array.
   int rc = chain_failed ? 1 : 0;
-  if (const char* ref_path = std::getenv("FIGRET_BENCH_REFERENCE")) {
-    std::ifstream in(ref_path);
-    if (!in) {
-      std::cout << "ERROR: cannot read bench reference " << ref_path << "\n";
-      rc = 1;
-    } else {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const std::string ref = buf.str();
-      const std::size_t chain_at = ref.find("\"rhs_chain\"");
-      for (const ChainRecord& cur : chain_records) {
-        std::size_t ref_pivots = static_cast<std::size_t>(-1);
-        if (chain_at != std::string::npos) {
-          const std::size_t net_at = ref.find(
-              "\"network\": \"" + cur.network + "\"", chain_at);
-          if (net_at != std::string::npos) {
-            const std::size_t piv_at = ref.find("\"warm_pivots\":", net_at);
-            if (piv_at != std::string::npos)
-              ref_pivots = static_cast<std::size_t>(
-                  std::strtoull(ref.c_str() + piv_at + 14, nullptr, 10));
-          }
-        }
-        if (ref_pivots == static_cast<std::size_t>(-1)) {
-          std::cout << "ERROR: reference has no rhs_chain warm_pivots for "
-                    << cur.network << "\n";
-          rc = 1;
-        } else if (cur.warm_pivots > 3 * ref_pivots + 48) {
-          std::cout << "ERROR: " << cur.network
-                    << " dual-warm pivots regressed: " << cur.warm_pivots
-                    << " vs reference " << ref_pivots << "\n";
-          rc = 1;
-        } else {
-          std::cout << "reference check " << cur.network << ": warm pivots "
-                    << cur.warm_pivots << " vs reference " << ref_pivots
-                    << " — ok\n";
-        }
+  if (const auto ref = bench::read_reference(rc)) {
+    for (const ChainRecord& cur : chain_records) {
+      const std::string token = bench::reference_token(
+          *ref, {"\"rhs_chain\"", "\"network\": \"" + cur.network + "\""},
+          "warm_pivots");
+      const std::size_t ref_pivots = static_cast<std::size_t>(
+          std::strtoull(token.c_str(), nullptr, 10));
+      if (token.empty()) {
+        std::cout << "ERROR: reference has no rhs_chain warm_pivots for "
+                  << cur.network << "\n";
+        rc = 1;
+      } else if (cur.warm_pivots > 3 * ref_pivots + 48) {
+        std::cout << "ERROR: " << cur.network
+                  << " dual-warm pivots regressed: " << cur.warm_pivots
+                  << " vs reference " << ref_pivots << "\n";
+        rc = 1;
+      } else {
+        std::cout << "reference check " << cur.network << ": warm pivots "
+                  << cur.warm_pivots << " vs reference " << ref_pivots
+                  << " — ok\n";
       }
     }
   }

@@ -12,9 +12,7 @@
 //    ranking to exploit).
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "bench_common.h"
@@ -103,18 +101,6 @@ struct ClassResult {
   traffic::TrafficTrace spliced;  // train prefix + class test suffix
   std::vector<std::size_t> eval_indices;
 };
-
-/// String-scans a committed BENCH_tab05_worstcase.json for the row
-/// `"class": "<cls>"` followed by `"<key>": <value>`.
-double reference_value(const std::string& ref, const std::string& cls,
-                       const std::string& key) {
-  const std::size_t at = ref.find("\"class\": \"" + cls + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t val_at = ref.find(needle, at);
-  if (val_at == std::string::npos) return -1.0;
-  return std::strtod(ref.c_str() + val_at + needle.size(), nullptr);
-}
 
 int run_scenario_classes() {
   const bench::Scenario sc = bench::make_scenario("GEANT");
@@ -222,29 +208,22 @@ int run_scenario_classes() {
   // CI regression smoke: regret is a normalized ratio, so the gate compares
   // against the committed reference and fails when the search collapses
   // below 70% of it (generous slack for cross-machine FP/ISA variation).
-  if (const char* ref_path = std::getenv("FIGRET_BENCH_REFERENCE")) {
-    std::ifstream in(ref_path);
-    if (!in) {
-      std::cout << "ERROR: cannot read bench reference " << ref_path << "\n";
+  if (const auto ref = bench::read_reference(rc)) {
+    const std::string token = bench::reference_token(
+        *ref, {"\"class\": \"adversarial\""}, "peak norm MLU");
+    const double want = std::strtod(token.c_str(), nullptr);
+    if (token.empty()) {
+      std::cout << "reference check adversarial peak: not in reference — "
+                   "skipped\n";
+    } else if (att.best_regret < 0.7 * want) {
+      std::cout << "ERROR: adversary regret regressed: "
+                << util::fmt(att.best_regret, 3) << " vs reference "
+                << util::fmt(want, 3) << "\n";
       rc = 1;
     } else {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const double want =
-          reference_value(buf.str(), "adversarial", "peak norm MLU");
-      if (want < 0.0) {
-        std::cout << "reference check adversarial peak: not in reference — "
-                     "skipped\n";
-      } else if (att.best_regret < 0.7 * want) {
-        std::cout << "ERROR: adversary regret regressed: "
-                  << util::fmt(att.best_regret, 3) << " vs reference "
-                  << util::fmt(want, 3) << "\n";
-        rc = 1;
-      } else {
-        std::cout << "reference check adversarial peak: "
-                  << util::fmt(att.best_regret, 3) << " vs reference "
-                  << util::fmt(want, 3) << " — ok\n";
-      }
+      std::cout << "reference check adversarial peak: "
+                << util::fmt(att.best_regret, 3) << " vs reference "
+                << util::fmt(want, 3) << " — ok\n";
     }
   }
   return rc;

@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -33,8 +32,8 @@ namespace {
 // chains over lanes k % kLanes, combined by a fixed pairwise tree. Writing
 // the lanes out explicitly lets the compiler vectorize without -ffast-math
 // (the lane layout is exactly what SIMD hardware computes), and the fixed
-// order makes every kernel that reduces — dot, matvec, matmul_t — bitwise
-// consistent with the others, which is what keeps Mlp::forward_batch
+// order makes every kernel that reduces — matvec, sparse matvec, matmul_t —
+// bitwise consistent with the others, which is what keeps Mlp::forward_batch
 // identical to per-sample forward.
 // ---------------------------------------------------------------------------
 
@@ -65,7 +64,7 @@ FIGRET_FORCE_INLINE void lanes_accum(double* c, const double* a,
 }
 
 // Fixed pairwise tree: ((c0+c1)+(c2+c3)) + ... — deterministic, and the
-// final reduction every fast kernel (dot, matvec, matmul_t) shares.
+// final reduction every fast kernel (matvec, matmul_t) shares.
 FIGRET_FORCE_INLINE double lanes_tree(const double* c) noexcept {
   double t[kLanes];
   for (std::size_t j = 0; j < kLanes; ++j) t[j] = c[j];
@@ -82,8 +81,8 @@ FIGRET_FORCE_INLINE double dot_lanes(const double* a, const double* b,
 }
 
 // out[0..n) += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]: the rank-4 update
-// shared by matmul and t_matmul. Branch-free, stride-1 on every stream, four
-// FMAs per load/store of the output row.
+// shared by matmul_into and t_matmul_accum. Branch-free, stride-1 on every
+// stream, four FMAs per load/store of the output row.
 FIGRET_FORCE_INLINE void rank4_update(double* out, std::size_t n, double a0,
                          const double* b0, double a1, const double* b1,
                          double a2, const double* b2, double a3,
@@ -217,12 +216,6 @@ FIGRET_FORCE_INLINE void sparse_rows_kernel(const Matrix& at,
   }
 }
 
-void check_sparse_row(const Matrix& at, const SparseRow& row) {
-  if (row.value.size() != row.index.size())
-    throw std::invalid_argument("matvec_sparse_into: index/value mismatch");
-  check_indices(row.index, at.rows(), "matvec_sparse_into");
-}
-
 void check_range(std::size_t begin, std::size_t end, std::size_t limit,
                  const char* what) {
   if (begin > end || end > limit)
@@ -233,23 +226,6 @@ void check_range(std::size_t begin, std::size_t end, std::size_t limit,
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::from_rows(std::size_t rows, std::size_t cols,
-                         std::vector<double> data) {
-  if (data.size() != rows * cols)
-    throw std::invalid_argument("Matrix::from_rows: size mismatch");
-  Matrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.data_ = std::move(data);
-  return m;
-}
 
 void Matrix::reset(std::size_t rows, std::size_t cols) {
   rows_ = rows;
@@ -263,75 +239,6 @@ Matrix Matrix::transposed() const {
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   return t;
 }
-
-Matrix Matrix::matmul(const Matrix& other) const {
-  // Checked before `out` exists: with GCC 12, a throw out of a cloned kernel
-  // skips the destructor of a named return value in its caller (ASan reports
-  // the leak), so none of these wrappers may reach the kernel's own check.
-  if (cols_ != other.rows_)
-    throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  matmul_into(*this, other, 0, other.cols_, out);
-  return out;
-}
-
-Matrix Matrix::t_matmul(const Matrix& other) const {
-  if (rows_ != other.rows_)
-    throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
-  Matrix out(cols_, other.cols_);
-  t_matmul_accum(*this, other, 0, cols_, out);
-  return out;
-}
-
-Matrix Matrix::matmul_t(const Matrix& other) const {
-  if (cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
-  Matrix out(rows_, other.rows_);
-  matmul_t_into(*this, other, 0, other.rows_, out);
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::operator+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::operator-=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double scalar) noexcept {
-  for (auto& v : data_) v *= scalar;
-  return *this;
-}
-
-Matrix& Matrix::hadamard(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::hadamard: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
-double Matrix::frobenius_norm() const noexcept {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs() const noexcept {
-  double acc = 0.0;
-  for (double v : data_) acc = std::max(acc, std::abs(v));
-  return acc;
-}
-
-Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-Matrix operator*(Matrix a, double s) { return a *= s; }
 
 FIGRET_ISA_CLONES
 void matmul_t_into(const Matrix& a, const Matrix& b, std::size_t j0,
@@ -540,14 +447,6 @@ void check_indices(std::span<const std::size_t> index, std::size_t limit,
           std::string(what) + ": index not strictly ascending or out of range");
 }
 
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  if (a.cols() != x.size())
-    throw std::invalid_argument("matvec: dimension mismatch");
-  std::vector<double> y;
-  matvec_into(a, x, y);
-  return y;
-}
-
 FIGRET_ISA_CLONES
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y) {
@@ -561,30 +460,13 @@ void matvec_into(const Matrix& a, std::span<const double> x,
 FIGRET_ISA_CLONES
 void matvec_sparse_into(const Matrix& at, std::span<const SparseRow> rows,
                         Matrix& y) {
-  for (const SparseRow& row : rows) check_sparse_row(at, row);
+  for (const SparseRow& row : rows) {
+    if (row.value.size() != row.index.size())
+      throw std::invalid_argument("matvec_sparse_into: index/value mismatch");
+    check_indices(row.index, at.rows(), "matvec_sparse_into");
+  }
   y.reset(rows.size(), at.cols());
   sparse_rows_kernel(at, rows.data(), rows.size(), y.flat().data());
-}
-
-FIGRET_ISA_CLONES
-void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
-                        std::span<const double> value,
-                        std::vector<double>& y) {
-  const SparseRow row{index, value};
-  check_sparse_row(at, row);
-  y.resize(at.cols());
-  sparse_rows_kernel(at, &row, 1, y.data());
-}
-
-FIGRET_ISA_CLONES
-double dot(std::span<const double> a, std::span<const double> b) noexcept {
-  return dot_lanes(a.data(), b.data(), std::min(a.size(), b.size()));
-}
-
-FIGRET_ISA_CLONES
-void axpy(double alpha, std::span<const double> x, std::span<double> y) noexcept {
-  const std::size_t n = std::min(x.size(), y.size());
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace figret::linalg

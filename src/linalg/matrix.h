@@ -1,18 +1,18 @@
-// Minimal dense row-major matrix used by the neural-network substrate and by
-// small analytic computations. Deliberately not a general linear-algebra
-// framework: only the kernels the repository needs, each with checked
-// dimensions (throws std::invalid_argument on mismatch).
+// Minimal dense row-major matrix and the kernels the neural-network
+// substrate runs on. Deliberately not a general linear-algebra framework:
+// only the products the MLP's served and trained passes need, each with
+// checked dimensions (throws std::invalid_argument on mismatch).
 //
-// Kernel design (fabric-scale hot paths): the three matmul variants run
-// cache-blocked tiled kernels with branch-free, explicitly vectorizable
+// Kernel design (fabric-scale hot paths): every product is an `_into` /
+// `_accum` kernel that computes one range of its outputs into a caller's
+// matrix, so callers can spread a product over a thread pool: each output
+// element's reduction order never depends on the range. The kernels are
+// cache-blocked and tiled with branch-free, explicitly vectorizable
 // microkernels — 16 independent accumulator chains per reduction so the
 // compiler can keep FMA pipelines full without -ffast-math reassociation.
-// Every reduction (dot, matvec, sparse-input matvec, matmul_t element) sums
-// in the *same* fixed order, so the batched NN forward and the sparse-input
-// serving forward are bit-identical to the per-sample path. The `_into` /
-// `_accum` kernels compute one range of a product's outputs into a caller's
-// matrix, so callers can spread a product over a thread pool: each output
-// element's reduction order never depends on the range. The
+// Every reduction (matvec, sparse-input matvec, matmul_t element) sums in
+// the *same* fixed order, so the batched NN forward and the sparse-input
+// serving forward are bit-identical to the per-sample path. The
 // pre-optimization kernels are differential-test oracles and live with the
 // tests (tests/support/reference_kernels.h), not here.
 #pragma once
@@ -27,11 +27,6 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  static Matrix identity(std::size_t n);
-  /// Builds from row-major data; requires data.size() == rows*cols.
-  static Matrix from_rows(std::size_t rows, std::size_t cols,
-                          std::vector<double> data);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -60,38 +55,16 @@ class Matrix {
 
   Matrix transposed() const;
 
-  /// this * other. Requires cols() == other.rows().
-  Matrix matmul(const Matrix& other) const;
-  /// transpose(this) * other. Requires rows() == other.rows().
-  Matrix t_matmul(const Matrix& other) const;
-  /// this * transpose(other). Requires cols() == other.cols().
-  Matrix matmul_t(const Matrix& other) const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar) noexcept;
-
-  /// Element-wise (Hadamard) product in place.
-  Matrix& hadamard(const Matrix& other);
-
-  double frobenius_norm() const noexcept;
-  double max_abs() const noexcept;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
 
-Matrix operator+(Matrix a, const Matrix& b);
-Matrix operator-(Matrix a, const Matrix& b);
-Matrix operator*(Matrix a, double s);
-
-/// y = A x for a row-major matrix and dense vector (checked dimensions).
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
-
-/// Allocation-free matvec: y is resized to a.rows(). Each y[i] reduces in the
-/// same order as dot(a.row(i), x).
+/// y = A x for a dense vector x, allocation-free once y has capacity: y is
+/// resized to a.rows(). Each y[i] sums its terms a(i, k) * x[k] in 16 lane
+/// chains (lane k % 16, ascending k) combined by a fixed pairwise tree — the
+/// reduction order every kernel here shares.
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
 
@@ -123,13 +96,10 @@ struct SparseRow {
 void matvec_sparse_into(const Matrix& at, std::span<const SparseRow> rows,
                         Matrix& y);
 
-/// The single-row form: y (resized to at.cols()) = A x, a batch of one.
-void matvec_sparse_into(const Matrix& at, std::span<const std::size_t> index,
-                        std::span<const double> value, std::vector<double>& y);
-
-/// Columns [j0, j1) of a * transpose(b): out(i, j) = dot(a.row(i),
-/// b.row(j)) for every row i of `a`, in matmul_t's lane order. `out` must be
-/// [a.rows() x b.rows()]; its other columns are left as they are.
+/// Columns [j0, j1) of a * transpose(b): out(i, j) = a.row(i) . b.row(j) for
+/// every row i of `a`, in matvec_into's lane order (so row i of the product
+/// is bit-identical to matvec_into(b, a.row(i))). `out` must be [a.rows() x
+/// b.rows()]; its other columns are left as they are.
 void matmul_t_into(const Matrix& a, const Matrix& b, std::size_t j0,
                    std::size_t j1, Matrix& out);
 
@@ -146,8 +116,8 @@ void matmul_t_into(const Matrix& a, std::span<const std::size_t> cols,
 
 /// Rows [i0, i1) of out += transpose(a) * b. Each element adds its terms
 /// k = 0, 1, ... onto its current value four at a time (then one at a time
-/// for the last rows() % 4), the sequence t_matmul uses, so on a zero `out`
-/// the result is t_matmul's bit for bit. `out` must be [a.cols() x b.cols()].
+/// for the last rows() % 4), whatever the range. `out` must be [a.cols() x
+/// b.cols()].
 void t_matmul_accum(const Matrix& a, const Matrix& b, std::size_t i0,
                     std::size_t i1, Matrix& out);
 
@@ -159,17 +129,11 @@ void t_matmul_accum(const Matrix& a, const Matrix& b,
                     std::span<const std::size_t> cols, std::size_t i0,
                     std::size_t i1, Matrix& out);
 
-/// Columns [j0, j1) of a * b, in matmul's order. `out` must be [a.rows() x
-/// b.cols()]; its other columns are left as they are.
+/// Columns [j0, j1) of a * b: each element starts at zero and adds its
+/// terms k = 0, 1, ... four at a time (then one at a time for the last
+/// a.cols() % 4), whatever the range. `out` must be [a.rows() x b.cols()];
+/// its other columns are left as they are.
 void matmul_into(const Matrix& a, const Matrix& b, std::size_t j0,
                  std::size_t j1, Matrix& out);
-
-/// Dot product over the common prefix of the two spans. Sixteen independent
-/// accumulator chains (lanes k%16), combined by a fixed pairwise tree — the
-/// reduction order every matrix kernel shares.
-double dot(std::span<const double> a, std::span<const double> b) noexcept;
-
-/// y += alpha * x over the common prefix.
-void axpy(double alpha, std::span<const double> x, std::span<double> y) noexcept;
 
 }  // namespace figret::linalg

@@ -99,10 +99,8 @@ void Mlp::activate(std::size_t l, std::span<double> pre,
   if (l + 1 < weight_.size()) {
     for (std::size_t r = r0; r < r1; ++r)
       post[r] = pre[r] > 0.0 ? pre[r] : 0.0;  // ReLU
-  } else if (cfg_.output == OutputActivation::kSigmoid) {
-    for (std::size_t r = r0; r < r1; ++r) post[r] = sigmoid(pre[r]);
   } else {
-    std::copy(pre.begin() + r0, pre.begin() + r1, post.begin() + r0);
+    for (std::size_t r = r0; r < r1; ++r) post[r] = sigmoid(pre[r]);
   }
 }
 
@@ -149,13 +147,6 @@ const linalg::Matrix& Mlp::forward_sparse(
       activate(l, pre.row(s), post.row(s), 0, w.rows());
   }
   return ws.post.back();
-}
-
-std::span<const double> Mlp::forward_sparse(
-    std::span<const std::size_t> index, std::span<const double> value,
-    const linalg::Matrix& w0_t, MlpBatchWorkspace& ws) const {
-  const linalg::SparseRow row{index, value};
-  return forward_sparse(std::span(&row, 1), w0_t, ws).row(0);
 }
 
 void Mlp::reserve(MlpBatchWorkspace& ws, std::size_t rows) const {
@@ -220,53 +211,6 @@ const linalg::Matrix& Mlp::run_forward_batch(
   return ws.post.back();
 }
 
-void Mlp::backward(std::span<const double> x, const MlpWorkspace& ws,
-                   std::span<const double> dl_doutput,
-                   MlpGradients& grads) const {
-  const std::size_t layers = weight_.size();
-  if (ws.post.size() != layers)
-    throw std::invalid_argument("Mlp::backward: stale workspace");
-  if (dl_doutput.size() != output_size())
-    throw std::invalid_argument("Mlp::backward: output grad size mismatch");
-
-  // delta = dL/d(pre-activation) of the current layer, starting at the top.
-  std::vector<double> delta(dl_doutput.begin(), dl_doutput.end());
-  if (cfg_.output == OutputActivation::kSigmoid) {
-    const auto& y = ws.post.back();
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      delta[i] *= y[i] * (1.0 - y[i]);
-  }
-
-  for (std::size_t li = layers; li-- > 0;) {
-    const std::span<const double> in = li == 0
-                                           ? x
-                                           : std::span<const double>(
-                                                 ws.post[li - 1]);
-    linalg::Matrix& gw = grads.weight[li];
-    auto& gb = grads.bias[li];
-    for (std::size_t r = 0; r < gw.rows(); ++r) {
-      const double d = delta[r];
-      if (d == 0.0) continue;
-      gb[r] += d;
-      linalg::axpy(d, in, gw.row(r));
-    }
-    if (li == 0) break;
-
-    // Propagate: delta_prev = W^T delta, masked by ReLU'(pre_{l-1}).
-    const linalg::Matrix& w = weight_[li];
-    std::vector<double> prev(w.cols(), 0.0);
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      const double d = delta[r];
-      if (d == 0.0) continue;
-      linalg::axpy(d, w.row(r), prev);
-    }
-    const auto& pre = ws.pre[li - 1];
-    for (std::size_t i = 0; i < prev.size(); ++i)
-      if (pre[i] <= 0.0) prev[i] = 0.0;
-    delta = std::move(prev);
-  }
-}
-
 void Mlp::backward_batch(const linalg::Matrix& x, MlpBatchWorkspace& ws,
                          const linalg::Matrix& dl_doutput,
                          MlpGradients& grads) const {
@@ -313,14 +257,15 @@ void Mlp::run_backward_batch(const linalg::Matrix& x,
   if (!shaped)
     throw std::invalid_argument("Mlp::backward_batch: gradient shape mismatch");
 
-  // delta = dL/d(pre-activation), [batch x width] of the current layer.
+  // delta = dL/d(pre-activation), [batch x width] of the current layer,
+  // starting at the sigmoid head.
   ws.delta.reset(batch, output_size());
-  std::copy(dl_doutput.flat().begin(), dl_doutput.flat().end(),
-            ws.delta.flat().begin());
-  if (cfg_.output == OutputActivation::kSigmoid) {
+  {
+    const std::span<const double> dl = dl_doutput.flat();
+    const std::span<const double> y = ws.post.back().flat();
     std::span<double> d = ws.delta.flat();
-    const std::span<const double> yv = ws.post.back().flat();
-    for (std::size_t i = 0; i < d.size(); ++i) d[i] *= yv[i] * (1.0 - yv[i]);
+    for (std::size_t i = 0; i < d.size(); ++i)
+      d[i] = dl[i] * (y[i] * (1.0 - y[i]));
   }
 
   for (std::size_t li = layers; li-- > 0;) {

@@ -4,8 +4,8 @@
 //
 // The loss is *not* part of this module: TE losses (MLU + fine-grained
 // robustness) are computed by the te library, which supplies dL/d(output) to
-// Mlp::backward. Gradient correctness is verified against finite differences
-// in tests/test_nn.cpp.
+// Mlp::backward_batch. Gradient correctness is verified against finite
+// differences in tests/test_mlp.cpp.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +16,10 @@
 
 namespace figret::nn {
 
-enum class OutputActivation { kSigmoid, kIdentity };
-
+/// ReLU hidden layers and a sigmoid output layer (the split ratios' head).
 struct MlpConfig {
   /// Layer widths including input and output, e.g. {in, 128, ..., 128, out}.
   std::vector<std::size_t> layer_sizes;
-  OutputActivation output = OutputActivation::kSigmoid;
   std::uint64_t seed = 1;
 };
 
@@ -38,7 +36,7 @@ struct MlpGradients {
   void zero(std::span<const std::size_t> active_inputs);
 };
 
-/// Scratch buffers for one forward/backward pass (reusable across samples).
+/// Scratch buffers for one single-row forward pass (reusable across samples).
 struct MlpWorkspace {
   std::vector<std::vector<double>> pre;   // pre-activation per layer
   std::vector<std::vector<double>> post;  // post-activation per layer
@@ -60,7 +58,6 @@ class Mlp {
 
   std::size_t input_size() const noexcept { return cfg_.layer_sizes.front(); }
   std::size_t output_size() const noexcept { return cfg_.layer_sizes.back(); }
-  OutputActivation output_activation() const noexcept { return cfg_.output; }
   std::size_t num_layers() const noexcept { return weight_.size(); }
   std::size_t num_parameters() const noexcept;
 
@@ -82,20 +79,9 @@ class Mlp {
   const linalg::Matrix& forward_sparse(std::span<const linalg::SparseRow> rows,
                                        const linalg::Matrix& w0_t,
                                        MlpBatchWorkspace& ws) const;
-  /// forward_sparse for one row (a batch of one); the returned span aliases
-  /// row 0 of ws.post.back().
-  std::span<const double> forward_sparse(std::span<const std::size_t> index,
-                                         std::span<const double> value,
-                                         const linalg::Matrix& w0_t,
-                                         MlpBatchWorkspace& ws) const;
   /// Sizes `ws` for forward_sparse passes of up to `rows` rows, so that
   /// those passes allocate nothing.
   void reserve(MlpBatchWorkspace& ws, std::size_t rows) const;
-
-  /// Backpropagates dL/d(output) through the pass recorded in `ws`,
-  /// *accumulating* into `grads` (callers zero() between minibatches).
-  void backward(std::span<const double> x, const MlpWorkspace& ws,
-                std::span<const double> dl_doutput, MlpGradients& grads) const;
 
   /// Minibatch forward: `x` is [batch x input_size], row b is sample b. The
   /// returned matrix aliases ws.post.back() ([batch x output_size]) and row b
@@ -117,12 +103,13 @@ class Mlp {
                                       std::span<const std::size_t> active_inputs,
                                       MlpBatchWorkspace& ws) const;
 
-  /// Minibatch backward: `dl_doutput` is [batch x output_size]. Accumulates
-  /// the summed-over-batch parameter gradients into `grads`, matching a
-  /// sample-by-sample backward() over the rows of `x`: each gradient element
-  /// adds its samples' terms in ascending order, four at a time — on zeroed
-  /// gradients exactly transpose(delta) * x. Runs in fixed chunks of output
-  /// rows on the global pool, with the same result at any pool width.
+  /// Minibatch backward through the pass recorded in `ws`: `dl_doutput` is
+  /// [batch x output_size]. *Accumulates* the summed-over-batch parameter
+  /// gradients into `grads` (callers zero() between minibatches): each
+  /// gradient element adds its samples' terms in ascending order, four at a
+  /// time — on zeroed gradients exactly transpose(delta) * x. Runs in fixed
+  /// chunks of output rows on the global pool, with the same result at any
+  /// pool width.
   void backward_batch(const linalg::Matrix& x, MlpBatchWorkspace& ws,
                       const linalg::Matrix& dl_doutput,
                       MlpGradients& grads) const;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,13 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'G', 'N', 'N'};
 constexpr std::uint32_t kVersion = 1;
+/// The output-activation field: 0 names the sigmoid head, the only one.
+constexpr std::uint32_t kSigmoidHead = 0;
+constexpr std::uint32_t kMaxSizes = 64;
+constexpr std::uint64_t kMaxWidth = std::uint64_t{1} << 24;
+// A claimed shape's parameter bytes cannot overflow the count below.
+static_assert((kMaxSizes - 1) * (kMaxWidth * kMaxWidth + kMaxWidth) <=
+              std::numeric_limits<std::uint64_t>::max() / sizeof(double));
 
 void write_u32(std::ostream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -51,7 +59,7 @@ void save_mlp(const Mlp& model, std::ostream& os) {
   write_u64(os, model.input_size());
   for (std::size_t l = 0; l < layers; ++l)
     write_u64(os, model.weights()[l].rows());
-  write_u32(os, static_cast<std::uint32_t>(model.output_activation()));
+  write_u32(os, kSigmoidHead);
   for (std::size_t l = 0; l < layers; ++l) {
     write_doubles(os, model.weights()[l].flat());
     write_doubles(os, model.biases()[l]);
@@ -69,18 +77,30 @@ Mlp load_mlp(std::istream& is) {
     throw std::runtime_error("load_mlp: unsupported version");
 
   const std::uint32_t n_sizes = read_u32(is);
-  if (n_sizes < 2 || n_sizes > 64)
+  if (n_sizes < 2 || n_sizes > kMaxSizes)
     throw std::runtime_error("load_mlp: implausible layer count");
-  MlpConfig cfg;
+  std::uint64_t sizes[kMaxSizes] = {};
+  std::uint64_t params = 0;
   for (std::uint32_t i = 0; i < n_sizes; ++i) {
-    const std::uint64_t s = read_u64(is);
-    if (s == 0 || s > (1u << 24))
+    sizes[i] = read_u64(is);
+    if (sizes[i] == 0 || sizes[i] > kMaxWidth)
       throw std::runtime_error("load_mlp: implausible layer size");
-    cfg.layer_sizes.push_back(static_cast<std::size_t>(s));
+    if (i > 0) params += sizes[i] * sizes[i - 1] + sizes[i];
   }
-  const std::uint32_t act = read_u32(is);
-  if (act > 1) throw std::runtime_error("load_mlp: bad activation tag");
-  cfg.output = static_cast<OutputActivation>(act);
+  if (read_u32(is) != kSigmoidHead)
+    throw std::runtime_error("load_mlp: bad activation tag");
+  // A stream that knows its length must hold every parameter before the
+  // model is built: a header alone may claim more than the host can map.
+  if (const std::streampos at = is.tellg(); at != std::streampos(-1)) {
+    is.seekg(0, std::ios::end);
+    const std::streamoff left = is.tellg() - at;
+    is.seekg(at);
+    if (!is || static_cast<std::uint64_t>(left) < params * sizeof(double))
+      throw std::runtime_error("load_mlp: truncated parameters");
+  }
+
+  MlpConfig cfg;
+  cfg.layer_sizes.assign(sizes, sizes + n_sizes);
 
   Mlp model(cfg);
   for (std::size_t l = 0; l < model.num_layers(); ++l) {

@@ -5,7 +5,8 @@
 //
 // Format (little-endian, doubles as IEEE-754):
 //   magic "FGNN" | u32 version | u32 num_layers+1 | u64 layer sizes...
-//   | u32 output activation | per layer: weights (row-major), biases
+//   | u32 output activation (always 0: sigmoid)
+//   | per layer: weights (row-major), biases
 #pragma once
 
 #include <iosfwd>
@@ -19,7 +20,9 @@ namespace figret::nn {
 void save_mlp(const Mlp& model, std::ostream& os);
 
 /// Reads a model previously written by save_mlp. Throws std::runtime_error
-/// on malformed input (bad magic, version, or truncation).
+/// on malformed input (bad magic, version or activation tag, or truncation).
+/// A stream that can report its length (files, string streams) is checked
+/// for every claimed parameter byte before the model is allocated.
 Mlp load_mlp(std::istream& is);
 
 }  // namespace figret::nn

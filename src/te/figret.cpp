@@ -113,7 +113,6 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   mcfg.layer_sizes.push_back(opt_.history * pairs);
   for (std::size_t h : opt_.hidden) mcfg.layer_sizes.push_back(h);
   mcfg.layer_sizes.push_back(ps_->num_paths());
-  mcfg.output = nn::OutputActivation::kSigmoid;
   mcfg.seed = opt_.seed;
   nn::Mlp model(mcfg);
 

@@ -56,6 +56,51 @@ Matrix matmul_t_reference(const Matrix& a, const Matrix& b) {
 
 }  // namespace figret::linalg
 
+namespace figret::nn {
+
+void backward_reference(const Mlp& net, std::span<const double> x,
+                        const MlpWorkspace& ws,
+                        std::span<const double> dl_doutput,
+                        MlpGradients& grads) {
+  const std::size_t layers = net.num_layers();
+  if (ws.post.size() != layers)
+    throw std::invalid_argument("backward_reference: stale workspace");
+  if (dl_doutput.size() != net.output_size())
+    throw std::invalid_argument("backward_reference: output grad size");
+
+  // delta = dL/d(pre-activation) of the current layer, from the sigmoid head.
+  std::vector<double> delta(dl_doutput.begin(), dl_doutput.end());
+  const std::vector<double>& y = ws.post.back();
+  for (std::size_t i = 0; i < delta.size(); ++i)
+    delta[i] *= y[i] * (1.0 - y[i]);
+
+  for (std::size_t li = layers; li-- > 0;) {
+    const std::span<const double> in =
+        li == 0 ? x : std::span<const double>(ws.post[li - 1]);
+    linalg::Matrix& gw = grads.weight[li];
+    for (std::size_t r = 0; r < gw.rows(); ++r) {
+      grads.bias[li][r] += delta[r];
+      const std::span<double> row = gw.row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) row[c] += delta[r] * in[c];
+    }
+    if (li == 0) break;
+
+    // delta_prev = W^T delta, masked by ReLU'(pre_{l-1}).
+    const linalg::Matrix& w = net.weights()[li];
+    std::vector<double> prev(w.cols(), 0.0);
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      const std::span<const double> row = w.row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) prev[c] += delta[r] * row[c];
+    }
+    const std::vector<double>& pre = ws.pre[li - 1];
+    for (std::size_t i = 0; i < prev.size(); ++i)
+      if (pre[i] <= 0.0) prev[i] = 0.0;
+    delta = std::move(prev);
+  }
+}
+
+}  // namespace figret::nn
+
 namespace figret::te {
 
 void edge_loads_reference_into(const PathSet& ps,
@@ -87,8 +132,10 @@ const linalg::Matrix& forward_batch_reference(const nn::Mlp& net,
   ws.post.resize(layers);
   const linalg::Matrix* in = &x;
   for (std::size_t l = 0; l < layers; ++l) {
-    ws.pre[l] = in->matmul_t(net.weights()[l]);
+    const linalg::Matrix& w = net.weights()[l];
     linalg::Matrix& pre = ws.pre[l];
+    pre = linalg::Matrix(in->rows(), w.rows());
+    linalg::matmul_t_into(*in, w, 0, w.rows(), pre);
     const std::vector<double>& b = net.biases()[l];
     for (std::size_t r = 0; r < pre.rows(); ++r) {
       const std::span<double> row = pre.row(r);
@@ -101,10 +148,8 @@ const linalg::Matrix& forward_batch_reference(const nn::Mlp& net,
     if (l + 1 < layers) {
       for (std::size_t i = 0; i < src.size(); ++i)
         dst[i] = src[i] > 0.0 ? src[i] : 0.0;  // ReLU
-    } else if (net.output_activation() == nn::OutputActivation::kSigmoid) {
-      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = nn::sigmoid(src[i]);
     } else {
-      std::copy(src.begin(), src.end(), dst.begin());
+      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = nn::sigmoid(src[i]);
     }
     in = &post;
   }
@@ -117,21 +162,25 @@ void backward_batch_reference(const nn::Mlp& net, const linalg::Matrix& x,
                               nn::MlpGradients& grads) {
   const std::size_t layers = net.num_layers();
   linalg::Matrix delta = dl;
-  if (net.output_activation() == nn::OutputActivation::kSigmoid) {
+  {
     std::span<double> d = delta.flat();
     const std::span<const double> y = ws.post.back().flat();
     for (std::size_t i = 0; i < d.size(); ++i) d[i] *= y[i] * (1.0 - y[i]);
   }
   for (std::size_t li = layers; li-- > 0;) {
     const linalg::Matrix& in = li == 0 ? x : ws.post[li - 1];
-    grads.weight[li] += delta.t_matmul(in);
+    // The gradients are zero here, so accumulating into them gives the
+    // bytes of a product into a fresh matrix.
+    linalg::t_matmul_accum(delta, in, 0, delta.cols(), grads.weight[li]);
     std::vector<double>& gb = grads.bias[li];
     for (std::size_t b = 0; b < delta.rows(); ++b) {
       const std::span<const double> row = delta.row(b);
       for (std::size_t r = 0; r < row.size(); ++r) gb[r] += row[r];
     }
     if (li == 0) break;
-    linalg::Matrix prev = delta.matmul(net.weights()[li]);
+    const linalg::Matrix& w = net.weights()[li];
+    linalg::Matrix prev(delta.rows(), w.cols());
+    linalg::matmul_into(delta, w, 0, w.cols(), prev);
     const std::span<const double> pre = ws.pre[li - 1].flat();
     std::span<double> pv = prev.flat();
     for (std::size_t i = 0; i < pv.size(); ++i)
@@ -200,7 +249,6 @@ ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
   mcfg.layer_sizes.push_back(opt.history * pairs);
   for (std::size_t h : opt.hidden) mcfg.layer_sizes.push_back(h);
   mcfg.layer_sizes.push_back(ps.num_paths());
-  mcfg.output = nn::OutputActivation::kSigmoid;
   mcfg.seed = opt.seed;
   nn::Mlp model(mcfg);
 

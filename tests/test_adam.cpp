@@ -15,7 +15,6 @@ namespace {
 Mlp tiny_model(std::uint64_t seed = 1) {
   MlpConfig cfg;
   cfg.layer_sizes = {2, 8, 1};
-  cfg.output = OutputActivation::kIdentity;
   cfg.seed = seed;
   return Mlp(cfg);
 }
@@ -73,34 +72,41 @@ TEST(Adam, ClipNormBoundsUpdate) {
   EXPECT_LE(std::abs(m.weights()[0](0, 0) - before), 0.11);
 }
 
-TEST(Adam, ConvergesOnLinearRegression) {
-  // Train y = 2 x0 - 3 x1 + 0.5; Adam must drive the MSE near zero.
-  Mlp m = tiny_model(7);
+TEST(Adam, ConvergesOnLogisticRegression) {
+  // Train y = sigmoid(2 x0 - 3 x2 + 0.5) with input 1 always zero, through
+  // the active-input passes and step FigretScheme::fit runs; Adam must drive
+  // the MSE near zero.
+  MlpConfig mcfg;
+  mcfg.layer_sizes = {3, 8, 1};
+  mcfg.seed = 7;
+  Mlp m(mcfg);
   AdamConfig cfg;
   cfg.learning_rate = 0.01;
   Adam adam(m, cfg);
   MlpGradients g = m.make_gradients();
-  MlpWorkspace ws;
+  MlpBatchWorkspace ws;
   util::Rng rng(3);
 
-  auto target = [](double a, double b) { return 2.0 * a - 3.0 * b + 0.5; };
+  constexpr std::size_t kBatch = 8;
+  const std::vector<std::size_t> active{0, 2};
+  auto target = [](double a, double b) { return sigmoid(2.0 * a - 3.0 * b + 0.5); };
+  linalg::Matrix x(kBatch, active.size()), dl(kBatch, 1);
   double final_loss = 1e300;
   for (int step = 0; step < 3000; ++step) {
-    g.zero();
+    for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+    const linalg::Matrix& y = m.forward_batch(x, active, ws);
     double loss = 0.0;
-    for (int k = 0; k < 8; ++k) {
-      const std::vector<double> x{rng.uniform(-1.0, 1.0),
-                                  rng.uniform(-1.0, 1.0)};
-      const auto y = m.forward(x, ws);
-      const double err = y[0] - target(x[0], x[1]);
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      const double err = y(k, 0) - target(x(k, 0), x(k, 1));
       loss += 0.5 * err * err;
-      const std::vector<double> dl{err / 8.0};
-      m.backward(x, ws, dl, g);
+      dl(k, 0) = err / static_cast<double>(kBatch);
     }
-    adam.step(m, g);
-    final_loss = loss / 8.0;
+    g.zero(active);
+    m.backward_batch(x, active, ws, dl, g);
+    adam.step(m, g, active);
+    final_loss = loss / static_cast<double>(kBatch);
   }
-  EXPECT_LT(final_loss, 1e-3);
+  EXPECT_LT(final_loss, 1e-4);
 }
 
 TEST(Adam, RejectsInvalidConfig) {

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <vector>
 
 namespace figret::linalg {
 namespace {
+
+Matrix from_rows(std::size_t rows, std::size_t cols,
+                 std::initializer_list<double> data) {
+  Matrix m(rows, cols);
+  std::copy(data.begin(), data.end(), m.flat().begin());
+  return m;
+}
 
 TEST(Matrix, ConstructionAndIndexing) {
   Matrix m(2, 3, 1.5);
@@ -17,18 +27,11 @@ TEST(Matrix, ConstructionAndIndexing) {
   EXPECT_DOUBLE_EQ(m(0, 1), 7.0);
 }
 
-TEST(Matrix, IdentityMultiplicationIsNoop) {
-  Matrix a = Matrix::from_rows(2, 2, {1, 2, 3, 4});
-  const Matrix i = Matrix::identity(2);
-  const Matrix ai = a.matmul(i);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 2; ++c) EXPECT_DOUBLE_EQ(ai(r, c), a(r, c));
-}
-
 TEST(Matrix, MatmulKnownResult) {
-  const Matrix a = Matrix::from_rows(2, 3, {1, 2, 3, 4, 5, 6});
-  const Matrix b = Matrix::from_rows(3, 2, {7, 8, 9, 10, 11, 12});
-  const Matrix c = a.matmul(b);
+  const Matrix a = from_rows(2, 3, {1, 2, 3, 4, 5, 6});
+  const Matrix b = from_rows(3, 2, {7, 8, 9, 10, 11, 12});
+  Matrix c(2, 2);
+  matmul_into(a, b, 0, 2, c);
   EXPECT_DOUBLE_EQ(c(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c(1, 0), 139.0);
@@ -38,76 +41,46 @@ TEST(Matrix, MatmulKnownResult) {
 TEST(Matrix, MatmulDimensionMismatchThrows) {
   const Matrix a(2, 3);
   const Matrix b(2, 3);
-  EXPECT_THROW(a.matmul(b), std::invalid_argument);
+  Matrix out(2, 3);
+  EXPECT_THROW(matmul_into(a, b, 0, 3, out), std::invalid_argument);
+  EXPECT_THROW(matmul_t_into(a, Matrix(2, 4), 0, 2, out),
+               std::invalid_argument);
+  EXPECT_THROW(t_matmul_accum(a, Matrix(3, 3), 0, 3, out),
+               std::invalid_argument);
+  Matrix wrong(3, 3);
+  EXPECT_THROW(matmul_into(a, Matrix(3, 2), 0, 2, wrong),
+               std::invalid_argument);
+  EXPECT_THROW(matmul_t_into(a, b, 0, 2, wrong), std::invalid_argument);
+  EXPECT_THROW(t_matmul_accum(a, b, 0, 3, out), std::invalid_argument);
 }
 
 TEST(Matrix, TransposedMatmulEqualsExplicitTranspose) {
-  const Matrix a = Matrix::from_rows(3, 2, {1, 2, 3, 4, 5, 6});
-  const Matrix b = Matrix::from_rows(3, 2, {1, 0, 0, 1, 1, 1});
-  const Matrix expected = a.transposed().matmul(b);
-  const Matrix got = a.t_matmul(b);
-  ASSERT_EQ(got.rows(), expected.rows());
-  ASSERT_EQ(got.cols(), expected.cols());
+  const Matrix a = from_rows(3, 2, {1, 2, 3, 4, 5, 6});
+  const Matrix b = from_rows(3, 2, {1, 0, 0, 1, 1, 1});
+  Matrix expected(2, 2), got(2, 2);
+  matmul_into(a.transposed(), b, 0, 2, expected);
+  t_matmul_accum(a, b, 0, 2, got);
   for (std::size_t r = 0; r < got.rows(); ++r)
     for (std::size_t c = 0; c < got.cols(); ++c)
       EXPECT_DOUBLE_EQ(got(r, c), expected(r, c));
 }
 
 TEST(Matrix, MatmulTransposeEqualsExplicit) {
-  const Matrix a = Matrix::from_rows(2, 3, {1, 2, 3, 4, 5, 6});
-  const Matrix b = Matrix::from_rows(4, 3, {1, 1, 1, 0, 1, 0, 2, 0, 2, 1, 2, 3});
-  const Matrix expected = a.matmul(b.transposed());
-  const Matrix got = a.matmul_t(b);
+  const Matrix a = from_rows(2, 3, {1, 2, 3, 4, 5, 6});
+  const Matrix b = from_rows(4, 3, {1, 1, 1, 0, 1, 0, 2, 0, 2, 1, 2, 3});
+  Matrix expected(2, 4), got(2, 4);
+  matmul_into(a, b.transposed(), 0, 4, expected);
+  matmul_t_into(a, b, 0, 4, got);
   for (std::size_t r = 0; r < got.rows(); ++r)
     for (std::size_t c = 0; c < got.cols(); ++c)
       EXPECT_DOUBLE_EQ(got(r, c), expected(r, c));
 }
 
-TEST(Matrix, AdditionSubtractionScaling) {
-  const Matrix a = Matrix::from_rows(2, 2, {1, 2, 3, 4});
-  const Matrix b = Matrix::from_rows(2, 2, {4, 3, 2, 1});
-  const Matrix sum = a + b;
-  const Matrix diff = a - b;
-  const Matrix scaled = a * 2.0;
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 2; ++c) {
-      EXPECT_DOUBLE_EQ(sum(r, c), 5.0);
-      EXPECT_DOUBLE_EQ(diff(r, c), a(r, c) - b(r, c));
-      EXPECT_DOUBLE_EQ(scaled(r, c), 2.0 * a(r, c));
-    }
-}
-
-TEST(Matrix, HadamardProduct) {
-  Matrix a = Matrix::from_rows(1, 3, {1, 2, 3});
-  const Matrix b = Matrix::from_rows(1, 3, {4, 5, 6});
-  a.hadamard(b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 4.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(a(0, 2), 18.0);
-}
-
-TEST(Matrix, ShapeMismatchThrowsOnElementwise) {
-  Matrix a(2, 2);
-  const Matrix b(2, 3);
-  EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
-  EXPECT_THROW(a.hadamard(b), std::invalid_argument);
-}
-
-TEST(Matrix, FrobeniusNormAndMaxAbs) {
-  const Matrix a = Matrix::from_rows(1, 2, {3, -4});
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
-}
-
-TEST(Matrix, FromRowsSizeMismatchThrows) {
-  EXPECT_THROW(Matrix::from_rows(2, 2, {1, 2, 3}), std::invalid_argument);
-}
-
 TEST(VectorOps, MatvecKnownResult) {
-  const Matrix a = Matrix::from_rows(2, 3, {1, 0, 2, 0, 1, 1});
+  const Matrix a = from_rows(2, 3, {1, 0, 2, 0, 1, 1});
   const std::vector<double> x{1, 2, 3};
-  const auto y = matvec(a, x);
+  std::vector<double> y;
+  matvec_into(a, x, y);
   ASSERT_EQ(y.size(), 2u);
   EXPECT_DOUBLE_EQ(y[0], 7.0);
   EXPECT_DOUBLE_EQ(y[1], 5.0);
@@ -116,18 +89,8 @@ TEST(VectorOps, MatvecKnownResult) {
 TEST(VectorOps, MatvecDimensionMismatchThrows) {
   const Matrix a(2, 3);
   const std::vector<double> x{1, 2};
-  EXPECT_THROW(matvec(a, x), std::invalid_argument);
-}
-
-TEST(VectorOps, DotAndAxpy) {
-  const std::vector<double> a{1, 2, 3};
-  const std::vector<double> b{4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  std::vector<double> y{1, 1, 1};
-  axpy(2.0, a, y);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 5.0);
-  EXPECT_DOUBLE_EQ(y[2], 7.0);
+  std::vector<double> y;
+  EXPECT_THROW(matvec_into(a, x, y), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "support/reference_kernels.h"
 #include "util/rng.h"
 
 namespace figret::nn {
@@ -94,12 +96,12 @@ TEST(Mlp, SeedsChangeInitialization) {
 
 // ---------------------------------------------------------------------------
 // The critical property: analytic gradients match finite differences for
-// every parameter, across depths and output activations.
+// every parameter, across depths, through the active-input minibatch passes
+// FigretScheme::fit runs.
 // ---------------------------------------------------------------------------
 
 struct GradCase {
   std::vector<std::size_t> layers;
-  OutputActivation act;
   const char* tag;
 };
 
@@ -109,28 +111,34 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
   const GradCase& gc = GetParam();
   MlpConfig cfg;
   cfg.layer_sizes = gc.layers;
-  cfg.output = gc.act;
   cfg.seed = 11;
   Mlp m(cfg);
 
+  // Every input but each third one is active; the others are zero, so their
+  // first-layer gradients stay zero, as a finite difference finds them.
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < m.input_size(); ++i)
+    if (i % 3 != 1) active.push_back(i);
+  constexpr std::size_t kBatch = 3;
   util::Rng rng(5);
-  std::vector<double> x(m.input_size());
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  // Random linear functional of the outputs as the "loss": L = w . y.
-  std::vector<double> w(m.output_size());
-  for (auto& v : w) v = rng.uniform(-1.0, 1.0);
+  linalg::Matrix x(kBatch, active.size());
+  for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+  // Random linear functional of the outputs as the "loss": L = sum w * y.
+  linalg::Matrix w(kBatch, m.output_size());
+  for (double& v : w.flat()) v = rng.uniform(-1.0, 1.0);
 
-  MlpWorkspace ws;
+  MlpBatchWorkspace ws;
   auto loss = [&] {
-    const auto y = m.forward(x, ws);
+    const linalg::Matrix& y = m.forward_batch(x, active, ws);
     double acc = 0.0;
-    for (std::size_t i = 0; i < y.size(); ++i) acc += w[i] * y[i];
+    for (std::size_t i = 0; i < y.size(); ++i)
+      acc += w.flat()[i] * y.flat()[i];
     return acc;
   };
 
   (void)loss();  // populate workspace
   MlpGradients grads = m.make_gradients();
-  m.backward(x, ws, w, grads);
+  m.backward_batch(x, active, ws, w, grads);
 
   const double eps = 1e-6;
   // Spot-check a deterministic sample of weights in every layer.
@@ -169,11 +177,8 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
 INSTANTIATE_TEST_SUITE_P(
     Architectures, MlpGradient,
     ::testing::Values(
-        GradCase{{3, 5, 2}, OutputActivation::kSigmoid, "small_sigmoid"},
-        GradCase{{3, 5, 2}, OutputActivation::kIdentity, "small_identity"},
-        GradCase{{6, 16, 16, 4}, OutputActivation::kSigmoid, "deep_sigmoid"},
-        GradCase{{4, 8, 8, 8, 3}, OutputActivation::kSigmoid, "deeper"},
-        GradCase{{2, 128, 3}, OutputActivation::kSigmoid, "wide"}),
+        GradCase{{3, 5, 2}, "small"}, GradCase{{6, 16, 16, 4}, "deep"},
+        GradCase{{4, 8, 8, 8, 3}, "deeper"}, GradCase{{2, 128, 3}, "wide"}),
     [](const auto& info) { return info.param.tag; });
 
 TEST(MlpGradients, ZeroClearsEverything) {
@@ -181,11 +186,12 @@ TEST(MlpGradients, ZeroClearsEverything) {
   cfg.layer_sizes = {2, 4, 2};
   Mlp m(cfg);
   MlpGradients g = m.make_gradients();
-  MlpWorkspace ws;
-  const std::vector<double> x{0.5, -0.5};
-  (void)m.forward(x, ws);
-  const std::vector<double> dl{1.0, 1.0};
-  m.backward(x, ws, dl, g);
+  MlpBatchWorkspace ws;
+  linalg::Matrix x(1, 2), dl(1, 2, 1.0);
+  x(0, 0) = 0.5;
+  x(0, 1) = -0.5;
+  (void)m.forward_batch(x, ws);
+  m.backward_batch(x, ws, dl, g);
   g.zero();
   for (const auto& wm : g.weight)
     for (double v : wm.flat()) EXPECT_DOUBLE_EQ(v, 0.0);
@@ -197,15 +203,18 @@ TEST(Mlp, BackwardAccumulates) {
   MlpConfig cfg;
   cfg.layer_sizes = {2, 4, 2};
   Mlp m(cfg);
-  MlpWorkspace ws;
-  const std::vector<double> x{0.5, -0.25};
-  (void)m.forward(x, ws);
-  const std::vector<double> dl{1.0, -1.0};
+  MlpBatchWorkspace ws;
+  linalg::Matrix x(1, 2), dl(1, 2);
+  x(0, 0) = 0.5;
+  x(0, 1) = -0.25;
+  dl(0, 0) = 1.0;
+  dl(0, 1) = -1.0;
+  (void)m.forward_batch(x, ws);
   MlpGradients once = m.make_gradients();
-  m.backward(x, ws, dl, once);
+  m.backward_batch(x, ws, dl, once);
   MlpGradients twice = m.make_gradients();
-  m.backward(x, ws, dl, twice);
-  m.backward(x, ws, dl, twice);
+  m.backward_batch(x, ws, dl, twice);
+  m.backward_batch(x, ws, dl, twice);
   for (std::size_t l = 0; l < m.num_layers(); ++l)
     for (std::size_t i = 0; i < once.weight[l].size(); ++i)
       EXPECT_NEAR(twice.weight[l].flat()[i], 2.0 * once.weight[l].flat()[i],
@@ -258,7 +267,7 @@ TEST(Mlp, BackwardBatchMatchesSummedPerSampleBackward) {
   MlpGradients summed = m.make_gradients();
   for (std::size_t b = 0; b < batch; ++b) {
     (void)m.forward(x.row(b), ws);
-    m.backward(x.row(b), ws, dl.row(b), summed);
+    backward_reference(m, x.row(b), ws, dl.row(b), summed);
   }
 
   for (std::size_t l = 0; l < m.num_layers(); ++l) {
@@ -389,42 +398,40 @@ TEST(Mlp, ForwardBatchRejectsWrongWidth) {
 
 TEST(Mlp, ForwardSparseMatchesForwardBitForBit) {
   // The serving path: a wide, mostly-zero input through the transposed first
-  // layer must give forward()'s output bytes, for either output head.
-  for (const OutputActivation head :
-       {OutputActivation::kSigmoid, OutputActivation::kIdentity}) {
-    MlpConfig cfg;
-    cfg.layer_sizes = {300, 32, 32, 11};
-    cfg.output = head;
-    cfg.seed = 41;
-    const Mlp m(cfg);
-    const linalg::Matrix w0_t = m.weights()[0].transposed();
-    util::Rng rng(43);
-    MlpWorkspace dense_ws;
-    MlpBatchWorkspace sparse_ws;
-    for (const double density : {0.0, 0.01, 0.2, 1.0}) {
-      std::vector<double> x(m.input_size(), 0.0);
-      std::vector<std::size_t> index;
-      std::vector<double> value;
-      for (std::size_t k = 0; k < x.size(); ++k) {
-        if (!rng.bernoulli(density)) continue;
-        x[k] = rng.uniform(0.0, 1.0);
-        index.push_back(k);
-        value.push_back(x[k]);
-      }
-      const auto dense = m.forward(x, dense_ws);
-      const auto sparse = m.forward_sparse(index, value, w0_t, sparse_ws);
-      ASSERT_EQ(sparse.size(), dense.size());
-      EXPECT_EQ(std::memcmp(sparse.data(), dense.data(),
-                            dense.size() * sizeof(double)),
-                0)
-          << "density " << density;
+  // layer must give forward()'s output bytes.
+  MlpConfig cfg;
+  cfg.layer_sizes = {300, 32, 32, 11};
+  cfg.seed = 41;
+  const Mlp m(cfg);
+  const linalg::Matrix w0_t = m.weights()[0].transposed();
+  util::Rng rng(43);
+  MlpWorkspace dense_ws;
+  MlpBatchWorkspace sparse_ws;
+  for (const double density : {0.0, 0.01, 0.2, 1.0}) {
+    std::vector<double> x(m.input_size(), 0.0);
+    std::vector<std::size_t> index;
+    std::vector<double> value;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      if (!rng.bernoulli(density)) continue;
+      x[k] = rng.uniform(0.0, 1.0);
+      index.push_back(k);
+      value.push_back(x[k]);
     }
+    const auto dense = m.forward(x, dense_ws);
+    const linalg::SparseRow row{index, value};
+    const auto sparse =
+        m.forward_sparse(std::span(&row, 1), w0_t, sparse_ws).row(0);
+    ASSERT_EQ(sparse.size(), dense.size());
+    EXPECT_EQ(std::memcmp(sparse.data(), dense.data(),
+                          dense.size() * sizeof(double)),
+              0)
+        << "density " << density;
   }
 }
 
 TEST(Mlp, ForwardSparseBatchRowsMatchTheirRowsAlone) {
   // The batched serving forward: row b of every batch size must carry the
-  // bytes of the single-row forward_sparse on x_b and of the dense forward(),
+  // bytes of forward_sparse on x_b alone and of the dense forward(),
   // whatever the other rows hold — dense rows, disjoint rows, all-zero rows
   // and rows with different active sets.
   MlpConfig cfg;
@@ -472,7 +479,7 @@ TEST(Mlp, ForwardSparseBatchRowsMatchTheirRowsAlone) {
       ASSERT_EQ(y.cols(), m.output_size());
       for (std::size_t b = 0; b < batch; ++b) {
         const auto single =
-            m.forward_sparse(xs[b].index, xs[b].value, w0_t, single_ws);
+            m.forward_sparse(std::span(&rows[b], 1), w0_t, single_ws).row(0);
         const auto dense = m.forward(xs[b].dense, dense_ws);
         const std::size_t bytes = m.output_size() * sizeof(double);
         EXPECT_EQ(std::memcmp(y.row(b).data(), single.data(), bytes), 0)
@@ -508,8 +515,9 @@ TEST(Mlp, ForwardSparseRejectsWrongTransposedShape) {
   MlpBatchWorkspace ws;
   const std::vector<std::size_t> index = {1};
   const std::vector<double> value = {0.5};
+  const linalg::SparseRow row{index, value};
   // The untransposed weights have the swapped shape.
-  EXPECT_THROW(m.forward_sparse(index, value, m.weights()[0], ws),
+  EXPECT_THROW(m.forward_sparse(std::span(&row, 1), m.weights()[0], ws),
                std::invalid_argument);
 }
 

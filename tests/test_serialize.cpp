@@ -2,19 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "util/rng.h"
 
 namespace figret::nn {
 namespace {
 
-Mlp make_model(OutputActivation act = OutputActivation::kSigmoid) {
+Mlp make_model() {
   MlpConfig cfg;
   cfg.layer_sizes = {5, 16, 8, 3};
-  cfg.output = act;
   cfg.seed = 77;
   return Mlp(cfg);
+}
+
+template <typename T>
+void put(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
 TEST(Serialize, RoundTripPreservesOutputs) {
@@ -26,7 +32,9 @@ TEST(Serialize, RoundTripPreservesOutputs) {
   EXPECT_EQ(loaded.input_size(), original.input_size());
   EXPECT_EQ(loaded.output_size(), original.output_size());
   EXPECT_EQ(loaded.num_layers(), original.num_layers());
-  EXPECT_EQ(loaded.output_activation(), original.output_activation());
+  std::stringstream again;
+  save_mlp(loaded, again);
+  EXPECT_EQ(again.str(), buffer.str());
 
   util::Rng rng(3);
   MlpWorkspace ws1, ws2;
@@ -40,12 +48,34 @@ TEST(Serialize, RoundTripPreservesOutputs) {
   }
 }
 
-TEST(Serialize, RoundTripIdentityActivation) {
-  const Mlp original = make_model(OutputActivation::kIdentity);
+TEST(Serialize, ActivationTagIsTheSigmoidHeadOnly) {
   std::stringstream buffer;
-  save_mlp(original, buffer);
-  const Mlp loaded = load_mlp(buffer);
-  EXPECT_EQ(loaded.output_activation(), OutputActivation::kIdentity);
+  save_mlp(make_model(), buffer);
+  std::string bytes = buffer.str();
+  // magic, version, size count, four u64 sizes, then the u32 tag.
+  const std::size_t tag_at = 4 + 4 + 4 + 4 * 8;
+  std::uint32_t tag = 1;
+  bytes.copy(reinterpret_cast<char*>(&tag), sizeof tag, tag_at);
+  EXPECT_EQ(tag, 0u);
+  bytes[tag_at] = 1;
+  std::stringstream other(bytes);
+  EXPECT_THROW(load_mlp(other), std::runtime_error);
+}
+
+TEST(Serialize, ClaimedShapeBeyondTheStreamRejectedBeforeAllocation) {
+  // A header alone claiming a 2^24 x 2^24 layer: 2 PiB of weights, which no
+  // host can allocate, so only a check before the allocation can reject it
+  // with the documented error.
+  std::string header("FGNN");
+  put<std::uint32_t>(header, 1);
+  put<std::uint32_t>(header, 3);
+  put<std::uint64_t>(header, std::uint64_t{1} << 24);
+  put<std::uint64_t>(header, std::uint64_t{1} << 24);
+  put<std::uint64_t>(header, 1);
+  put<std::uint32_t>(header, 0);
+  ASSERT_EQ(header.size(), 40u);
+  std::stringstream buffer(header);
+  EXPECT_THROW(load_mlp(buffer), std::runtime_error);
 }
 
 TEST(Serialize, BadMagicRejected) {
