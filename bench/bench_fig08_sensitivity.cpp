@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <iostream>
 #include <numeric>
+#include <string>
 
 #include "bench_common.h"
 #include "te/figret.h"
@@ -62,8 +63,11 @@ void print_binned(const std::string& label, const std::vector<double>& var,
       mx = std::max(mx, sens[order[i]]);
     }
     mean /= static_cast<double>(end - begin);
-    t.add_row({"Q" + std::to_string(q + 1) + (q == 0 ? " (stable)" : q == 4 ? " (bursty)" : ""),
-               util::fmt(mean, 4), util::fmt(mx, 4)});
+    std::string quintile = "Q";
+    quintile += std::to_string(q + 1);
+    if (q == 0) quintile += " (stable)";
+    if (q == 4) quintile += " (bursty)";
+    t.add_row({quintile, util::fmt(mean, 4), util::fmt(mx, 4)});
   }
   std::cout << label << ":\n";
   t.print(std::cout);

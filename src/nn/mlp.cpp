@@ -126,8 +126,22 @@ std::span<const double> Mlp::forward(std::span<const double> x,
 const linalg::Matrix& Mlp::forward_sparse(
     std::span<const linalg::SparseRow> rows, const linalg::Matrix& w0_t,
     MlpBatchWorkspace& ws) const {
+  const OutputRun all{0, output_size()};
+  return forward_sparse(rows, w0_t, ws, std::span(&all, 1));
+}
+
+const linalg::Matrix& Mlp::forward_sparse(
+    std::span<const linalg::SparseRow> rows, const linalg::Matrix& w0_t,
+    MlpBatchWorkspace& ws, std::span<const OutputRun> out_runs) const {
   if (w0_t.rows() != input_size() || w0_t.cols() != weight_[0].rows())
     throw std::invalid_argument("Mlp::forward_sparse: w0_t shape mismatch");
+  std::size_t prev_end = 0;
+  for (const OutputRun& run : out_runs) {
+    if (run.begin < prev_end || run.end < run.begin ||
+        run.end > output_size())
+      throw std::invalid_argument("Mlp::forward_sparse: bad output run");
+    prev_end = run.end;
+  }
   const std::size_t layers = weight_.size();
   const std::size_t batch = rows.size();
   ws.pre.resize(layers);
@@ -136,15 +150,20 @@ const linalg::Matrix& Mlp::forward_sparse(
     const linalg::Matrix& w = weight_[l];
     linalg::Matrix& pre = ws.pre[l];
     linalg::Matrix& post = ws.post[l];
-    if (l == 0) {
+    if (l == 0)
       linalg::matvec_sparse_into(w0_t, rows, pre);
-    } else {
+    else
       pre.reset(batch, w.rows());
-      linalg::matmul_t_into(ws.post[l - 1], w, 0, w.rows(), pre);
-    }
     post.reset(batch, w.rows());
-    for (std::size_t s = 0; s < batch; ++s)
-      activate(l, pre.row(s), post.row(s), 0, w.rows());
+    const auto run = [&](std::size_t j0, std::size_t j1) {
+      if (l > 0) linalg::matmul_t_into(ws.post[l - 1], w, j0, j1, pre);
+      for (std::size_t s = 0; s < batch; ++s)
+        activate(l, pre.row(s), post.row(s), j0, j1);
+    };
+    if (l + 1 < layers)
+      run(0, w.rows());
+    else
+      for (const OutputRun& r : out_runs) run(r.begin, r.end);
   }
   return ws.post.back();
 }

@@ -52,6 +52,12 @@ struct MlpBatchWorkspace {
   linalg::Matrix delta, delta_prev;
 };
 
+/// Output columns [begin, end) of one forward_sparse run.
+struct OutputRun {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
 class Mlp {
  public:
   explicit Mlp(const MlpConfig& config);
@@ -79,6 +85,16 @@ class Mlp {
   const linalg::Matrix& forward_sparse(std::span<const linalg::SparseRow> rows,
                                        const linalg::Matrix& w0_t,
                                        MlpBatchWorkspace& ws) const;
+  /// forward_sparse that computes only the output columns in `out_runs`:
+  /// runs [begin, end), ascending and disjoint, below output_size()
+  /// (std::invalid_argument otherwise). The output layer reads only those
+  /// weight rows (matmul_t_into's column range) and activates only those
+  /// columns, so each of them is bit-identical to the full pass; every other
+  /// output column is left zero. The hidden layers run in full. A serving
+  /// caller passes the paths of the pairs whose ratios it will read.
+  const linalg::Matrix& forward_sparse(
+      std::span<const linalg::SparseRow> rows, const linalg::Matrix& w0_t,
+      MlpBatchWorkspace& ws, std::span<const OutputRun> out_runs) const;
   /// Sizes `ws` for forward_sparse passes of up to `rows` rows, so that
   /// those passes allocate nothing.
   void reserve(MlpBatchWorkspace& ws, std::size_t rows) const;

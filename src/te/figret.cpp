@@ -69,13 +69,24 @@ void FigretScheme::install_model(nn::Mlp model, double input_scale,
   linalg::Matrix w0_t = fresh->weights().front().transposed();
   nn::MlpBatchWorkspace ws;
   fresh->reserve(ws, kMaxBatch);
+  // The ratios of the all-zero window: what every pair without input in
+  // its window is served.
+  const linalg::SparseRow none{};
+  TeConfig idle;
+  ratios_from_sigmoid_into(
+      *ps_, fresh->forward_sparse(std::span(&none, 1), w0_t, ws).row(0), idle);
   for (ActiveInput& row : active_) {
     row.index.reserve(fresh->input_size());
     row.value.reserve(fresh->input_size());
+    row.pairs.reserve(ps_->num_pairs());
   }
+  pair_rows_.assign(ps_->num_pairs(), 0);
+  refreshed_.reserve(ps_->num_pairs());
+  runs_.reserve(ps_->num_pairs());
   model_ = std::move(fresh);
   w0_t_ = std::move(w0_t);
   ws_ = std::move(ws);
+  idle_ = std::move(idle);
   input_scale_ = input_scale;
   pair_weights_ = std::move(pair_weights);
 }
@@ -227,6 +238,7 @@ void FigretScheme::advise_batch_into(
   if (histories.size() != outs.size())
     throw std::invalid_argument(
         "FigretScheme: histories and outputs differ in length");
+  const std::size_t pairs = ps_->num_pairs();
   for (std::size_t b0 = 0; b0 < histories.size(); b0 += kMaxBatch) {
     const std::size_t n = std::min(kMaxBatch, histories.size() - b0);
     for (std::size_t b = 0; b < n; ++b) {
@@ -234,10 +246,59 @@ void FigretScheme::advise_batch_into(
       gather_input(histories[b0 + b], input_scale_, in.index, in.value);
       rows_[b] = {in.index, in.value};
     }
-    const linalg::Matrix& sig =
-        model_->forward_sparse(std::span(rows_.data(), n), w0_t_, ws_);
-    for (std::size_t b = 0; b < n; ++b)
-      ratios_from_sigmoid_into(*ps_, sig.row(b), outs[b0 + b]);
+    // Row b refreshes the pairs with an input in its window; pair_rows_[p]
+    // has bit b set while row b refreshes p. The forward computes the paths
+    // of every pair some row refreshes (refreshed_), as merged runs.
+    refreshed_.clear();
+    for (std::size_t b = 0; b < n; ++b) {
+      ActiveInput& in = active_[b];
+      const auto bit = static_cast<std::uint8_t>(1u << b);
+      in.pairs.clear();
+      // Input i is snapshot h's pair i - h * pairs; the indices ascend, so
+      // h only grows (no division per input).
+      std::size_t base = 0;
+      for (const std::size_t i : in.index) {
+        while (i >= base + pairs) base += pairs;
+        const auto p = static_cast<std::uint32_t>(i - base);
+        if (pair_rows_[p] & bit) continue;
+        if (pair_rows_[p] == 0) refreshed_.push_back(p);
+        pair_rows_[p] |= bit;
+        in.pairs.push_back(p);
+        if (in.pairs.size() == pairs) break;  // every pair refreshed
+      }
+    }
+    runs_.clear();
+    if (refreshed_.size() == pairs) {
+      // Dense traffic: the whole output layer, as one run.
+      std::fill(pair_rows_.begin(), pair_rows_.end(), 0);
+      runs_.push_back({0, ps_->num_paths()});
+    } else {
+      std::sort(refreshed_.begin(), refreshed_.end());
+      for (const std::uint32_t p : refreshed_) {
+        pair_rows_[p] = 0;
+        const std::size_t begin = ps_->pair_begin(p);
+        const std::size_t end = ps_->pair_end(p);
+        if (!runs_.empty() && runs_.back().end == begin)
+          runs_.back().end = end;
+        else
+          runs_.push_back({begin, end});
+      }
+    }
+    const linalg::Matrix* sig = nullptr;
+    if (!runs_.empty())
+      sig = &model_->forward_sparse(std::span(rows_.data(), n), w0_t_, ws_,
+                                    runs_);
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::vector<std::uint32_t>& refreshed = active_[b].pairs;
+      TeConfig& out = outs[b0 + b];
+      if (refreshed.size() == pairs) {
+        ratios_from_sigmoid_into(*ps_, sig->row(b), out);
+        continue;
+      }
+      out.assign(idle_.begin(), idle_.end());
+      if (!refreshed.empty())
+        ratios_from_sigmoid_into(*ps_, sig->row(b), refreshed, out);
+    }
   }
 }
 

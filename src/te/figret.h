@@ -83,8 +83,17 @@ class FigretScheme final : public TeScheme {
   /// input rows, MLP workspace, output ratios) reused across calls — zero
   /// allocations once the outputs reach capacity. The first layer reads
   /// only the weight rows of inputs nonzero in some history, once per pass
-  /// (nn::Mlp::forward_sparse), and each result is bit-identical to
-  /// model().forward() on its own dense input.
+  /// (nn::Mlp::forward_sparse).
+  ///
+  /// Output-sparse contract. A history *refreshes* pair p when some
+  /// snapshot of its window holds a nonzero demand for p. A refreshed pair
+  /// is served bit for bit the ratios of model().forward() on the dense
+  /// input; the forward computes only the output columns of refreshed
+  /// pairs. Every other pair is served the ratios of the all-zero window
+  /// (fixed per model). So each result depends only on the model and its
+  /// own window, never on its batch-mates or earlier calls, and equals
+  /// advise_into on that history alone. A window where every pair is
+  /// refreshed (dense traffic) runs the full output layer.
   void advise_batch_into(
       std::span<const std::span<const traffic::DemandMatrix>> histories,
       std::span<TeConfig> outs) override;
@@ -139,10 +148,23 @@ class FigretScheme final : public TeScheme {
   struct ActiveInput {
     std::vector<std::size_t> index;
     std::vector<double> value;
+    /// The pairs this row refreshes: those with an input in its window.
+    std::vector<std::uint32_t> pairs;
   };
   nn::MlpBatchWorkspace ws_;
   std::array<ActiveInput, kMaxBatch> active_;
   std::array<linalg::SparseRow, kMaxBatch> rows_;
+  static_assert(kMaxBatch <= 8, "pair_rows_ holds one bit per batch row");
+  /// Per pair, one bit per batch row that refreshes it; all zero between
+  /// calls.
+  std::vector<std::uint8_t> pair_rows_;
+  /// The pairs some row of the pass refreshes, and their paths as merged
+  /// runs: the output columns the forward computes.
+  std::vector<std::uint32_t> refreshed_;
+  std::vector<nn::OutputRun> runs_;
+  /// The ratios of the all-zero window, served for every pair a row does
+  /// not refresh. Derived from the model in install_model, never persisted.
+  TeConfig idle_;
 };
 
 }  // namespace figret::te

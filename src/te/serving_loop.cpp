@@ -1,7 +1,6 @@
 #include "te/serving_loop.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "lp/certificates.h"
@@ -74,7 +73,13 @@ void ServingLoop::start(std::span<TeScheme* const> advisors) {
     auto w = std::make_unique<Worker>();
     w->advisor = advisors[i];
     w->window = std::max<std::size_t>(1, advisors[i]->history_window());
+    // Sized here so that even a worker's first snapshot allocates nothing
+    // outside its advisor and the oracle.
     for (TeConfig& cfg : w->cfgs) cfg.reserve(ps_->num_paths());
+    w->install.reset(*ps_);
+    w->rerouted.reserve(ps_->num_paths());
+    w->last_good_cfg.reserve(ps_->num_paths());
+    w->edge_scratch.reserve(ps_->num_edges());
     window_ = std::max(window_, w->window);
     stream_workers_.push_back(std::move(w));
   }
@@ -310,14 +315,9 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
 
   if (opt_.install) {
     const auto start = Clock::now();
-    quantize_wcmp_into(*ps_, *served, opt_.wcmp_table_size, w.weights,
-                       w.wcmp_scratch);
-    ratios_from_wcmp_into(*ps_, w.weights, w.installed);
-    double worst = 0.0;
-    for (std::size_t p = 0; p < w.installed.size(); ++p)
-      worst = std::max(worst, std::abs(w.installed[p] - (*served)[p]));
-    r.quant_error = worst;
-    served = &w.installed;
+    r.quant_error =
+        install_wcmp_into(*ps_, *served, opt_.wcmp_table_size, w.install);
+    served = &w.install.realized;
     r.install_seconds = seconds_since(start, Clock::now());
   }
 

@@ -23,6 +23,11 @@
 // Batching changes no served bit: advise_batch_into is bit-identical per row
 // to advise_into.
 //
+// WCMP install is incremental per worker (te::WcmpInstall): only the pairs
+// whose served ratios differ bitwise from what that worker last quantized
+// are re-quantized, with the same weights, realized ratios and quantization
+// error as a full install.
+//
 // Each worker owns its whole working set — TeScheme instance, lp::WarmStart
 // chain with its cached LP engine, the oracle's LP scratch, every other
 // buffer — so the hot path takes no locks and performs no allocations once
@@ -228,10 +233,10 @@ class ServingLoop {
     std::array<Job, kMaxBatch> jobs;
     std::array<std::span<const traffic::DemandMatrix>, kMaxBatch> histories;
     std::array<TeConfig, kMaxBatch> cfgs;
-    TeConfig installed;
+    /// The incremental WCMP install: re-quantizes only the pairs whose
+    /// served ratios changed since this worker's last install.
+    WcmpInstall install;
     TeConfig rerouted;
-    WcmpWeights weights;
-    WcmpScratch wcmp_scratch;
     std::vector<double> edge_scratch;
     /// Rung-1 cache: the most recent known-good advised config. Under chaos
     /// the donor epoch is pinned by ChaosEngine::last_clean_before so every

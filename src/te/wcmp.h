@@ -47,6 +47,33 @@ TeConfig ratios_from_wcmp(const PathSet& ps, const WcmpWeights& weights);
 void ratios_from_wcmp_into(const PathSet& ps, const WcmpWeights& weights,
                            TeConfig& out);
 
+/// One serving worker's WCMP install: the config it last quantized, bit for
+/// bit, and what that installed. install_wcmp_into re-quantizes only the
+/// pairs whose ratios changed since.
+struct WcmpInstall {
+  /// The config last installed, and its table size (0 before the first).
+  TeConfig config;
+  std::uint32_t table_size = 0;
+  WcmpWeights weights;
+  /// ratios_from_wcmp of `weights`: the ratios the switches realize.
+  TeConfig realized;
+  WcmpScratch scratch;
+
+  /// Sizes every buffer for `ps` and forgets the last install, so the next
+  /// one quantizes every pair and allocates nothing.
+  void reset(const PathSet& ps);
+};
+
+/// Installs `config`: afterwards state.weights and state.realized hold
+/// exactly what quantize_wcmp_into and ratios_from_wcmp_into give for it,
+/// and the return value is the largest |realized - config| over all paths.
+/// Only the pairs whose ratios differ bitwise from the last install's (all
+/// of them after reset() or a table-size change) are re-quantized.
+/// Throws std::invalid_argument on a config of the wrong size or a zero
+/// table size, leaving `state` as it was.
+double install_wcmp_into(const PathSet& ps, const TeConfig& config,
+                         std::uint32_t table_size, WcmpInstall& state);
+
 /// Largest per-path absolute ratio error introduced by quantization.
 double quantization_error(const PathSet& ps, const TeConfig& config,
                           const WcmpWeights& weights);

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fabric.h"
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/lp_schemes.h"
@@ -399,6 +400,105 @@ TEST(Figret, AdviseIntoMatchesDenseForwardAfterFitLoadAndRefit) {
                 0)
           << "input " << c << " row " << r;
     }
+}
+
+TEST(Figret, OutputSparseContractUnderChurn) {
+  // On a churning sparse fabric, pairs turn active and idle from window to
+  // window. A pair with an input in the window is refreshed: served the
+  // dense forward's ratios bit for bit. Every other pair is served the
+  // ratios of the all-zero window. A batched row equals its lone advise,
+  // whatever its batch-mates.
+  const net::FatTree ft = net::fat_tree(4);
+  const PathSet ps = PathSet::build(ft.graph, net::fat_tree_paths(ft, 4));
+  traffic::FabricOptions fab;
+  fab.active_fraction = 0.05;  // 19 of 380 pairs
+  fab.churn = 0.25;            // 4 swapped per snapshot
+  const auto trace = traffic::fabric_trace(ps.num_nodes(), 90, 23, fab);
+  FigretOptions opt = fast_options();
+  opt.epochs = 3;
+  FigretScheme scheme(ps, opt);
+  traffic::TrafficTrace train;
+  train.num_nodes = trace.num_nodes;
+  train.snapshots.assign(trace.snapshots.begin(),
+                         trace.snapshots.begin() + 50);
+  scheme.fit(train);
+
+  const std::size_t window = scheme.history_window();
+  const std::vector<traffic::DemandMatrix> zero(
+      window, traffic::DemandMatrix(ps.num_nodes(), 0.0));
+  const TeConfig idle = scheme.advise(zero);
+  const TeConfig idle_dense = dense_advise(scheme, ps, zero);
+  ASSERT_EQ(std::memcmp(idle.data(), idle_dense.data(),
+                        idle.size() * sizeof(double)),
+            0);
+  const auto same_pair = [&](const TeConfig& a, const TeConfig& b,
+                             std::size_t pr) {
+    const std::size_t begin = ps.pair_begin(pr);
+    return std::memcmp(a.data() + begin, b.data() + begin,
+                       ps.pair_size(pr) * sizeof(double)) == 0;
+  };
+
+  std::vector<std::span<const traffic::DemandMatrix>> histories;
+  std::vector<TeConfig> lone;
+  std::vector<bool> was_refreshed(ps.num_pairs(), false);
+  std::size_t idle_pairs = 0, turned_active = 0, differs_from_idle = 0;
+  for (std::size_t t = window; t <= trace.size(); ++t) {
+    const std::span<const traffic::DemandMatrix> history{
+        trace.snapshots.data() + (t - window), window};
+    std::vector<bool> refreshed(ps.num_pairs(), false);
+    for (const auto& dm : history)
+      dm.for_each_active([&](std::size_t p, double v) {
+        if (v != 0.0) refreshed[p] = true;
+      });
+    TeConfig served;
+    scheme.advise_into(history, served);
+    const TeConfig dense = dense_advise(scheme, ps, history);
+    ASSERT_EQ(served.size(), ps.num_paths());
+    for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
+      if (refreshed[pr]) {
+        EXPECT_TRUE(same_pair(served, dense, pr))
+            << "refreshed pair " << pr << " at t " << t;
+        if (t > window && !was_refreshed[pr]) ++turned_active;
+        if (!same_pair(dense, idle, pr)) ++differs_from_idle;
+      } else {
+        EXPECT_TRUE(same_pair(served, idle, pr))
+            << "idle pair " << pr << " at t " << t;
+        ++idle_pairs;
+      }
+    }
+    was_refreshed = refreshed;
+    histories.push_back(history);
+    lone.push_back(std::move(served));
+  }
+  // The trace exercises the contract: pairs turn active, idle pairs exist,
+  // and a refreshed pair's ratios are not the idle ones.
+  EXPECT_GT(turned_active, 0u);
+  EXPECT_GT(idle_pairs, 0u);
+  EXPECT_GT(differs_from_idle, 0u);
+
+  // Batch-mates of every kind: the all-zero window, a dense window (every
+  // pair refreshed, the full output layer) and other sparse windows.
+  const std::vector<traffic::DemandMatrix> dense_window(
+      window, traffic::DemandMatrix(ps.num_nodes(), 0.01));
+  const TeConfig zero_lone = scheme.advise(zero);
+  const TeConfig dense_lone = scheme.advise(dense_window);
+  for (std::size_t start = 0; start + 3 <= histories.size(); start += 7) {
+    const std::vector<std::span<const traffic::DemandMatrix>> batch = {
+        histories[start], zero, histories[start + 2], dense_window,
+        histories[start + 1], histories.back()};
+    const std::vector<const TeConfig*> want = {
+        &lone[start], &zero_lone, &lone[start + 2], &dense_lone,
+        &lone[start + 1], &lone.back()};
+    std::vector<TeConfig> outs(batch.size());
+    scheme.advise_batch_into(batch, outs);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(outs[i].size(), want[i]->size());
+      EXPECT_EQ(std::memcmp(outs[i].data(), want[i]->data(),
+                            outs[i].size() * sizeof(double)),
+                0)
+          << "batch at " << start << ", row " << i;
+    }
+  }
 }
 
 TEST(Figret, FailedRefitLeavesTheServedModelUnchanged) {

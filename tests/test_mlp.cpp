@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -489,6 +490,40 @@ TEST(Mlp, ForwardSparseBatchRowsMatchTheirRowsAlone) {
       }
     }
   }
+}
+
+TEST(Mlp, ForwardSparseOutputRunsMatchTheFullPass) {
+  // Columns inside the runs carry the full pass's bytes, every other output
+  // column is zero, and malformed runs are rejected.
+  MlpConfig cfg;
+  cfg.layer_sizes = {40, 16, 16, 23};
+  cfg.seed = 59;
+  const Mlp m(cfg);
+  const linalg::Matrix w0_t = m.weights()[0].transposed();
+  const std::vector<std::size_t> index = {2, 7, 31};
+  const std::vector<double> value = {0.5, -0.25, 1.5};
+  const std::vector<std::size_t> none;
+  const std::vector<linalg::SparseRow> rows = {{index, value}, {none, {}}};
+  MlpBatchWorkspace full_ws, ws;
+  const linalg::Matrix full = m.forward_sparse(rows, w0_t, full_ws);
+  const std::vector<OutputRun> runs = {{0, 1}, {4, 9}, {9, 10}, {17, 23}};
+  const linalg::Matrix& y = m.forward_sparse(rows, w0_t, ws, runs);
+  ASSERT_EQ(y.rows(), rows.size());
+  ASSERT_EQ(y.cols(), m.output_size());
+  for (std::size_t b = 0; b < rows.size(); ++b)
+    for (std::size_t j = 0; j < m.output_size(); ++j) {
+      const bool in_run = std::any_of(runs.begin(), runs.end(), [&](auto r) {
+        return r.begin <= j && j < r.end;
+      });
+      const double got = y(b, j);
+      const double want = in_run ? full(b, j) : 0.0;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof want), 0)
+          << "row " << b << " column " << j;
+    }
+  for (const std::vector<OutputRun>& bad :
+       {std::vector<OutputRun>{{4, 9}, {2, 3}}, {{3, 2}}, {{20, 24}},
+        {{0, 5}, {4, 6}}})
+    EXPECT_THROW(m.forward_sparse(rows, w0_t, ws, bad), std::invalid_argument);
 }
 
 TEST(Mlp, ForwardSparseBatchRejectsAMalformedRow) {
