@@ -142,6 +142,36 @@ FIGRET_FORCE_INLINE void rank1_scatter(double* out, const std::size_t* idx,
   for (std::size_t j = 0; j < n; ++j) out[idx[j]] += a * b[j];
 }
 
+// Folds one full window (every index begin .. begin + 4 * kLanes - 1 active)
+// into the lane chains of G rows at once. Lane j's terms are the weight rows
+// begin + j + kLanes * q, q = 0..3, times row r's values x[r][j + kLanes * q]:
+// per row the expression lane_terms folds for four terms, so the same
+// rounding, while each weight is loaded once for all G rows.
+template <std::size_t G>
+FIGRET_FORCE_INLINE void full_window_fold(double* acc, std::size_t width,
+                                          const Matrix& at, std::size_t begin,
+                                          std::size_t o0,
+                                          const double* const* x) noexcept {
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const double* w0 = at.row(begin + lane).data() + o0;
+    const double* w1 = at.row(begin + lane + kLanes).data() + o0;
+    const double* w2 = at.row(begin + lane + 2 * kLanes).data() + o0;
+    const double* w3 = at.row(begin + lane + 3 * kLanes).data() + o0;
+    double* t[G];
+    double v[G][4];
+    for (std::size_t r = 0; r < G; ++r) {
+      t[r] = acc + (r * kLanes + lane) * width;
+      for (std::size_t q = 0; q < 4; ++q) v[r][q] = x[r][lane + q * kLanes];
+    }
+    for (std::size_t o = 0; o < width; ++o) {
+      const double a0 = w0[o], a1 = w1[o], a2 = w2[o], a3 = w3[o];
+      for (std::size_t r = 0; r < G; ++r)
+        t[r][o] = t[r][o] + v[r][0] * a0 + v[r][1] * a1 + v[r][2] * a2 +
+                  v[r][3] * a3;
+    }
+  }
+}
+
 // Row b of y ([n x at.cols()], row-major) = A x_b for the sparse rows x_b.
 // acc[b][lane][o] is the lane chain of row b's output o: active index k
 // feeds lane k % kLanes, in ascending k — the order lanes_accum gives the
@@ -161,6 +191,16 @@ FIGRET_FORCE_INLINE void sparse_rows_kernel(const Matrix& at,
   // window are folded in one pass over the block (the same FMA chain, one
   // accumulator load/store per four terms). Lanes run outermost, so a
   // lane's weight rows stay in L1 while every row of the group folds them.
+  //
+  // A window is full for a row (every window of the served first layer on
+  // dense traffic) when its strictly ascending indices from `next` on start
+  // begin, ..., begin + 63: exactly when the first and the 64th of them are
+  // begin and begin + 63. When it is full for every row of the group, no
+  // index is walked: lane j's terms are the weight rows begin + j + 16q for
+  // all rows, with each row's next 64 values in place, and the rows are
+  // folded together (full_window_fold), each weight loaded once per group.
+  // Any other window (partial, sparse, or full for some rows only) is
+  // walked and folded row by row.
   constexpr std::size_t kWindow = 4 * kLanes;
   constexpr std::size_t kDone = static_cast<std::size_t>(-1);
   const std::size_t out = at.cols();
@@ -169,6 +209,7 @@ FIGRET_FORCE_INLINE void sparse_rows_kernel(const Matrix& at,
   double v[kRowGroup][kLanes][4];         // and their input values
   std::size_t terms[kRowGroup][kLanes];
   std::size_t next[kRowGroup];  // per row: its first unfolded active entry
+  const double* full[kRowGroup];  // per row: its full window's 64 values
   for (std::size_t g0 = 0; g0 < n; g0 += kRowGroup) {
     const std::size_t g = std::min(kRowGroup, n - g0);
     const SparseRow* grp = rows + g0;
@@ -186,6 +227,33 @@ FIGRET_FORCE_INLINE void sparse_rows_kernel(const Matrix& at,
           }
         if (begin == kDone) break;
         const std::size_t end = begin + kWindow;
+        // The rows whose window is full, up to the first that is not.
+        std::size_t fulls = 0;
+        for (; fulls < g; ++fulls) {
+          const std::span<const std::size_t> index = grp[fulls].index;
+          const std::size_t a = next[fulls];
+          if (a + kWindow > index.size() || index[a] != begin ||
+              index[a + kWindow - 1] != end - 1)
+            break;
+          full[fulls] = grp[fulls].value.data() + a;
+        }
+        if (fulls == g) {
+          for (std::size_t r = 0; r < g; ++r) next[r] += kWindow;
+          switch (g) {
+            case 1:
+              full_window_fold<1>(acc, width, at, begin, o0, full);
+              break;
+            case 2:
+              full_window_fold<2>(acc, width, at, begin, o0, full);
+              break;
+            case 3:
+              full_window_fold<3>(acc, width, at, begin, o0, full);
+              break;
+            default:
+              full_window_fold<4>(acc, width, at, begin, o0, full);
+          }
+          continue;
+        }
         for (std::size_t r = 0; r < g; ++r) {
           const std::span<const std::size_t> index = grp[r].index;
           std::size_t* cnt = terms[r];
@@ -231,6 +299,12 @@ void Matrix::reset(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, 0.0);
+}
+
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
 }
 
 Matrix Matrix::transposed() const {
@@ -465,7 +539,7 @@ void matvec_sparse_into(const Matrix& at, std::span<const SparseRow> rows,
       throw std::invalid_argument("matvec_sparse_into: index/value mismatch");
     check_indices(row.index, at.rows(), "matvec_sparse_into");
   }
-  y.reset(rows.size(), at.cols());
+  y.resize(rows.size(), at.cols());  // the kernel writes every entry
   sparse_rows_kernel(at, rows.data(), rows.size(), y.flat().data());
 }
 

@@ -52,6 +52,11 @@ class Matrix {
   /// Becomes a zero rows x cols matrix, reusing the storage: allocation-free
   /// once the capacity suffices.
   void reset(std::size_t rows, std::size_t cols);
+  /// Becomes a rows x cols matrix without zeroing it, reusing the storage:
+  /// for a caller that overwrites every entry it reads. Entries keep
+  /// whatever the storage held (zero where it grows). Allocation-free once
+  /// the capacity suffices.
+  void resize(std::size_t rows, std::size_t cols);
 
   Matrix transposed() const;
 
@@ -88,6 +93,9 @@ struct SparseRow {
 /// indices (std::invalid_argument otherwise). The union of active indices is
 /// walked in aligned windows of 64, and each window's rows of `at` are loaded
 /// once for the whole batch: one weight sweep per call, whatever the batch.
+/// A window whose 64 indices are all active in every row of a group of up
+/// to four rows (every window, on dense inputs) is not walked: the group's
+/// rows fold its weight rows together, each weight loaded once per group.
 /// Each y(b, i) reduces in the same lane order as matvec_into on the dense
 /// x_b, so for finite `at` row b is bit-identical to it, and to a batch of
 /// that row alone: an omitted zero term leaves its lane unchanged (lanes

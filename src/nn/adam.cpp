@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/parallel.h"
@@ -47,6 +48,9 @@ bool same_shape(const std::vector<linalg::Matrix>& weight,
 
 Adam::Adam(const Mlp& model, const AdamConfig& config)
     : cfg_(config), m_(model.make_gradients()), v_(model.make_gradients()) {
+  std::size_t rows = 0;
+  for (const linalg::Matrix& w : model.weights()) rows += w.rows();
+  row_sq_.assign(rows, 0.0);
   if (!std::isfinite(cfg_.learning_rate) || cfg_.learning_rate <= 0.0)
     throw std::invalid_argument("Adam: learning rate must be finite and > 0");
   if (!(cfg_.beta1 >= 0.0 && cfg_.beta1 < 1.0) ||
@@ -56,6 +60,59 @@ Adam::Adam(const Mlp& model, const AdamConfig& config)
     throw std::invalid_argument("Adam: epsilon must be finite and > 0");
   if (!std::isfinite(cfg_.clip_norm))
     throw std::invalid_argument("Adam: clip norm must be finite");
+}
+
+bool Adam::clip_cannot_bind(const MlpGradients& grads,
+                            const std::span<const std::size_t>* active) {
+  // Each weight row's squares (and its bias's) are summed in four chains,
+  // in fixed chunks of rows on the pool, and the row sums then serially.
+  std::size_t terms = 0;
+  std::size_t first = 0;  // the layer's first slot in row_sq_
+  for (std::size_t l = 0; l < grads.weight.size(); ++l) {
+    const linalg::Matrix& gw = grads.weight[l];
+    const std::vector<double>& gb = grads.bias[l];
+    const bool sparse = l == 0 && active != nullptr;
+    const std::size_t width = sparse ? active->size() : gw.cols();
+    terms += gw.rows() * (width + 1);
+    util::parallel_for_ranges(
+        gw.rows(), kChunkParams / std::max<std::size_t>(1, width),
+        [&](std::size_t r0, std::size_t r1) {
+          // The squares of gr[col(i)], i < width, in four chains.
+          const auto sum_sq = [width](const double* gr, auto col) {
+            double c[4] = {0.0, 0.0, 0.0, 0.0};
+            std::size_t i = 0;
+            for (; i + 4 <= width; i += 4)
+              for (std::size_t j = 0; j < 4; ++j)
+                c[j] += gr[col(i + j)] * gr[col(i + j)];
+            for (; i < width; ++i) c[0] += gr[col(i)] * gr[col(i)];
+            return (c[0] + c[1]) + (c[2] + c[3]);
+          };
+          for (std::size_t r = r0; r < r1; ++r) {
+            const double* gr = gw.row(r).data();
+            row_sq_[first + r] =
+                gb[r] * gb[r] +
+                (sparse ? sum_sq(gr, [&](std::size_t i) { return (*active)[i]; })
+                        : sum_sq(gr, [](std::size_t i) { return i; }));
+          }
+        });
+    first += gw.rows();
+  }
+  double sum = 0.0;
+  for (std::size_t r = 0; r < first; ++r) sum += row_sq_[r];
+  // Any order of summing n non-negative rounded squares, the serial chain's
+  // included, lands within a factor 1 +- gamma_n of the exact sum, gamma_n
+  // = nu / (1 - nu) (u the unit roundoff), plus at most n * denorm_min
+  // where terms underflow. For nu <= 0.1 the serial sum is therefore at
+  // most sum * (1 + 2.6 nu) + 2n denorm_min; the factor below keeps more
+  // slack than that, covering its own rounding too. sqrt and rounding are
+  // monotone, so if the bound's root is within clip_norm, so is the serial
+  // norm. A NaN or infinite sum fails the test.
+  constexpr double u = std::numeric_limits<double>::epsilon() / 2;
+  const auto n = static_cast<double>(terms);
+  if (n * u > 0.1) return false;
+  const double bound = sum * (1.0 + 4.0 * (n + 2.0) * u) +
+                       4.0 * (n + 1.0) * std::numeric_limits<double>::denorm_min();
+  return std::sqrt(bound) <= cfg_.clip_norm;
 }
 
 void Adam::step(Mlp& model, const MlpGradients& grads) {
@@ -82,9 +139,11 @@ void Adam::update(Mlp& model, const MlpGradients& grads,
 
   // Global gradient norm, summed serially in parameter order (every weight,
   // layer by layer, row-major, then every bias). Skipped first-layer columns
-  // hold zero gradients, whose terms would add +0.
+  // hold zero gradients, whose terms would add +0. The serial chain runs
+  // only when a parallel sum cannot prove that the clip leaves the step
+  // alone.
   double scale = 1.0;
-  if (cfg_.clip_norm > 0.0) {
+  if (cfg_.clip_norm > 0.0 && !clip_cannot_bind(grads, active)) {
     double norm_sq = 0.0;
     for (std::size_t l = 0; l < grads.weight.size(); ++l) {
       const linalg::Matrix& gw = grads.weight[l];

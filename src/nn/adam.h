@@ -29,8 +29,11 @@ class Adam {
   /// Throws std::invalid_argument, before any update, when the model's or
   /// the gradients' layer shapes differ from the ones Adam was built for.
   /// The elementwise update runs in fixed chunks of parameter rows on the
-  /// global pool; the clip-norm sum stays one serial pass in parameter
-  /// order, so the result is the same at any pool width.
+  /// global pool. The clip scale is that of one serial norm sum in parameter
+  /// order, so the result is the same at any pool width; the serial pass
+  /// runs only when a parallel sum with a rigorous rounding bound cannot
+  /// prove that the norm is within clip_norm (the scale is then 1 either
+  /// way).
   void step(Mlp& model, const MlpGradients& grads);
 
   /// step() restricted to the first layer's columns `active_inputs`
@@ -48,10 +51,17 @@ class Adam {
   /// `active` is null for a full update.
   void update(Mlp& model, const MlpGradients& grads,
               const std::span<const std::size_t>* active);
+  /// True when the serial norm of `grads` (over `active`'s first-layer
+  /// columns, or all) is proven to be at most clip_norm: then it cannot
+  /// scale the step. False when the parallel sum cannot prove it, and on
+  /// NaN or infinity.
+  bool clip_cannot_bind(const MlpGradients& grads,
+                        const std::span<const std::size_t>* active);
 
   AdamConfig cfg_;
   MlpGradients m_;  // first moment
   MlpGradients v_;  // second moment
+  std::vector<double> row_sq_;  // clip_cannot_bind's sum per weight row
   std::size_t t_ = 0;
 };
 

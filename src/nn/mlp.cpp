@@ -150,20 +150,34 @@ const linalg::Matrix& Mlp::forward_sparse(
     const linalg::Matrix& w = weight_[l];
     linalg::Matrix& pre = ws.pre[l];
     linalg::Matrix& post = ws.post[l];
+    // Every column a pass reads is written first, so the buffers are
+    // reshaped, not zeroed; only the output columns outside the runs are
+    // zeroed, as promised.
     if (l == 0)
       linalg::matvec_sparse_into(w0_t, rows, pre);
     else
-      pre.reset(batch, w.rows());
-    post.reset(batch, w.rows());
+      pre.resize(batch, w.rows());
+    post.resize(batch, w.rows());
     const auto run = [&](std::size_t j0, std::size_t j1) {
       if (l > 0) linalg::matmul_t_into(ws.post[l - 1], w, j0, j1, pre);
       for (std::size_t s = 0; s < batch; ++s)
         activate(l, pre.row(s), post.row(s), j0, j1);
     };
-    if (l + 1 < layers)
+    const auto zero = [&](std::size_t j0, std::size_t j1) {
+      for (std::size_t s = 0; s < batch; ++s)
+        std::fill(post.row(s).begin() + j0, post.row(s).begin() + j1, 0.0);
+    };
+    if (l + 1 < layers) {
       run(0, w.rows());
-    else
-      for (const OutputRun& r : out_runs) run(r.begin, r.end);
+    } else {
+      std::size_t done = 0;
+      for (const OutputRun& r : out_runs) {
+        zero(done, r.begin);
+        run(r.begin, r.end);
+        done = r.end;
+      }
+      zero(done, w.rows());
+    }
   }
   return ws.post.back();
 }

@@ -90,7 +90,8 @@ class Mlp {
   /// (std::invalid_argument otherwise). The output layer reads only those
   /// weight rows (matmul_t_into's column range) and activates only those
   /// columns, so each of them is bit-identical to the full pass; every other
-  /// output column is left zero. The hidden layers run in full. A serving
+  /// output column is set to zero. The hidden layers run in full, and no
+  /// buffer a pass overwrites is zeroed first. A serving
   /// caller passes the paths of the pairs whose ratios it will read.
   const linalg::Matrix& forward_sparse(
       std::span<const linalg::SparseRow> rows, const linalg::Matrix& w0_t,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/serialize.h"
@@ -39,27 +40,47 @@ const nn::Mlp& FigretScheme::model() const {
   return *model_;
 }
 
-void FigretScheme::gather_input(
+std::span<const std::size_t> FigretScheme::gather_input(
     std::span<const traffic::DemandMatrix> history, double scale,
-    std::vector<std::size_t>& index, std::vector<double>& value) const {
+    std::span<const std::size_t> all, std::vector<std::size_t>& index,
+    std::vector<double>& value) const {
   const std::size_t pairs = ps_->num_pairs();
   if (history.size() < opt_.history)
     throw std::invalid_argument("FigretScheme: history shorter than window");
   index.clear();
   value.clear();
   // Most recent snapshot last, matching training layout; pairs ascend within
-  // a snapshot, so the indices h * pairs + p ascend overall.
+  // a snapshot, so the indices h * pairs + p ascend overall. While they run
+  // 0, 1, 2, ... they stay implicit, a prefix of `all`; the first gap
+  // writes that prefix out and every index after it.
   const std::size_t offset = history.size() - opt_.history;
   for (std::size_t h = 0; h < opt_.history; ++h) {
     const auto& dm = history[offset + h];
     if (dm.size() != pairs)
       throw std::invalid_argument("FigretScheme: demand size mismatch");
+    // A dense snapshot without a zero continues the implicit run by all its
+    // pairs: one branch-free (vectorizable) pass divides its values.
+    if (!dm.is_sparse() && index.empty() && value.size() == h * pairs) {
+      const std::span<const double> d = dm.values();
+      if (std::find(d.begin(), d.end(), 0.0) == d.end()) {
+        value.resize(value.size() + pairs);
+        double* out = value.data() + h * pairs;
+        for (std::size_t p = 0; p < pairs; ++p) out[p] = d[p] / scale;
+        continue;
+      }
+    }
     dm.for_each_active([&](std::size_t p, double v) {
       if (v == 0.0) return;
-      index.push_back(h * pairs + p);
+      const std::size_t i = h * pairs + p;
+      if (!index.empty() || i != value.size()) {
+        if (index.empty()) index.assign(all.begin(), all.begin() + value.size());
+        index.push_back(i);
+      }
       value.push_back(v / scale);
     });
   }
+  if (index.empty()) return all.first(value.size());
+  return index;
 }
 
 void FigretScheme::install_model(nn::Mlp model, double input_scale,
@@ -75,6 +96,8 @@ void FigretScheme::install_model(nn::Mlp model, double input_scale,
   TeConfig idle;
   ratios_from_sigmoid_into(
       *ps_, fresh->forward_sparse(std::span(&none, 1), w0_t, ws).row(0), idle);
+  std::vector<std::size_t> all(fresh->input_size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   for (ActiveInput& row : active_) {
     row.index.reserve(fresh->input_size());
     row.value.reserve(fresh->input_size());
@@ -85,6 +108,7 @@ void FigretScheme::install_model(nn::Mlp model, double input_scale,
   runs_.reserve(ps_->num_pairs());
   model_ = std::move(fresh);
   w0_t_ = std::move(w0_t);
+  all_inputs_ = std::move(all);
   ws_ = std::move(ws);
   idle_ = std::move(idle);
   input_scale_ = input_scale;
@@ -155,10 +179,11 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
   std::vector<std::size_t> index;
   std::vector<double> value;
   std::vector<std::size_t> slot(in_dim, kInactive);
-  for (std::size_t t : samples) {
-    gather_input(window(t), scale, index, value);
-    for (std::size_t i : index) slot[i] = 0;
-  }
+  std::vector<std::size_t> all(in_dim);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  for (std::size_t t : samples)
+    for (std::size_t i : gather_input(window(t), scale, all, index, value))
+      slot[i] = 0;
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < in_dim; ++i)
     if (slot[i] != kInactive) {
@@ -187,10 +212,12 @@ void FigretScheme::fit(const traffic::TrafficTrace& train) {
 
       x.reset(batch, active.size());
       for (std::size_t b = 0; b < batch; ++b) {
-        gather_input(window(samples[perm[k0 + b]]), scale, index, value);
+        const std::span<const std::size_t> in =
+            gather_input(window(samples[perm[k0 + b]]), scale, all, index,
+                         value);
         const std::span<double> row = x.row(b);
-        for (std::size_t i = 0; i < index.size(); ++i)
-          row[slot[index[i]]] = value[i];
+        for (std::size_t i = 0; i < in.size(); ++i)
+          row[slot[in[i]]] = value[i];
       }
 
       const linalg::Matrix& sig = model.forward_batch(x, active, bws);
@@ -243,8 +270,9 @@ void FigretScheme::advise_batch_into(
     const std::size_t n = std::min(kMaxBatch, histories.size() - b0);
     for (std::size_t b = 0; b < n; ++b) {
       ActiveInput& in = active_[b];
-      gather_input(histories[b0 + b], input_scale_, in.index, in.value);
-      rows_[b] = {in.index, in.value};
+      rows_[b] = {gather_input(histories[b0 + b], input_scale_, all_inputs_,
+                               in.index, in.value),
+                  in.value};
     }
     // Row b refreshes the pairs with an input in its window; pair_rows_[p]
     // has bit b set while row b refreshes p. The forward computes the paths
@@ -257,7 +285,7 @@ void FigretScheme::advise_batch_into(
       // Input i is snapshot h's pair i - h * pairs; the indices ascend, so
       // h only grows (no division per input).
       std::size_t base = 0;
-      for (const std::size_t i : in.index) {
+      for (const std::size_t i : rows_[b].index) {
         while (i >= base + pairs) base += pairs;
         const auto p = static_cast<std::uint32_t>(i - base);
         if (pair_rows_[p] & bit) continue;

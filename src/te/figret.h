@@ -123,11 +123,14 @@ class FigretScheme final : public TeScheme {
  private:
   /// The model input for the last history_window() snapshots as its
   /// nonzero entries, (index, value) with index ascending: O(nnz) per
-  /// snapshot, stored zeros skipped.
-  /// Inputs are divided by `scale`.
-  void gather_input(std::span<const traffic::DemandMatrix> history,
-                    double scale, std::vector<std::size_t>& index,
-                    std::vector<double>& value) const;
+  /// snapshot, stored zeros skipped. Inputs are divided by `scale`. Returns
+  /// the indices: a prefix of `all` (the list 0, 1, ..., input size - 1)
+  /// while they have no gap, as on dense traffic, with `index` left empty;
+  /// else `index`, which holds them all.
+  std::span<const std::size_t> gather_input(
+      std::span<const traffic::DemandMatrix> history, double scale,
+      std::span<const std::size_t> all, std::vector<std::size_t>& index,
+      std::vector<double>& value) const;
   /// The one place the trained state (model, input scale, pair weights) is
   /// assigned: also rebuilds the transposed first layer advise_into() reads,
   /// so the two can never disagree, and changes nothing if it throws.
@@ -143,6 +146,8 @@ class FigretScheme final : public TeScheme {
   std::unique_ptr<nn::Mlp> model_;
   /// model_->weights()[0] transposed ([input x hidden]).
   linalg::Matrix w0_t_;
+  /// 0, 1, ..., input size - 1: the index list of every dense window.
+  std::vector<std::size_t> all_inputs_;
   /// advise_batch_into() scratch: the MLP workspace and one active-input
   /// row per batch slot, all sized in install_model for kMaxBatch rows.
   struct ActiveInput {

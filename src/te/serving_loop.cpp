@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "lp/certificates.h"
 #include "te/chaos.h"
@@ -307,8 +308,11 @@ void ServingLoop::process_snapshot(Worker& w, std::size_t slot,
              (plan == nullptr ? chaos == nullptr : plan->clean())) {
     // Bank this epoch as a rung-1 donor. Under chaos only clean() epochs
     // qualify — and the donor a degraded epoch resolves to is pinned by
-    // last_clean_before, so the cache is keyed by the donor index.
-    w.last_good_cfg = cfg;
+    // last_clean_before, so the cache is keyed by the donor index. The
+    // config is banked by swapping buffers, not copied: the old donor's
+    // buffer takes this slot, which the next advise rewrites.
+    std::swap(w.last_good_cfg, cfg);
+    served = &w.last_good_cfg;
     w.last_good_index = job.index;
     w.has_last_good = true;
   }

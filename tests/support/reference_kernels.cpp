@@ -99,6 +99,43 @@ void backward_reference(const Mlp& net, std::span<const double> x,
   }
 }
 
+AdamReference::AdamReference(const Mlp& net, const AdamConfig& cfg)
+    : cfg_(cfg), m_(net.make_gradients()), v_(net.make_gradients()) {}
+
+void AdamReference::step(Mlp& net, const MlpGradients& grads) {
+  ++t_;
+  const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
+  double scale = 1.0;
+  if (cfg_.clip_norm > 0.0) {
+    double norm_sq = 0.0;
+    for (const auto& gw : grads.weight)
+      for (double g : gw.flat()) norm_sq += g * g;
+    for (const auto& gb : grads.bias)
+      for (double g : gb) norm_sq += g * g;
+    const double norm = std::sqrt(norm_sq);
+    if (norm > cfg_.clip_norm) scale = cfg_.clip_norm / norm;
+  }
+  auto update = [&](double& param, double grad, double& m, double& v) {
+    grad *= scale;
+    m = cfg_.beta1 * m + (1.0 - cfg_.beta1) * grad;
+    v = cfg_.beta2 * v + (1.0 - cfg_.beta2) * grad * grad;
+    const double mhat = m / bc1;
+    const double vhat = v / bc2;
+    param -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
+  };
+  for (std::size_t l = 0; l < grads.weight.size(); ++l) {
+    const std::span<double> w = net.weights()[l].flat();
+    const std::span<const double> g = grads.weight[l].flat();
+    const std::span<double> m = m_.weight[l].flat();
+    const std::span<double> v = v_.weight[l].flat();
+    for (std::size_t i = 0; i < w.size(); ++i) update(w[i], g[i], m[i], v[i]);
+    std::vector<double>& b = net.biases()[l];
+    for (std::size_t i = 0; i < b.size(); ++i)
+      update(b[i], grads.bias[l][i], m_.bias[l][i], v_.bias[l][i]);
+  }
+}
+
 }  // namespace figret::nn
 
 namespace figret::te {
@@ -189,52 +226,6 @@ void backward_batch_reference(const nn::Mlp& net, const linalg::Matrix& x,
   }
 }
 
-/// Adam over every parameter, serially, clip norm included.
-class AdamReference {
- public:
-  AdamReference(const nn::Mlp& net, const nn::AdamConfig& cfg)
-      : cfg_(cfg), m_(net.make_gradients()), v_(net.make_gradients()) {}
-
-  void step(nn::Mlp& net, const nn::MlpGradients& grads) {
-    ++t_;
-    const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
-    const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-    double scale = 1.0;
-    if (cfg_.clip_norm > 0.0) {
-      double norm_sq = 0.0;
-      for (const auto& gw : grads.weight)
-        for (double g : gw.flat()) norm_sq += g * g;
-      for (const auto& gb : grads.bias)
-        for (double g : gb) norm_sq += g * g;
-      const double norm = std::sqrt(norm_sq);
-      if (norm > cfg_.clip_norm) scale = cfg_.clip_norm / norm;
-    }
-    auto update = [&](double& param, double grad, double& m, double& v) {
-      grad *= scale;
-      m = cfg_.beta1 * m + (1.0 - cfg_.beta1) * grad;
-      v = cfg_.beta2 * v + (1.0 - cfg_.beta2) * grad * grad;
-      const double mhat = m / bc1;
-      const double vhat = v / bc2;
-      param -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
-    };
-    for (std::size_t l = 0; l < grads.weight.size(); ++l) {
-      const std::span<double> w = net.weights()[l].flat();
-      const std::span<const double> g = grads.weight[l].flat();
-      const std::span<double> m = m_.weight[l].flat();
-      const std::span<double> v = v_.weight[l].flat();
-      for (std::size_t i = 0; i < w.size(); ++i) update(w[i], g[i], m[i], v[i]);
-      std::vector<double>& b = net.biases()[l];
-      for (std::size_t i = 0; i < b.size(); ++i)
-        update(b[i], grads.bias[l][i], m_.bias[l][i], v_.bias[l][i]);
-    }
-  }
-
- private:
-  nn::AdamConfig cfg_;
-  nn::MlpGradients m_, v_;
-  std::size_t t_ = 0;
-};
-
 }  // namespace
 
 ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
@@ -255,7 +246,7 @@ ReferenceFit figret_fit_reference(const PathSet& ps, const FigretOptions& opt,
   nn::AdamConfig acfg;
   acfg.learning_rate = opt.learning_rate;
   acfg.clip_norm = opt.clip_norm;
-  AdamReference adam(model, acfg);
+  nn::AdamReference adam(model, acfg);
   nn::MlpGradients grads = model.make_gradients();
   const LossConfig lcfg{opt.robust_weight};
   util::Rng rng(opt.seed ^ 0xF16A2Eu);

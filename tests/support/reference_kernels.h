@@ -1,10 +1,11 @@
 // Pre-optimization kernels: the plain triple loops the tiled/SIMD matrix
 // kernels of linalg/matrix.h replaced, the single-sample MLP backward the
 // minibatch backward replaced, the path-major edge-load loop the pair-major
-// te::edge_loads_into replaced, and the dense serial training loop
-// FigretScheme::fit replaced. They are the differential oracles of
-// tests/test_kernels.cpp, tests/test_mlp.cpp, tests/test_sparse_demand.cpp
-// and tests/test_fit_oracle.cpp and the baseline columns of
+// te::edge_loads_into replaced, the serial Adam step nn::Adam replaced, and
+// the dense serial training loop FigretScheme::fit replaced. They are the
+// differential oracles of tests/test_kernels.cpp, tests/test_mlp.cpp,
+// tests/test_adam.cpp, tests/test_sparse_demand.cpp and
+// tests/test_fit_oracle.cpp and the baseline columns of
 // bench_fabric_scale, and are deliberately compiled without ISA clones.
 #pragma once
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "nn/adam.h"
 #include "nn/mlp.h"
 #include "te/figret.h"
 #include "te/pathset.h"
@@ -37,6 +39,19 @@ void backward_reference(const Mlp& net, std::span<const double> x,
                         const MlpWorkspace& ws,
                         std::span<const double> dl_doutput,
                         MlpGradients& grads);
+
+/// Adam over every parameter, serially, clip norm included: one serial sum
+/// of squares in parameter order on every step.
+class AdamReference {
+ public:
+  AdamReference(const Mlp& net, const AdamConfig& cfg);
+  void step(Mlp& net, const MlpGradients& grads);
+
+ private:
+  AdamConfig cfg_;
+  MlpGradients m_, v_;
+  std::size_t t_ = 0;
+};
 
 }  // namespace figret::nn
 

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "support/reference_kernels.h"
 #include "util/rng.h"
 
 namespace figret::nn {
@@ -163,6 +165,71 @@ TEST(Adam, StepRejectsMismatchedShapes) {
   EXPECT_THROW(adam.step(m, g, out_of_range), std::invalid_argument);
   EXPECT_EQ(adam.steps_taken(), 0u) << "a rejected step must not count";
   EXPECT_NO_THROW(adam.step(m, g));
+}
+
+TEST(Adam, ClipScaleIsTheSerialNormsOnBothSidesOfTheBound) {
+  // The clip scale is that of one serial norm sum. A parallel sum with a
+  // rounding bound proves a norm far below the clip norm unclipped without
+  // it; a clip norm within a rounding of the norm (just below: the clip
+  // binds; equal or just above: it does not), and a NaN or infinite
+  // gradient, leave the decision to the serial sum. Each case must match
+  // the serial reference bit for bit. 2000 inputs split the first layer
+  // into several pool chunks.
+  MlpConfig cfg;
+  cfg.layer_sizes = {2000, 40, 9};
+  cfg.seed = 13;
+  const Mlp init(cfg);
+  util::Rng rng(17);
+  MlpGradients g = init.make_gradients();
+  for (auto& w : g.weight)
+    for (double& v : w.flat()) v = rng.uniform(-1e-3, 1e-3);
+  for (auto& b : g.bias)
+    for (double& v : b) v = rng.uniform(-1e-3, 1e-3);
+  // The norm as the serial sum computes it, in parameter order.
+  double norm_sq = 0.0;
+  for (const auto& w : g.weight)
+    for (double v : w.flat()) norm_sq += v * v;
+  for (const auto& b : g.bias)
+    for (double v : b) norm_sq += v * v;
+  const double norm = std::sqrt(norm_sq);
+  const double inf = std::numeric_limits<double>::infinity();
+
+  const auto expect_matches_reference = [&](const MlpGradients& grads,
+                                            double clip,
+                                            const std::string& what) {
+    Mlp fast = init;
+    Mlp serial = init;
+    AdamConfig acfg;
+    acfg.learning_rate = 0.01;
+    acfg.clip_norm = clip;
+    Adam adam(fast, acfg);
+    AdamReference reference(serial, acfg);
+    for (int step = 0; step < 3; ++step) {
+      adam.step(fast, grads);
+      reference.step(serial, grads);
+    }
+    for (std::size_t l = 0; l < fast.num_layers(); ++l) {
+      const auto a = fast.weights()[l].flat();
+      const auto b = serial.weights()[l].flat();
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+          << what << ", layer " << l;
+      EXPECT_EQ(std::memcmp(fast.biases()[l].data(), serial.biases()[l].data(),
+                            fast.biases()[l].size() * sizeof(double)),
+                0)
+          << what << ", layer " << l;
+    }
+  };
+  expect_matches_reference(g, norm * 1e3, "clip far above the norm");
+  expect_matches_reference(g, norm * 2.0, "clip twice the norm");
+  expect_matches_reference(g, std::nextafter(norm, 0.0), "clip just below");
+  expect_matches_reference(g, norm, "clip equal to the norm");
+  expect_matches_reference(g, std::nextafter(norm, inf), "clip just above");
+  expect_matches_reference(g, norm * 0.5, "clip binding");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf}) {
+    MlpGradients broken = g;
+    broken.weight[1](3, 5) = bad;
+    expect_matches_reference(broken, norm * 1e3, "gradient " + std::to_string(bad));
+  }
 }
 
 TEST(Adam, ActiveInputStepMatchesFullStepBitForBit) {

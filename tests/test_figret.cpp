@@ -402,6 +402,86 @@ TEST(Figret, AdviseIntoMatchesDenseForwardAfterFitLoadAndRefit) {
     }
 }
 
+TEST(Figret, FullWindowBatchesMatchDenseAdvise) {
+  // On dense traffic every aligned 64-input window of the first layer is
+  // full, and a batch's rows are folded together without the index walk.
+  // mesh(8) with history 4 has 224 inputs: three full windows and a partial
+  // last one. Every batch of 1..4 dense windows serves each row the dense
+  // forward's ratios bit for bit.
+  const PathSet ps = mesh_pathset(8);
+  const auto trace = traffic::dc_tor_trace(8, 40, 41);
+  FigretOptions opt = fast_options();
+  opt.epochs = 2;
+  FigretScheme scheme(ps, opt);
+  scheme.fit(trace);
+  std::vector<std::span<const traffic::DemandMatrix>> windows;
+  for (std::size_t t = trace.size() - 4; t < trace.size(); ++t) {
+    windows.emplace_back(trace.snapshots.data() + t - 4, 4);
+    for (const auto& dm : windows.back())
+      for (std::size_t p = 0; p < ps.num_pairs(); ++p)
+        ASSERT_GT(dm[p], 0.0) << "the window must be dense";
+  }
+  for (std::size_t n = 1; n <= windows.size(); ++n) {
+    std::vector<TeConfig> batched(n);
+    scheme.advise_batch_into(std::span(windows.data(), n), batched);
+    for (std::size_t b = 0; b < n; ++b) {
+      const TeConfig want = dense_advise(scheme, ps, windows[b]);
+      ASSERT_EQ(batched[b].size(), want.size());
+      EXPECT_EQ(std::memcmp(batched[b].data(), want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << "row " << b << " of " << n;
+    }
+  }
+}
+
+TEST(Figret, DenseAndSparseStorageAdviseTheSameBytes) {
+  // A dense-stored snapshot without a zero is gathered in one pass; one
+  // with a zero, or a sparse-stored one, entry by entry. The served bytes
+  // depend only on the values: a pair zero in the whole window is idle
+  // either way, and every other pair gets the dense forward's ratios.
+  const PathSet ps = mesh_pathset(8);
+  const auto trace = traffic::dc_tor_trace(8, 40, 43);
+  FigretOptions opt = fast_options();
+  opt.epochs = 1;
+  FigretScheme scheme(ps, opt);
+  scheme.fit(trace);
+  const std::size_t idle_pair = traffic::pair_index(8, 3, 6);
+  std::vector<traffic::DemandMatrix> dense(trace.snapshots.end() - 4,
+                                           trace.snapshots.end());
+  for (std::size_t h = 0; h < dense.size(); ++h) {
+    ASSERT_FALSE(dense[h].is_sparse());
+    if (h != 2) dense[h][idle_pair] = 0.0;  // snapshot 2 stays zero-free
+  }
+  dense[3][traffic::pair_index(8, 0, 1)] = 0.0;  // refreshed by snapshot 2
+  const TeConfig from_dense = scheme.advise(dense);
+  std::vector<traffic::DemandMatrix> sparse;
+  for (const auto& dm : dense) sparse.push_back(dm.sparsified());
+  const TeConfig from_sparse = scheme.advise(sparse);
+  ASSERT_EQ(from_dense.size(), from_sparse.size());
+  EXPECT_EQ(std::memcmp(from_dense.data(), from_sparse.data(),
+                        from_dense.size() * sizeof(double)),
+            0);
+  // Snapshot 2 refreshes idle_pair; without it the pair is idle.
+  const TeConfig want = dense_advise(scheme, ps, dense);
+  EXPECT_EQ(std::memcmp(from_dense.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
+  dense[2][idle_pair] = 0.0;
+  const TeConfig idle = scheme.advise(std::vector<traffic::DemandMatrix>(
+      4, traffic::DemandMatrix(ps.num_nodes(), 0.0)));
+  const TeConfig served = scheme.advise(dense);
+  for (std::size_t i = ps.pair_begin(idle_pair); i < ps.pair_end(idle_pair);
+       ++i)
+    EXPECT_EQ(std::memcmp(&served[i], &idle[i], sizeof(double)), 0)
+        << "path " << i;
+  sparse[2] = dense[2].sparsified();
+  const TeConfig served_sparse = scheme.advise(sparse);
+  EXPECT_EQ(std::memcmp(served.data(), served_sparse.data(),
+                        served.size() * sizeof(double)),
+            0);
+}
+
 TEST(Figret, OutputSparseContractUnderChurn) {
   // On a churning sparse fabric, pairs turn active and idle from window to
   // window. A pair with an input in the window is refreshed: served the

@@ -492,6 +492,59 @@ TEST(SparseMatvecBatch, BatchesLargerThanARowGroup) {
   expect_batches_match_rows(a, xs, "11 rows");
 }
 
+/// A row built window by window (aligned windows of 64 inputs), cycling
+/// through `kinds`: 'F' full, 'Z' full with explicit +0.0 and -0.0 among its
+/// values, 'P' partial (each input active with probability 0.9), 'S' sparse
+/// (two inputs), '0' empty. The last window may be cut short by `in`.
+SparseInput windowed_row(std::size_t in, const std::string& kinds,
+                         util::Rng& rng) {
+  constexpr std::size_t kWindow = 64;
+  SparseInput x;
+  x.dense.assign(in, 0.0);
+  for (std::size_t begin = 0; begin < in; begin += kWindow) {
+    const char kind = kinds[(begin / kWindow) % kinds.size()];
+    for (std::size_t k = begin; k < std::min(in, begin + kWindow); ++k) {
+      const std::size_t at = k - begin;
+      bool active = kind == 'F' || kind == 'Z';
+      if (kind == 'P') active = rng.bernoulli(0.9);
+      if (kind == 'S') active = at == 5 || at == 40;
+      if (!active) continue;
+      double v = rng.uniform(-1.0, 1.0);
+      if (kind == 'Z' && at % 7 == 0) v = at % 14 == 0 ? 0.0 : -0.0;
+      x.index.push_back(k);
+      x.value.push_back(v);
+      x.dense[k] = v;
+    }
+  }
+  return x;
+}
+
+TEST(SparseMatvecBatch, FullWindowsMatchTheirRowsAlone) {
+  // Windows full in every row of a group are folded together, without the
+  // index walk; any other window is walked. Batches of 1..6 rows give
+  // groups of one to four rows and a second group. 4048 and 200 inputs end
+  // in a partial window, 7936 in a full one; 130 outputs cross the 128-wide
+  // output block.
+  util::Rng rng(115);
+  for (const std::size_t in : {200u, 4048u, 7936u}) {
+    const auto a = random_matrix(130, in, rng);
+    const std::string shape = "in=" + std::to_string(in);
+
+    // Every window full in every row: signed zeros among the values.
+    std::vector<SparseInput> dense;
+    for (const char* kinds : {"F", "Z", "F", "FZ", "F", "ZF"})
+      dense.push_back(windowed_row(in, kinds, rng));
+    expect_batches_match_rows(a, dense, shape + " full");
+
+    // Full and partial windows in one group, a row full in one window and
+    // sparse in the next, an empty row, and windows full in some rows only.
+    std::vector<SparseInput> mixed;
+    for (const char* kinds : {"F", "FS", "P", "SF", "0", "FP0Z"})
+      mixed.push_back(windowed_row(in, kinds, rng));
+    expect_batches_match_rows(a, mixed, shape + " mixed");
+  }
+}
+
 TEST(SparseMatvecBatch, RejectsAMalformedRowAtAnyPosition) {
   const linalg::Matrix at(10, 3, 1.0);
   const std::vector<double> two = {1.0, 2.0};

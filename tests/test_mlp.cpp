@@ -507,6 +507,9 @@ TEST(Mlp, ForwardSparseOutputRunsMatchTheFullPass) {
   MlpBatchWorkspace full_ws, ws;
   const linalg::Matrix full = m.forward_sparse(rows, w0_t, full_ws);
   const std::vector<OutputRun> runs = {{0, 1}, {4, 9}, {9, 10}, {17, 23}};
+  // A full pass first: the runs pass must zero the columns it leaves out,
+  // not keep what the workspace held.
+  m.forward_sparse(rows, w0_t, ws);
   const linalg::Matrix& y = m.forward_sparse(rows, w0_t, ws, runs);
   ASSERT_EQ(y.rows(), rows.size());
   ASSERT_EQ(y.cols(), m.output_size());
